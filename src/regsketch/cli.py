@@ -1,7 +1,9 @@
 """Benchmark / calibration command line.
 
 Every subcommand runs a seeded family of trials and emits one record per
-trial (jsonl or csv), plus a summary line on stderr. Objective ratios are
+trial (jsonl or csv), plus a summary line on stderr. The trial subcommands
+are registered from TRIAL_COMMANDS and share one loop, `run_trials`; each
+supplies only its per-seed trial. `calibrate` runs its own search. Objective ratios are
 floored at 1 - 1e-9 so tiny negative slack from finite arithmetic does not
 masquerade as beating the optimum.
 """
@@ -21,7 +23,7 @@ from . import cca as cca_mod
 from . import genreg, lowrank, problems, ridge
 from . import sketch as sk
 from . import statdim
-from .la import read_matrix_market
+from .la import as_dense, read_matrix_market
 
 RATIO_FLOOR = 1.0 - 1e-9
 PASS_RATE = 0.8
@@ -129,167 +131,157 @@ def _resolve_lambda(args, A):
     return problems.lambda_for_sd(A, 3.0, 8.0)
 
 
-def cmd_ridge(args):
-    policy = _load_policy(args)
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, b = _load_matrix(args, seed)
-        lam = _resolve_lambda(args, A)
-        p = ridge.RidgeProblem(A, b, lam)
-        ex = ridge.solve_exact(p)
-        sd = statdim.sd_estimate(A, lam, seed=seed).estimate
-        m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
-        sol = ridge.solve_sketched_rows(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
-        records.append(
-            TrialRecord.make(
-                "ridge", seed, ex.objective, sol.objective, args.eps,
-                {"lam": lam, "m": m, "sd_hat": sd, "guard": sol.guard_applied},
-            )
-        )
-    return emit(records, args.out, args.format)
+def _ridge_trial(args, policy, seed):
+    A, b = _load_matrix(args, seed)
+    lam = _resolve_lambda(args, A)
+    p = ridge.RidgeProblem(A, b, lam)
+    ex = ridge.solve_exact(p)
+    sd = statdim.sd_estimate(A, lam, seed=seed).estimate
+    m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
+    sol = ridge.solve_sketched_rows(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
+    return TrialRecord.make(
+        args.command, seed, ex.objective, sol.objective, args.eps,
+        {"lam": lam, "m": m, "sd_hat": sd, "guard": sol.guard_applied},
+    )
 
 
-def cmd_ridge_wide(args):
-    policy = _load_policy(args)
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, b = _load_matrix(args, seed, n=args.n, d=args.d)
-        # small lam blows up the wide-regime error factor (1 + 3 sigma1^2/lam),
-        # so the default is a fixed moderate weight rather than an sd target
-        lam = args.lam if args.lam is not None else 0.5
-        if lam <= 0:
-            raise SystemExit("ridge-wide requires a positive regularization weight")
-        p = ridge.RidgeProblem(A, b, lam)
-        ex = ridge.solve_exact(p)
-        m, clamped = ridge.recommend_wide_size(policy, A, lam, args.eps)
-        sol = ridge.solve_sketched_cols(p, _sketch_spec(args, m, seed, limit=A.shape[1]))
-        records.append(
-            TrialRecord.make(
-                "ridge-wide", seed, ex.objective, sol.objective, args.eps,
-                {"lam": lam, "m": m, "clamped": clamped},
-            )
-        )
-    return emit(records, args.out, args.format)
+def _ridge_wide_trial(args, policy, seed):
+    A, b = _load_matrix(args, seed, n=args.n, d=args.d)
+    # small lam blows up the wide-regime error factor (1 + 3 sigma1^2/lam),
+    # so the default is a fixed moderate weight rather than an sd target
+    lam = args.lam if args.lam is not None else 0.5
+    if lam <= 0:
+        raise SystemExit("ridge-wide requires a positive regularization weight")
+    p = ridge.RidgeProblem(A, b, lam)
+    ex = ridge.solve_exact(p)
+    m, clamped = ridge.recommend_wide_size(policy, A, lam, args.eps)
+    sol = ridge.solve_sketched_cols(p, _sketch_spec(args, m, seed, limit=A.shape[1]))
+    return TrialRecord.make(
+        args.command, seed, ex.objective, sol.objective, args.eps,
+        {"lam": lam, "m": m, "clamped": clamped},
+    )
 
 
-def cmd_mr_ridge(args):
-    policy = _load_policy(args)
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, _ = _load_matrix(args, seed)
-        rng = np.random.default_rng(seed + 1)
-        B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
-        B = B + 0.01 * rng.standard_normal(B.shape)
-        lam = _resolve_lambda(args, A)
-        p = ridge.RidgeProblem(A, B, lam)
-        ex = ridge.solve_exact(p)
-        sd = statdim.sd_estimate(A, lam, seed=seed).estimate
-        m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
-        sol = ridge.solve_sketched_mr(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
-        records.append(
-            TrialRecord.make(
-                "mr-ridge", seed, ex.objective, sol.objective, args.eps,
-                {"lam": lam, "m": m, "dprime": args.dprime},
-            )
-        )
-    return emit(records, args.out, args.format)
+def _mr_ridge_trial(args, policy, seed):
+    A, _ = _load_matrix(args, seed)
+    rng = np.random.default_rng(seed + 1)
+    B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
+    B = B + 0.01 * rng.standard_normal(B.shape)
+    lam = _resolve_lambda(args, A)
+    p = ridge.RidgeProblem(A, B, lam)
+    ex = ridge.solve_exact(p)
+    sd = statdim.sd_estimate(A, lam, seed=seed).estimate
+    m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
+    sol = ridge.solve_sketched_mr(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
+    return TrialRecord.make(
+        args.command, seed, ex.objective, sol.objective, args.eps,
+        {"lam": lam, "m": m, "dprime": args.dprime},
+    )
 
 
-def cmd_lowrank(args):
-    policy = _load_policy(args)
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, _ = _load_matrix(args, seed)
-        lam = args.lam if args.lam is not None else 0.25
-        ex = lowrank.solve_exact_shrink(A, args.k, lam)
-        sol = lowrank.solve_sketched(A, args.k, lam, args.eps, policy=policy, seed=seed)
-        # pass criterion: additive eps ||A||_F^2 slack on the objective gap
-        fro2 = float(np.sum(np.asarray(A.todense() if hasattr(A, "todense") else A) ** 2))
-        gap = sol.objective - ex.objective
-        rec = TrialRecord.make(
-            "lowrank", seed, ex.objective, sol.objective, args.eps,
-            {"lam": lam, "k": args.k, "gap_over_fro2": gap / fro2 if fro2 else 0.0},
-        )
-        rec.passed = gap <= args.eps * fro2 + 1e-9
-        records.append(rec)
-    return emit(records, args.out, args.format)
+def _lowrank_trial(args, policy, seed):
+    A, _ = _load_matrix(args, seed)
+    lam = args.lam if args.lam is not None else 0.25
+    ex = lowrank.solve_exact_shrink(A, args.k, lam)
+    sol = lowrank.solve_sketched(A, args.k, lam, args.eps, policy=policy, seed=seed)
+    # pass criterion: additive eps ||A||_F^2 slack on the objective gap
+    fro2 = float(np.sum(as_dense(A) ** 2))
+    gap = sol.objective - ex.objective
+    rec = TrialRecord.make(
+        args.command, seed, ex.objective, sol.objective, args.eps,
+        {"lam": lam, "k": args.k, "gap_over_fro2": gap / fro2 if fro2 else 0.0},
+    )
+    rec.passed = gap <= args.eps * fro2 + 1e-9
+    return rec
 
 
-def cmd_cca(args):
-    policy = _load_policy(args)
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, _ = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
-        B, _ = problems.generate_problem(args.n, args.dprime, seed + 10_000, kind=args.spectrum)
-        lam = args.lam if args.lam is not None else 0.1
-        ex = cca_mod.solve_exact_cca(A, B, lam, lam)
-        sd_max = max(statdim.sd_exact(A, lam), statdim.sd_exact(B, lam))
-        m = min(args.n, cca_mod.cca_sketch_size(policy, sd_max, args.eps))
-        sol = cca_mod.solve_sketched_cca(A, B, lam, lam, _sketch_spec(args, m, seed, limit=args.n))
-        val = cca_mod.validate_cca(A, B, lam, lam, sol, ex, eta=args.eps)
-        rec = TrialRecord.make(
-            "cca", seed, sum(ex.sigmas), sum(sol.sigmas), args.eps,
-            {"lam": lam, "m": m, "max_sigma_dev": val.max_sigma_dev, "validated": val.passed},
-        )
-        rec.passed = val.passed
-        records.append(rec)
-    return emit(records, args.out, args.format)
+def _cca_trial(args, policy, seed):
+    A, _ = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
+    B, _ = problems.generate_problem(args.n, args.dprime, seed + 10_000, kind=args.spectrum)
+    lam = args.lam if args.lam is not None else 0.1
+    ex = cca_mod.solve_exact_cca(A, B, lam, lam)
+    sd_max = max(statdim.sd_exact(A, lam), statdim.sd_exact(B, lam))
+    m = min(args.n, cca_mod.cca_sketch_size(policy, sd_max, args.eps))
+    sol = cca_mod.solve_sketched_cca(A, B, lam, lam, _sketch_spec(args, m, seed, limit=args.n))
+    val = cca_mod.validate_cca(A, B, lam, lam, sol, ex, eta=args.eps)
+    rec = TrialRecord.make(
+        args.command, seed, sum(ex.sigmas), sum(sol.sigmas), args.eps,
+        {"lam": lam, "m": m, "max_sigma_dev": val.max_sigma_dev, "validated": val.passed},
+    )
+    rec.passed = val.passed
+    return rec
 
 
-def cmd_genreg(args):
-    measures = genreg.builtin_measures()
-    f = genreg.scaled(measures[args.measure], args.lam if args.lam is not None else 0.1)
-    # flags survive scaling; keep the base measure's declared invariances
-    f = dataclasses.replace(f, flags=measures[args.measure].flags)
+def _genreg_trial(args, policy, seed):
+    f = genreg.scaled(genreg.builtin_measures()[args.measure], args.lam if args.lam is not None else 0.1)
     solver = genreg.prox_small_solver(f)
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, _ = _load_matrix(args, seed)
-        rng = np.random.default_rng(seed + 2)
-        B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
-        _, obj_exact = genreg.solve_general_regression(
-            A, B, f, solver, args.eps, seed=seed, identity_sketches=True,
-            assume_inheritance=True,
-        )
-        _, obj = genreg.solve_general_regression(
-            A, B, f, solver, args.eps, seed=seed, assume_inheritance=True
-        )
-        records.append(
-            TrialRecord.make("genreg", seed, obj_exact, obj, args.eps, {"measure": args.measure})
-        )
-    return emit(records, args.out, args.format)
+    A, _ = _load_matrix(args, seed)
+    rng = np.random.default_rng(seed + 2)
+    B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
+    # the reference side is the same prox solver behind identity sketches
+    _, obj_exact = genreg.solve_general_regression(
+        A, B, f, solver, args.eps, seed=seed, identity_sketches=True,
+        assume_inheritance=True,
+    )
+    _, obj = genreg.solve_general_regression(
+        A, B, f, solver, args.eps, seed=seed, assume_inheritance=True
+    )
+    return TrialRecord.make(args.command, seed, obj_exact, obj, args.eps, {"measure": args.measure})
 
 
-def cmd_statdim(args):
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, _ = _load_matrix(args, seed)
-        lam = args.lam if args.lam is not None else 0.1
-        exact = statdim.sd_exact(A, lam)
-        est = statdim.sd_estimate(A, lam, seed=seed)
-        ok = est.lower <= exact <= est.upper if est.binding else True
-        rec = TrialRecord.make(
-            "statdim", seed, exact, est.estimate, args.eps,
-            {"lam": lam, "lower": est.lower, "upper": est.upper, "binding": est.binding},
-        )
-        rec.passed = ok
-        records.append(rec)
-    return emit(records, args.out, args.format)
+def _statdim_trial(args, policy, seed):
+    A, _ = _load_matrix(args, seed)
+    lam = args.lam if args.lam is not None else 0.1
+    exact = statdim.sd_exact(A, lam)
+    est = statdim.sd_estimate(A, lam, seed=seed)
+    rec = TrialRecord.make(
+        args.command, seed, exact, est.estimate, args.eps,
+        {"lam": lam, "lower": est.lower, "upper": est.upper, "binding": est.binding},
+    )
+    rec.passed = est.lower <= exact <= est.upper if est.binding else True
+    return rec
 
 
-def cmd_check_embedding(args):
-    records = []
-    for seed in _seed_range(args.seeds):
-        A, _ = _load_matrix(args, seed)
-        spec = _sketch_spec(args, args.m or A.shape[0] // 2, seed)
-        rep = sk.check_subspace_embedding(spec, A, args.eps, trials=args.trials)
-        rec = TrialRecord.make(
-            "check-embedding", seed, args.eps, max(rep.deviations), 0.0,
-            {"variant": spec.variant, "m": spec.m, "pass_fraction": rep.pass_fraction},
-        )
-        rec.passed = rep.passed
-        rec.ratio = max(rep.deviations) / rep.threshold
-        records.append(rec)
+def _check_embedding_trial(args, policy, seed):
+    A, _ = _load_matrix(args, seed)
+    spec = _sketch_spec(args, args.m or A.shape[0] // 2, seed)
+    rep = sk.check_subspace_embedding(spec, A, args.eps, trials=args.trials)
+    rec = TrialRecord.make(
+        args.command, seed, args.eps, max(rep.deviations), 0.0,
+        {"variant": spec.variant, "m": spec.m, "pass_fraction": rep.pass_fraction},
+    )
+    rec.passed = rep.passed
+    rec.ratio = max(rep.deviations) / rep.threshold
+    return rec
+
+
+# subcommand -> (help, per-seed trial, extra (flag, type, default)s, parser defaults)
+TRIAL_COMMANDS = {
+    "ridge": ("row-sketched ridge regression trials", _ridge_trial, [], {}),
+    "ridge-wide": ("wide-regime (column-space) ridge trials", _ridge_wide_trial, [], {"n": 30, "d": 200}),
+    "mr-ridge": ("multiple-response ridge trials", _mr_ridge_trial, [("--dprime", int, 4)], {}),
+    "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, [("--k", int, 5)], {}),
+    "cca": ("regularized CCA trials", _cca_trial, [("--dprime", int, 20)], {}),
+    "genreg": (
+        "general-regularizer regression trials",
+        _genreg_trial,
+        [("--measure", str, "vnorm_2"), ("--dprime", int, 3)],
+        {},
+    ),
+    "statdim": ("statistical-dimension estimator trials", _statdim_trial, [], {}),
+    "check-embedding": (
+        "empirical subspace-embedding check",
+        _check_embedding_trial,
+        [("--m", int, None), ("--trials", int, 5)],
+        {},
+    ),
+}
+
+
+def run_trials(args):
+    """One record per seed from the subcommand's trial, then the summary."""
+    policy = _load_policy(args)
+    records = [args.trial(args, policy, seed) for seed in _seed_range(args.seeds)]
     return emit(records, args.out, args.format)
 
 
@@ -394,44 +386,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="regsketch")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ridge", help="row-sketched ridge regression trials")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ridge)
-
-    p = sub.add_parser("ridge-wide", help="wide-regime (column-space) ridge trials")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ridge_wide, n=30, d=200)
-
-    p = sub.add_parser("mr-ridge", help="multiple-response ridge trials")
-    _add_common(p)
-    p.add_argument("--dprime", type=int, default=4)
-    p.set_defaults(fn=cmd_mr_ridge)
-
-    p = sub.add_parser("lowrank", help="regularized rank-k factorization trials")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=5)
-    p.set_defaults(fn=cmd_lowrank)
-
-    p = sub.add_parser("cca", help="regularized CCA trials")
-    _add_common(p)
-    p.add_argument("--dprime", type=int, default=20)
-    p.set_defaults(fn=cmd_cca)
-
-    p = sub.add_parser("genreg", help="general-regularizer regression trials")
-    _add_common(p)
-    p.add_argument("--measure", default="vnorm_2")
-    p.add_argument("--dprime", type=int, default=3)
-    p.set_defaults(fn=cmd_genreg)
-
-    p = sub.add_parser("statdim", help="statistical-dimension estimator trials")
-    _add_common(p)
-    p.set_defaults(fn=cmd_statdim)
-
-    p = sub.add_parser("check-embedding", help="empirical subspace-embedding check")
-    _add_common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(fn=cmd_check_embedding)
+    for name, (help_text, trial, extra, defaults) in TRIAL_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, type_, default in extra:
+            p.add_argument(flag, type=type_, default=default)
+        p.set_defaults(fn=run_trials, trial=trial, **defaults)
 
     p = sub.add_parser("calibrate", help="fit size-policy constants on the seeded family")
     _add_common(p)

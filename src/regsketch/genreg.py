@@ -9,7 +9,8 @@ undecidable, so falsification is the honest contract). On top of them sit:
 * the sketched pipeline for general multiple-response regression
   (affine sketch, right sketch of the response, QR change of basis,
   small-problem solve, triangular back-solve);
-* the two-sided sketched pipeline for general low-rank approximation.
+* general low-rank approximation, which runs the two-sided sketched core
+  of `lowrank` with the diagonal reduction as its small solver.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
+from . import lowrank
 from . import sketch as sk
-from .la import as_dense, make_rng
+from .la import as_dense, derive_seed, make_rng
 
 
 class MeasureFlagError(ValueError):
@@ -138,7 +138,6 @@ def builtin_measures() -> dict:
             prox=_prox_fro_sq,
         ),
         MatrixMeasure("nuclear", lambda A: _schatten(A, 1), _ORTH, prox=_prox_nuclear),
-        MatrixMeasure("schatten_1", lambda A: _schatten(A, 1), _ORTH, prox=_prox_nuclear),
         MatrixMeasure("schatten_2", lambda A: _schatten(A, 2), _ORTH, prox=_prox_fro),
         MatrixMeasure("schatten_inf", lambda A: _schatten(A, math.inf), _ORTH),
         MatrixMeasure(
@@ -292,11 +291,7 @@ def solve_diag_reduction(A, k: int, pair_f: PairMeasure, diag_solver, schatten_p
         fit = float(np.sum(R * R))
     else:
         fit = _schatten(R, schatten_p)
-    from .lowrank import LowRankFactors
-
-    return LowRankFactors(
-        Y=Y, X=X, objective=fit + pair_f.evaluate(Y, X), k=k, lam=0.0
-    )
+    return lowrank.LowRankFactors(Y=Y, X=X, objective=fit + pair_f.evaluate(Y, X), k=k, lam=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +345,7 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
 
 def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
     m = sk.recommend_sizes(policy, rank_hint, eps, "affine")
-    if m >= n_clamp:
-        # a sketch that cannot reduce the dimension only adds hash collisions
-        return sk.identity(side=side)
-    return sk.countsketch(m, seed=seed, side=side)
+    return lowrank._countsketch_or_identity(m, n_clamp, seed, side)
 
 
 def _numerical_rank(A, tol=1e-10):
@@ -361,23 +353,6 @@ def _numerical_rank(A, tol=1e-10):
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def _row_basis_backsolve(D, tol: float = 1e-10):
-    """Pivoted-QR basis Q of rowspan(D) plus a map from coefficients-on-Q
-    back to a matrix Z with Z @ D = (coeffs) @ Q.T."""
-    Q, Rm, piv = scipy.linalg.qr(D.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rm))
-    r = int(np.sum(diag > tol * max(diag[0] if diag.size else 0.0, 1e-300)))
-    Qb = Q[:, :r]
-    R1 = Rm[:r, :r]
-
-    def lift(Z1):
-        Z = np.zeros((Z1.shape[0], D.shape[0]))
-        Z[:, piv[:r]] = scipy.linalg.solve_triangular(R1, Z1.T).T
-        return Z
-
-    return Qb, lift, r
 
 
 def solve_general_regression(
@@ -410,7 +385,7 @@ def solve_general_regression(
     policy = policy or sk.SizePolicy()
     Ad, Bd = as_dense(A), as_dense(B)
     r = max(_numerical_rank(Ad), 1)
-    seeds = [int(make_rng(seed, 51 + i).integers(0, 2**63 - 1)) for i in range(3)]
+    seeds = [derive_seed(seed, 51 + i) for i in range(3)]
     if identity_sketches:
         S = sk.identity()
         Rh = sk.identity(side="right")
@@ -423,10 +398,9 @@ def solve_general_regression(
     SBRh = as_dense(sk.apply(Rh, SB))
     ShA = as_dense(sk.apply(Sh, Ad))
     ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
-    Q, lift, _ = _row_basis_backsolve(SBRh)
+    Q, R1, piv, _ = lowrank._pivoted_col_basis(SBRh.T)
     Z1 = small_solver(ShA, ShBRh @ Q)
-    Z = lift(Z1)
-    X = Z @ SB
+    X = lowrank._lift_rows(Z1, R1, piv, SBRh.shape[0]) @ SB
     Rm = Ad @ X - Bd
     return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
 
@@ -443,10 +417,9 @@ def solve_general_lowrank(
 ):
     """Two-sided sketched reduction for min ||YX - A||_F^2 + f(Y, X).
 
-    Pipeline: affine sketches S (left) and R (right), inner sketches S-hat
-    and R-hat; orthonormal bases of colspace(Sh A R) and rowspan(S A Rh);
-    the reduced k x k problem is solved by the SVD diagonal reduction with
-    diag_solver; lifts go back through triangular back-solves. The returned
+    Affine sketches S (left) and R (right) and inner sketches S-hat and
+    R-hat feed the two-sided core of `lowrank`, whose reduced k x k problem
+    is solved by the SVD diagonal reduction with diag_solver. The returned
     objective is recomputed on the original A.
     """
     _require_pair_flags(pair_f)
@@ -455,57 +428,28 @@ def solve_general_lowrank(
     if not (1 <= k <= min(n, d)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
     policy = policy or sk.SizePolicy()
-    seeds = [int(make_rng(seed, 61 + i).integers(0, 2**63 - 1)) for i in range(4)]
     if identity_sketches:
-        S = sk.identity()
-        R = sk.identity(side="right")
-        Sh = sk.identity()
-        Rh = sk.identity(side="right")
+        S, Sh = sk.identity(), sk.identity()
+        R, Rh = sk.identity(side="right"), sk.identity(side="right")
     else:
+        seeds = [derive_seed(seed, 61 + i) for i in range(4)]
         S = _affine_spec(policy, float(k), eps, n, seeds[0])
         R = _affine_spec(policy, float(k), eps, d, seeds[1], side="right")
         Sh = _affine_spec(policy, float(k), eps, n, seeds[2])
         Rh = _affine_spec(policy, float(k), eps, d, seeds[3], side="right")
-    AR = as_dense(sk.apply(R, Ad))
-    SA = as_dense(sk.apply(S, Ad))
-    ShAR = as_dense(sk.apply(Sh, AR))
-    SARh = as_dense(sk.apply(Rh, SA))
-    ShARh = as_dense(sk.apply(Rh, as_dense(sk.apply(Sh, Ad))))
-
-    # column basis of Sh A R with back-solve lift, and row basis of S A Rh
-    Qc, R1c, pivc = scipy.linalg.qr(ShAR, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R1c))
-    rc = int(np.sum(diag > 1e-10 * max(diag[0] if diag.size else 0.0, 1e-300)))
-    Ql = Qc[:, :rc]
-    Qr, lift_r, rr = _row_basis_backsolve(SARh)
-
-    kk = min(k, rc, rr)
-    Mid = Ql.T @ ShARh @ Qr
-    if kk == 0:
-        Y = np.zeros((n, k))
-        X = np.zeros((k, d))
-        from .lowrank import LowRankFactors
-
-        return LowRankFactors(Y=Y, X=X, objective=float(np.sum(Ad * Ad)) + pair_f.evaluate(Y, X), k=k, lam=0.0, rank_truncated=True)
-    core = solve_diag_reduction(Mid, kk, pair_f, diag_solver)
-    W1 = np.zeros((rc, k))
-    W1[:, :kk] = core.Y
-    Z1 = np.zeros((k, rr))
-    Z1[:kk, :] = core.X
-    # lift W: Sh A R W = Ql W1
-    W = np.zeros((AR.shape[1], k))
-    W[pivc[:rc]] = scipy.linalg.solve_triangular(R1c[:rc, :rc], W1)
-    Z = lift_r(Z1)
-    Y = AR @ W
-    X = Z @ SA
+    pieces = lowrank._assemble_core(Ad, S, R, Sh, Rh, {})
+    Z_R, Z_S, truncated = lowrank._solve_two_sided(
+        pieces.S2AR, pieces.SAR2, pieces.S2AR2, k,
+        lambda M, kk: solve_diag_reduction(M, kk, pair_f, diag_solver),
+    )
+    Y = pieces.AR @ Z_R
+    X = Z_S @ pieces.SA
     Rm = Y @ X - Ad
-    from .lowrank import LowRankFactors
-
-    return LowRankFactors(
+    return lowrank.LowRankFactors(
         Y=Y,
         X=X,
         objective=float(np.sum(Rm * Rm)) + pair_f.evaluate(Y, X),
         k=k,
         lam=0.0,
-        rank_truncated=kk < k,
+        rank_truncated=truncated,
     )

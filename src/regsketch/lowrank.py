@@ -4,6 +4,8 @@ The closed-form optimum is SVD shrinkage; the sketched route reduces the
 problem two-sidedly to a small core min ||Z_R' Z_S' - U_C' G U_D||_F^2 +
 lam(...) solved by the same shrinkage, then lifts the factors back through
 triangular back-solves against the QR factors of the sketched operands.
+`genreg` runs the same core with its diagonal reduction in place of the
+shrinkage.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import scipy.sparse
 
 from . import sketch as sk
 from . import statdim
-from .la import as_dense, make_rng
+from .la import as_dense, derive_seed, make_rng
 
 
 @dataclass
@@ -122,31 +124,21 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
     return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat}
 
 
-def build_core(A, k: int, eps: float, policy: sk.SizePolicy, seed: int = 0) -> CorePieces:
-    """Apply the four sketches and collect the five sketched operands.
-
-    Sparse-embedding components are applied directly to A on each side, so
-    each stored entry of A is touched once per CountSketch stage.
-    """
-    sizes = core_sizes(A, k, eps, 0.0, policy, seed=seed)  # lam enters via solve_sketched
-    return build_core_sized(A, sizes, seed)
-
-
 def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
     n, d = A.shape
-    rs = [int(make_rng(seed, 31 + i).integers(0, 2**63 - 1)) for i in range(4)]
-
-    def spec(m, limit, seed_, side):
-        # at m >= dim the sketch reduces nothing and only adds collisions
-        if m >= limit:
-            return sk.identity(side=side)
-        return sk.countsketch(m, seed=seed_, side=side)
-
-    S = spec(sizes["m"], n, rs[0], "left")
-    R = spec(sizes["m_prime"], d, rs[1], "right")
-    S2 = spec(sizes["p"], n, rs[2], "left")
-    R2 = spec(sizes["p_prime"], d, rs[3], "right")
+    rs = [derive_seed(seed, 31 + i) for i in range(4)]
+    S = _countsketch_or_identity(sizes["m"], n, rs[0], "left")
+    R = _countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
+    S2 = _countsketch_or_identity(sizes["p"], n, rs[2], "left")
+    R2 = _countsketch_or_identity(sizes["p_prime"], d, rs[3], "right")
     return _assemble_core(A, S, R, S2, R2, sizes)
+
+
+def _countsketch_or_identity(m: int, limit: int, seed: int, side: str) -> sk.SketchSpec:
+    # at m >= dim the sketch reduces nothing and only adds collisions
+    if m >= limit:
+        return sk.identity(side=side)
+    return sk.countsketch(m, seed=seed, side=side)
 
 
 def _assemble_core(A, S, R, S2, R2, sizes) -> CorePieces:
@@ -181,6 +173,16 @@ def solve_core(C, D, G, k: int, lam: float):
     back-solves against the pivoted QR factors of C and D'. Rank-deficient
     cores are zero-padded and flagged rather than rejected.
     """
+    return _solve_two_sided(C, D, G, k, lambda M, kk: solve_exact_shrink(M, kk, lam))
+
+
+def _solve_two_sided(C, D, G, k: int, solve_small):
+    """The two-sided core with a pluggable small solver.
+
+    solve_small(M, kk) returns factors (.Y, .X) of the rank-kk problem on
+    M = U_C' G U_D; shrinkage gives the ridge core, a diagonal reduction
+    gives any other orthogonally invariant pair regularizer.
+    """
     C, D, G = as_dense(C), as_dense(D), as_dense(G)
     p, m_p = C.shape
     m, p_p = D.shape
@@ -191,7 +193,7 @@ def solve_core(C, D, G, k: int, lam: float):
     if small_k == 0:
         return np.zeros((m_p, k)), np.zeros((k, m)), True
     Mid = U_C.T @ G @ U_D
-    core = solve_exact_shrink(Mid, small_k, lam)
+    core = solve_small(Mid, small_k)
     Zp_R = np.zeros((rc, k))
     Zp_R[:, :small_k] = core.Y
     Zp_S = np.zeros((k, rd))
@@ -199,9 +201,15 @@ def solve_core(C, D, G, k: int, lam: float):
     # back-solve: C Z_R = U_C Z'_R and Z_S D = Z'_S U_D'
     Z_R = np.zeros((m_p, k))
     Z_R[pivc[:rc]] = scipy.linalg.solve_triangular(R1c, Zp_R)
-    Z_S = np.zeros((k, m))
-    Z_S[:, pivd[:rd]] = scipy.linalg.solve_triangular(R1d, Zp_S.T).T
-    return Z_R, Z_S, truncated
+    return Z_R, _lift_rows(Zp_S, R1d, pivd, m), truncated
+
+
+def _lift_rows(Zp, R1, piv, width: int) -> np.ndarray:
+    """Z with Z @ D = Zp @ U', where (U, R1, piv) is _pivoted_col_basis(D')
+    and D has `width` rows."""
+    Z = np.zeros((Zp.shape[0], width))
+    Z[:, piv[: R1.shape[0]]] = scipy.linalg.solve_triangular(R1, Zp.T).T
+    return Z
 
 
 def solve_sketched(
@@ -214,7 +222,7 @@ def solve_sketched(
     pieces: CorePieces | None = None,
     transpose_dispatch: bool = True,
 ) -> LowRankFactors:
-    """Sketched rank-k ridge factorization: build_core -> solve_core -> lift.
+    """Sketched rank-k ridge factorization: build_core_sized -> solve_core -> lift.
 
     The objective is recomputed on the original A. When d > n the problem is
     solved on the transpose (the objective is symmetric under it).

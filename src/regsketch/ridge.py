@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import sketch as sk
-from .la import as_dense, make_rng
+from .la import as_dense, derive_seed, make_rng
 
 _RIDGE_SOLVE_TOL = 1e-8  # relative normal-equation residual contract
 
@@ -148,7 +148,7 @@ def solve_sketched_rows(
     stacked = _stack_cols(p.A, p.rhs)
     candidates = []
     for t in range(repeats):
-        sp = spec if t == 0 else spec.with_seed(int(make_rng(spec.seed, 101 + t).integers(0, 2**63 - 1)))
+        sp = spec if t == 0 else spec.with_seed(derive_seed(spec.seed, 101 + t))
         SC = as_dense(sk.apply(sp, stacked))
         SA, SB = SC[:, :d], SC[:, d:]
         X, _ = _solve_dense_ridge(SA, SB, p.lam)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .la import as_dense, make_rng, nnz, svd
+from .la import as_dense, derive_seed, make_rng, nnz, svd
 
 VARIANTS = ("identity", "countsketch", "osnap", "srht", "gaussian", "composed")
 
@@ -80,7 +80,7 @@ class SketchSpec:
     def with_seed(self, seed: int) -> "SketchSpec":
         if self.variant == "composed":
             parts = tuple(
-                p.with_seed(int(make_rng(seed, i).integers(0, 2**63 - 1)))
+                p.with_seed(derive_seed(seed, i))
                 for i, p in enumerate(self.inner)
             )
             return dataclasses.replace(self, seed=seed, inner=parts)
@@ -190,14 +190,17 @@ def _apply_countsketch_right(A, m: int, seed: int) -> np.ndarray:
 
 
 def _apply_osnap(A, m: int, s: int, seed: int) -> np.ndarray:
+    # block construction (Kane-Nelson): hash j picks a row of block j, whose
+    # m // s rows no other hash uses, so each column has s distinct nonzeros
     n = A.shape[0]
     rng = make_rng(seed)
     scale = 1.0 / math.sqrt(s)
+    block = m // s
     out = np.zeros((m, A.shape[1]))
     dense = not scipy.sparse.issparse(A)
     C = None if dense else A.tocoo()
     for j in range(s):
-        h = rng.integers(0, m, size=n)
+        h = j * block + rng.integers(0, block, size=n)
         sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
         if dense:
             Ad = np.asarray(A, dtype=np.float64)
@@ -389,7 +392,7 @@ class EmbedReport:
 
 
 def _trial_specs(spec: SketchSpec, trials: int):
-    return [spec.with_seed(int(make_rng(spec.seed, 1 + t).integers(0, 2**63 - 1))) for t in range(trials)]
+    return [spec.with_seed(derive_seed(spec.seed, 1 + t)) for t in range(trials)]
 
 
 def _report(condition, devs, threshold, required, note=""):

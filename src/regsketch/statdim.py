@@ -75,11 +75,11 @@ def residual_norm_estimate(
 @dataclass
 class StatDimEstimate:
     estimate: float  # z' + gamma_hat / lam
-    z_prime: int  # power of two
+    z_prime: int  # power of two, or min(n, d) once the doubling reaches it
     gamma_hat: float
     lower: float  # (3/8) min{z', gamma_hat/lam}
     upper: float  # (3/2) (z' + gamma_hat/lam)
-    binding: bool  # False when the doubling search exhausted min(n, d)
+    binding: bool  # False when the doubling search reached min(n, d)
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__)
@@ -88,7 +88,8 @@ class StatDimEstimate:
 def sd_estimate(A, lam: float, seed: int = 0, backend: str = "krylov") -> StatDimEstimate:
     """Constant-factor estimate of sd_lam(A) by doubling z until z >= gamma_z/lam.
 
-    Rejects lam = 0 (the stop rule divides by lam; use sd_exact or the rank).
+    z stops at r = min(n, d), where the tail energy is zero, so the estimate
+    never exceeds the rank; that result is marked non-binding. Rejects lam = 0 (the stop rule divides by lam; use sd_exact or the rank).
     """
     if lam <= 0:
         raise ValueError("sd_estimate requires lam > 0; use sd_exact for lam = 0")
@@ -104,16 +105,6 @@ def sd_estimate(A, lam: float, seed: int = 0, backend: str = "krylov") -> StatDi
                 gamma_hat=float(gamma),
                 lower=float(0.375 * min(z, gamma / lam)),
                 upper=float(1.5 * est),
-                binding=True,
+                binding=z < r,
             )
-        if z >= r:
-            est = float(r)
-            return StatDimEstimate(
-                estimate=est,
-                z_prime=z,
-                gamma_hat=float(gamma),
-                lower=0.0,
-                upper=float(1.5 * (z + gamma / lam)),
-                binding=False,
-            )
-        z *= 2
+        z = min(2 * z, r)

@@ -279,6 +279,26 @@ class TestGeneralLowRank:
             hits += got.objective <= 1.5 * ref.objective + 1e-12
         assert hits >= 8
 
+    def test_sketched_run_matches_lowrank_core(self):
+        # genreg's four affine CountSketches, fed to lowrank's ridge core,
+        # reproduce the factors genreg returns for the ridge pair
+        lam, k, eps, seed = 0.6, 8, 0.5, 3
+        rng = la.make_rng(seed, 81)
+        A = rng.standard_normal((400, 50)) @ rng.standard_normal((50, 300)) / 50.0
+        got = genreg.solve_general_lowrank(
+            A, k, genreg.ridge_pair(lam),
+            lambda s: genreg.diag_solver_shrink(s, lam),
+            eps, seed=seed,
+        )
+        specs = [
+            genreg._affine_spec(sk.SizePolicy(), float(k), eps, dim, la.derive_seed(seed, 61 + i), side)
+            for i, (dim, side) in enumerate([(400, "left"), (300, "right"), (400, "left"), (300, "right")])
+        ]
+        assert all(spec.variant == "countsketch" for spec in specs)
+        ref = lowrank.solve_sketched(A, k, lam, eps, pieces=lowrank._assemble_core(A, *specs, {}))
+        np.testing.assert_allclose(got.Y, ref.Y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.X, ref.X, rtol=0, atol=1e-12)
+
     def test_flag_violation_rejected(self):
         noflags = genreg.MeasureFlags()
         bad = genreg.PairMeasure("bad", lambda Y, X: 0.0, noflags, noflags)

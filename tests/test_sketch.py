@@ -66,6 +66,12 @@ class TestApply:
         A = la.make_rng(4).standard_normal((100, 3))
         assert sk.apply(spec, A).shape == (32, 3)
 
+    def test_osnap_columns_have_unit_norm(self):
+        # s nonzeros of magnitude 1/sqrt(s) in s distinct rows per column
+        S = sk.apply(sk.osnap(64, seed=0), np.eye(2000))
+        np.testing.assert_allclose(np.linalg.norm(S, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.count_nonzero(S, axis=0) == sk.osnap(64).osnap_s())
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sk.apply(sk.srht(64, seed=0), np.zeros((32, 2)))  # m > n

@@ -70,6 +70,15 @@ class TestSdEstimate:
         assert est.z_prime == 1
         assert est.estimate <= 1.1
 
+    def test_estimate_never_exceeds_rank(self):
+        # lam far below every sigma^2: the doubling reaches r = 30 and stops
+        A, _ = problems.generate_problem(40, 30, 0, kind="flat")
+        est = statdim.sd_estimate(A, 1e-6)
+        exact = statdim.sd_exact(A, 1e-6)
+        assert est.estimate <= 30
+        assert est.lower <= exact <= est.upper
+        assert not est.binding
+
     def test_lambda_zero_rejected(self):
         with pytest.raises(ValueError):
             statdim.sd_estimate(np.eye(3), 0.0)
