@@ -212,6 +212,16 @@ def _cca_trial(args, policy, seed):
     return rec
 
 
+def _prox_measure(name):
+    """argparse type of --measure: a shipped measure that has a prox operator."""
+    usable = sorted(k for k, m in genreg.builtin_measures().items() if m.prox is not None)
+    if name not in usable:
+        raise argparse.ArgumentTypeError(
+            f"{name!r} is not a measure with a prox; choose from {', '.join(usable)}"
+        )
+    return name
+
+
 def _genreg_trial(args, policy, seed):
     f = genreg.scaled(genreg.builtin_measures()[args.measure], args.lam if args.lam is not None else 0.1)
     solver = genreg.prox_small_solver(f)
@@ -265,7 +275,7 @@ TRIAL_COMMANDS = {
     "genreg": (
         "general-regularizer regression trials",
         _genreg_trial,
-        [("--measure", str, "vnorm_2"), ("--dprime", int, 3)],
+        [("--measure", _prox_measure, "vnorm_2"), ("--dprime", int, 3)],
         {},
     ),
     "statdim": ("statistical-dimension estimator trials", _statdim_trial, [], {}),

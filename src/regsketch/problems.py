@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse
 
 from .la import make_rng
-from .statdim import sd_exact
+from .statdim import sd_exact, singular_values
 
 SPECTRA = ("geometric", "power", "flat")
 
@@ -55,14 +55,16 @@ def generate_problem(
 
 def lambda_for_sd(A, target_lo: float, target_hi: float) -> float:
     """Bisect for a ridge weight whose statistical dimension lands in
-    [target_lo, target_hi]. sd is decreasing in the weight."""
+    [target_lo, target_hi]. sd is decreasing in the weight. One SVD of A;
+    each step evaluates sd on its singular values."""
+    sigma = singular_values(A)
     mid = 0.5 * (target_lo + target_hi)
     lo, hi = 1e-12, 1e12
-    if sd_exact(A, lo) < target_lo:
+    if sd_exact(sigma, lo) < target_lo:
         raise ValueError("matrix rank is below the target statistical dimension")
     for _ in range(200):
         lam = np.sqrt(lo * hi)
-        val = sd_exact(A, lam)
+        val = sd_exact(sigma, lam)
         if target_lo <= val <= target_hi:
             return float(lam)
         if val > mid:

@@ -4,6 +4,11 @@ estimator built on a doubling search over residual-energy estimates.
 The estimator's certificate is the inequality chain
 (3/8) min{z', gamma/lam} <= sd_lam(A) <= (3/2)(z' + gamma/lam),
 which is deterministic when exact residuals are substituted for gamma.
+
+Cost: the estimator reads A once, to form the Gram of its short side
+(n*d*r flops dense, sum over rows of nnz(row)^2 sparse, r = min(n, d)), and
+then works on an r x r factor of that Gram in O(r^3). The doubling search and
+its subspace iterations never touch A again.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import scipy.sparse
 from .la import as_dense, make_rng
 
 
-def _singular_values(A) -> np.ndarray:
+def singular_values(A) -> np.ndarray:
+    """Singular values of A, largest first, by a dense SVD."""
     return np.linalg.svd(as_dense(A), compute_uv=False)
 
 
@@ -29,7 +35,7 @@ def sd_exact(A_or_sigma, lam: float) -> float:
     if arr is not None and arr.ndim == 1:
         s = arr
     else:
-        s = _singular_values(A_or_sigma)
+        s = singular_values(A_or_sigma)
     s = s[s > 0]
     if lam == 0.0:
         # rank with a relative cutoff, since sd_0 equals the rank
@@ -56,7 +62,7 @@ def residual_norm_estimate(
     if z >= r:
         return 0.0
     if backend == "exact":
-        s = _singular_values(A)
+        s = singular_values(A)
         return float(np.sum(s[z:] ** 2))
     total = float(A.power(2).sum()) if scipy.sparse.issparse(A) else float(np.sum(as_dense(A) ** 2))
     rng = make_rng(seed, 17)
@@ -85,18 +91,40 @@ class StatDimEstimate:
         return json.dumps(self.__dict__)
 
 
+def _gram_factor(A) -> np.ndarray:
+    """r x r factor F = diag(sqrt(w)) V' of the short-side Gram G = V diag(w) V'.
+
+    G is A'A when n >= d and AA' otherwise, so F has A's singular values, and
+    F'F = G; a CSR input stays sparse up to the r x r product. Eigenvalues
+    below G's rounding level, max(n, d) * eps * max(w), are set to zero: they
+    are rounding noise, some of it negative, and their square roots would be
+    NaN or pose as singular values near sqrt(eps) * ||A||_2.
+    """
+    n, d = A.shape
+    G = A.T @ A if n >= d else A @ A.T
+    w, V = np.linalg.eigh(as_dense(G))
+    w = np.where(w > max(n, d) * np.finfo(np.float64).eps * w.max(initial=0.0), w, 0.0)
+    return np.sqrt(w)[:, None] * V.T
+
+
 def sd_estimate(A, lam: float, seed: int = 0, backend: str = "krylov") -> StatDimEstimate:
     """Constant-factor estimate of sd_lam(A) by doubling z until z >= gamma_z/lam.
+
+    The residual estimates run on `_gram_factor(A)`, which has A's singular
+    values; subspace iteration depends on nothing else of A, so for n >= d the
+    result is the estimator run on A itself, for n < d the estimator run on
+    A', and sd_estimate(A) == sd_estimate(A') whenever n != d.
 
     z stops at r = min(n, d), where the tail energy is zero, so the estimate
     never exceeds the rank; that result is marked non-binding. Rejects lam = 0 (the stop rule divides by lam; use sd_exact or the rank).
     """
     if lam <= 0:
         raise ValueError("sd_estimate requires lam > 0; use sd_exact for lam = 0")
+    F = _gram_factor(A)
     r = min(A.shape)
     z = 1
     while True:
-        gamma = residual_norm_estimate(A, z, seed=seed + z, backend=backend)
+        gamma = residual_norm_estimate(F, z, seed=seed + z, backend=backend)
         if z >= gamma / lam:
             est = z + gamma / lam
             return StatDimEstimate(

@@ -99,3 +99,12 @@ def test_seed_range_parsing():
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.mark.parametrize("measure", ["schatten_inf", "min_fro_nuclear", "no_such_measure"])
+def test_genreg_measure_without_prox_is_usage_error(measure, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["genreg", "--seeds", "0", "--measure", measure])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--measure" in err

@@ -52,3 +52,26 @@ def test_lambda_for_sd_hits_target_band():
     A, _ = problems.generate_problem(200, 30, seed=3)
     lam = problems.lambda_for_sd(A, 3.0, 8.0)
     assert 3.0 <= statdim.sd_exact(A, lam) <= 8.0
+
+
+def _lambda_for_sd_svd_per_step(A, target_lo, target_hi):
+    # the bisection with a full SVD of A at every step
+    mid = 0.5 * (target_lo + target_hi)
+    lo, hi = 1e-12, 1e12
+    for _ in range(200):
+        lam = np.sqrt(lo * hi)
+        val = statdim.sd_exact(A, lam)
+        if target_lo <= val <= target_hi:
+            return float(lam)
+        if val > mid:
+            lo = lam
+        else:
+            hi = lam
+    return float(np.sqrt(lo * hi))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["geometric", "power"])
+def test_lambda_for_sd_matches_svd_per_step(seed, kind):
+    A, _ = problems.generate_problem(300, 40, seed=seed, kind=kind)
+    assert problems.lambda_for_sd(A, 3.0, 8.0) == _lambda_for_sd_svd_per_step(A, 3.0, 8.0)

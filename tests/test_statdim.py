@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from regsketch import la, problems, statdim
 
@@ -112,3 +113,53 @@ class TestSdEstimate:
             exact = statdim.sd_exact(A, 0.1)
             hits += est.estimate / 16.0 <= exact <= 1.5 * est.estimate
         assert hits >= int(0.95 * runs)
+
+
+class TestGramFactorEstimator:
+    """sd_estimate reads A once, through the Gram of its short side."""
+
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 300)])
+    def test_transpose_gives_the_same_estimate(self, shape):
+        # both orientations share one short-side Gram (square A has two)
+        A, _ = problems.generate_problem(*shape, 0, kind="power")
+        lam = 0.05
+        for backend in ("krylov", "exact"):
+            est = statdim.sd_estimate(A, lam, seed=3, backend=backend)
+            assert est == statdim.sd_estimate(A.T, lam, seed=3, backend=backend)
+
+    def test_csr_matches_dense(self):
+        A, _ = problems.generate_problem(2000, 30, 1, density=0.1)
+        assert scipy.sparse.issparse(A)
+        for lam in (0.01, 0.1):
+            sparse_est = statdim.sd_estimate(A, lam, seed=2)
+            dense_est = statdim.sd_estimate(A.toarray(), lam, seed=2)
+            assert sparse_est.z_prime == dense_est.z_prime
+            assert abs(sparse_est.estimate - dense_est.estimate) <= 1e-12 * dense_est.estimate
+
+    @pytest.mark.parametrize("kind", problems.SPECTRA)
+    def test_tall_matches_doubling_on_full_matrix(self, kind):
+        # the doubling loop run by hand on A itself: on a tall input the Gram
+        # factor has A's singular values and takes the same Gaussian draws
+        A, _ = problems.generate_problem(4096, 64, 5, kind=kind)
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        seed = 11
+        z = 1
+        while True:
+            gamma = statdim.residual_norm_estimate(A, z, seed=seed + z)
+            if z >= gamma / lam:
+                break
+            z = min(2 * z, 64)
+        est = statdim.sd_estimate(A, lam, seed=seed)
+        assert est.z_prime == z
+        assert abs(est.estimate - (z + gamma / lam)) <= 1e-12 * est.estimate
+
+    @pytest.mark.parametrize("rel_lam", [1e-12, 1e-10])
+    def test_rank_deficient_input_keeps_rank(self, rel_lam):
+        # rank 5 exactly: the Gram's rounding-level eigenvalues, some of them
+        # negative, must be zeroed, or the doubling search runs on to the rank
+        A, _ = problems.generate_problem(400, 60, 2, kind="flat", rank=5, noise=0)
+        lam = rel_lam * np.linalg.norm(A, 2) ** 2
+        est = statdim.sd_estimate(A, lam)
+        exact = statdim.sd_exact(A, lam)
+        assert est.lower <= exact <= est.upper
+        assert abs(est.estimate - 8.0) <= 0.01 * 8.0
