@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import sketch as sk
 from .la import as_dense, lambda_qr
@@ -86,18 +85,12 @@ def solve_exact_cca(A, B, lambda1: float, lambda2: float) -> CcaResult:
 def solve_sketched_cca(A, B, lambda1: float, lambda2: float, spec: sk.SketchSpec) -> CcaResult:
     """Exact CCA of the pair (SA, SB) with one shared sketch S.
 
-    The two views are stacked column-wise before sketching so that the same
-    draw of S hits both; sketching them with different seeds breaks the
-    guarantee.
+    The one spec is applied to both views, so the same draw of S hits both;
+    sketching them with different seeds breaks the guarantee.
     """
-    Ad, Bd = as_dense(A), as_dense(B)
-    d = Ad.shape[1]
-    if scipy.sparse.issparse(A) and scipy.sparse.issparse(B):
-        stacked = scipy.sparse.hstack([A, B]).tocsr()
-    else:
-        stacked = np.column_stack([Ad, Bd])
-    SC = as_dense(sk.apply(spec, stacked))
-    return solve_exact_cca(SC[:, :d], SC[:, d:], lambda1, lambda2)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError("views must share the row count")
+    return solve_exact_cca(sk.apply(spec, A), sk.apply(spec, B), lambda1, lambda2)
 
 
 def cca_sketch_size(policy: sk.SizePolicy, sd_max: float, eps: float) -> int:

@@ -120,14 +120,6 @@ def _guarded(p: RidgeProblem, candidates, method, specs, t0) -> RidgeSolution:
     )
 
 
-def _stack_cols(A, rhs):
-    B = as_dense(rhs)
-    B2 = B[:, None] if B.ndim == 1 else B
-    if scipy.sparse.issparse(A):
-        return scipy.sparse.hstack([scipy.sparse.csr_array(A), scipy.sparse.csr_array(B2)]).tocsr()
-    return np.column_stack([as_dense(A), B2])
-
-
 def solve_sketched_rows(
     p: RidgeProblem,
     s1: sk.SketchSpec,
@@ -144,13 +136,12 @@ def solve_sketched_rows(
     spec = sk.compose(s2, s1) if s2 is not None else s1
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
-    d = p.A.shape[1]
-    stacked = _stack_cols(p.A, p.rhs)
+    B2 = B[:, None] if squeeze else B
     candidates = []
     for t in range(repeats):
         sp = spec if t == 0 else spec.with_seed(derive_seed(spec.seed, 101 + t))
-        SC = as_dense(sk.apply(sp, stacked))
-        SA, SB = SC[:, :d], SC[:, d:]
+        # the seed fixes S, so sketching A and B apart meets one draw
+        SA, SB = as_dense(sk.apply(sp, p.A)), as_dense(sk.apply(sp, B2))
         X, _ = _solve_dense_ridge(SA, SB, p.lam)
         candidates.append(X[:, 0] if squeeze else X)
     specs = [s1] + ([s2] if s2 is not None else [])

@@ -1,14 +1,14 @@
 """Sketching operators and their empirical embedding checkers.
 
-A SketchSpec is a seeded, serializable description of a random sketching
-operator. Application is O(nnz) for CountSketch/OSNAP (each stored entry is
-touched O(1)/O(s) times; a module counter tracks value updates so tests can
-assert this), O(n d log n) for SRHT via the fast Walsh-Hadamard transform,
-and O(n d m) for Gaussian sketches.
+A SketchSpec is a seeded, serializable description of a random linear
+operator S; apply(spec, A) returns S @ A, and the seed fixes S, so every
+input sketched with one spec meets the same draw. CountSketch and OSNAP are
+sparse m x n CSC matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per
+column, so S @ A costs O(nnz(A)) or O(s nnz(A)). A Gaussian sketch is a dense
+m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
+transform in O(n d log n) without forming S.
 
-Right-side sketches (A @ R) reuse the left-side kernels: CountSketch has a
-dedicated transpose-free column-hashing path for CSR inputs; the remaining
-variants fall back to sketching the transpose.
+A right sketch is the left sketch of the transpose: A @ R = (S A')'.
 """
 
 from __future__ import annotations
@@ -21,27 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .la import as_dense, derive_seed, make_rng, nnz, svd
+from .la import as_dense, derive_seed, make_rng, svd
 
 VARIANTS = ("identity", "countsketch", "osnap", "srht", "gaussian", "composed")
-
-# instrumentation: number of scalar accumulations performed by the
-# CountSketch/OSNAP kernels since the last reset
-_value_updates = 0
-
-
-def reset_update_counter() -> None:
-    global _value_updates
-    _value_updates = 0
-
-
-def value_update_count() -> int:
-    return _value_updates
-
-
-def _count(k: int) -> None:
-    global _value_updates
-    _value_updates += int(k)
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,7 @@ def compose(outer: SketchSpec, inner: SketchSpec) -> SketchSpec:
 
 
 # ---------------------------------------------------------------------------
-# application kernels (left side; input has n rows, output m rows)
+# the operators (left side: S is m x n for an input with n rows)
 # ---------------------------------------------------------------------------
 
 
@@ -158,58 +140,33 @@ def _countsketch_tables(m: int, n: int, seed: int):
     return h, sgn
 
 
-def _apply_countsketch(A, m: int, seed: int) -> np.ndarray:
-    h, sgn = _countsketch_tables(m, A.shape[0], seed)
-    if scipy.sparse.issparse(A):
-        C = A.tocoo()
-        out = np.zeros((m, A.shape[1]))
-        np.add.at(out, (h[C.row], C.col), sgn[C.row] * C.data)
-        _count(C.nnz)
-        return out
-    Ad = np.asarray(A, dtype=np.float64)
-    out = np.zeros((m, Ad.shape[1]))
-    np.add.at(out, h, sgn[:, None] * Ad)
-    _count(Ad.size)
-    return out
+def _operator(spec: SketchSpec, n: int):
+    """The m x n matrix S of a CountSketch, OSNAP or Gaussian spec.
 
-
-def _apply_countsketch_right(A, m: int, seed: int) -> np.ndarray:
-    # transpose-free path: hash the columns of A directly
-    h, sgn = _countsketch_tables(m, A.shape[1], seed)
-    if scipy.sparse.issparse(A):
-        C = A.tocoo()
-        out = np.zeros((A.shape[0], m))
-        np.add.at(out, (C.row, h[C.col]), sgn[C.col] * C.data)
-        _count(C.nnz)
-        return out
-    Ad = np.asarray(A, dtype=np.float64)
-    out = np.zeros((Ad.shape[0], m))
-    np.add.at(out.T, h, (sgn[None, :] * Ad).T)
-    _count(Ad.size)
-    return out
-
-
-def _apply_osnap(A, m: int, s: int, seed: int) -> np.ndarray:
-    # block construction (Kane-Nelson): hash j picks a row of block j, whose
-    # m // s rows no other hash uses, so each column has s distinct nonzeros
-    n = A.shape[0]
-    rng = make_rng(seed)
-    scale = 1.0 / math.sqrt(s)
+    CountSketch and OSNAP are CSC matrices with one +-1, or s entries
+    +-1/sqrt(s), per column, so S @ A does O(nnz(A)) or O(s nnz(A)) work and
+    adds each input row into its output rows in row order.
+    """
+    m = spec.m
+    if spec.variant == "gaussian":
+        return make_rng(spec.seed).standard_normal((m, n)) / math.sqrt(m)
+    if spec.variant == "countsketch":
+        h, sgn = _countsketch_tables(m, n, spec.seed)
+        return scipy.sparse.csc_array((sgn, h, np.arange(n + 1)), shape=(m, n))
+    # OSNAP block construction (Kane-Nelson): hash j picks a row of block j,
+    # whose m // s rows no other hash uses, so each column has s distinct
+    # nonzeros, already in ascending row order
+    s = spec.osnap_s()
+    rng = make_rng(spec.seed)
     block = m // s
-    out = np.zeros((m, A.shape[1]))
-    dense = not scipy.sparse.issparse(A)
-    C = None if dense else A.tocoo()
+    rows = np.empty((n, s), dtype=np.int64)
+    vals = np.empty((n, s))
     for j in range(s):
-        h = j * block + rng.integers(0, block, size=n)
-        sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        if dense:
-            Ad = np.asarray(A, dtype=np.float64)
-            np.add.at(out, h, (scale * sgn)[:, None] * Ad)
-            _count(Ad.size)
-        else:
-            np.add.at(out, (h[C.row], C.col), scale * sgn[C.row] * C.data)
-            _count(C.nnz)
-    return out
+        rows[:, j] = j * block + rng.integers(0, block, size=n)
+        vals[:, j] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    vals *= 1.0 / math.sqrt(s)
+    indptr = np.arange(0, s * n + 1, s)
+    return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -245,19 +202,11 @@ def _apply_srht(A, m: int, seed: int) -> np.ndarray:
     return math.sqrt(N / m) * X[rows]
 
 
-def _apply_gaussian(A, m: int, seed: int) -> np.ndarray:
-    rng = make_rng(seed)
-    G = rng.standard_normal((m, A.shape[0])) / math.sqrt(m)
-    if scipy.sparse.issparse(A):
-        return np.asarray((scipy.sparse.csr_array(A).T @ G.T).T)
-    return G @ np.asarray(A, dtype=np.float64)
-
-
 def apply(spec: SketchSpec, A):
     """Apply the sketching operator described by spec to A.
 
-    Left side returns S @ A (m rows); right side returns A @ R (m columns).
-    Identity returns the input unchanged.
+    Left side returns S @ A (m rows); right side returns A @ R (m columns),
+    computed as (S A')'. Identity returns the input unchanged.
     """
     if spec.variant == "identity":
         return A
@@ -266,22 +215,15 @@ def apply(spec: SketchSpec, A):
         for part in reversed(spec.inner):
             out = apply(part, out)
         return out
-    if spec.side == "right":
-        if spec.variant == "countsketch":
-            return _apply_countsketch_right(A, spec.m, spec.seed)
-        flipped = dataclasses.replace(spec, side="left")
-        AT = A.T.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=np.float64).T
-        return apply(flipped, AT).T
-    n = A.shape[0]
-    if spec.variant == "countsketch":
-        return _apply_countsketch(A, spec.m, spec.seed)
-    if spec.variant == "osnap":
-        return _apply_osnap(A, spec.m, spec.osnap_s(), spec.seed)
+    right = spec.side == "right"
+    if right:
+        A = A.T.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=np.float64).T
     if spec.variant == "srht":
-        return _apply_srht(A, spec.m, spec.seed)
-    if spec.variant == "gaussian":
-        return _apply_gaussian(A, spec.m, spec.seed)
-    raise AssertionError(f"unhandled variant {spec.variant}")  # pragma: no cover
+        out = _apply_srht(A, spec.m, spec.seed)
+    else:
+        out = as_dense(_operator(spec, A.shape[0]) @ A)
+    # row-major like the left side, so later BLAS calls see one layout
+    return np.ascontiguousarray(out.T) if right else out
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +416,6 @@ def check_affine_embedding(
     return _report("affine", devs, eps, required, note="falsifier over a finite X set")
 
 
-def ridge_basis_u1(A, lam: float) -> np.ndarray:
-    """First n rows of an orthonormal basis of [A; sqrt(lam) I_d].
-
-    Built from the SVD of A: U1 = U diag(sigma_i / sqrt(sigma_i^2 + lam)).
-    """
-    f = svd(as_dense(A))
-    scale = f.sigma / np.sqrt(f.sigma**2 + lam)
-    return f.U[:, : f.sigma.size] * scale
-
-
 def check_ridge_conditions(
     spec: SketchSpec,
     A,
@@ -498,22 +430,28 @@ def check_ridge_conditions(
     Returns a pair of EmbedReports: the Gram condition
     ||U1' S'S U1 - U1'U1||_2 <= 1/4 and the residual-product condition
     ||U1' S'S r - U1' r|| <= sqrt(eps * Delta* / 2), with r = b - A x*.
+    Both come from one SVD A = U diag(sigma) V' and the shrinkage
+    w = sigma / (sigma^2 + lam), zero where sigma^2 + lam = 0: U1 =
+    U diag(sqrt(sigma w)) is the first n rows of an orthonormal basis of
+    [A; sqrt(lam) I], and x* = V diag(w) U'b.
     """
-    from .ridge import RidgeProblem, solve_exact  # local import to avoid a cycle
-
     Ad = as_dense(A)
     bd = as_dense(b).reshape(Ad.shape[0])
-    U1 = ridge_basis_u1(Ad, lam)
+    f = svd(Ad)
+    U, V = f.U[:, : f.sigma.size], f.V[:, : f.sigma.size]
+    s2l = f.sigma**2 + lam
+    shrink = np.divide(f.sigma, s2l, out=np.zeros_like(s2l), where=s2l > 0)
+    U1 = U * np.sqrt(f.sigma * shrink)
     G = U1.T @ U1
-    sol = solve_exact(RidgeProblem(Ad, bd, lam))
-    resid = bd - Ad @ as_dense(sol.x).reshape(-1)
-    thr_vec = math.sqrt(max(eps * sol.objective / 2.0, 0.0))
+    x = V @ (shrink * (U.T @ bd))
+    resid = bd - Ad @ x
+    objective = float(resid @ resid + lam * (x @ x))
+    thr_vec = math.sqrt(max(eps * objective / 2.0, 0.0))
     devs_gram, devs_vec = [], []
     eff_trials = trials if spec.variant != "identity" else 1
     for sp in _trial_specs(spec, eff_trials):
-        stacked = np.column_stack([U1, resid])
-        S_out = as_dense(apply(sp, stacked))
-        SU1, Sr = S_out[:, :-1], S_out[:, -1]
+        SU1 = as_dense(apply(sp, U1))
+        Sr = as_dense(apply(sp, resid[:, None]))[:, 0]
         devs_gram.append(float(np.linalg.norm(SU1.T @ SU1 - G, 2)))
         devs_vec.append(float(np.linalg.norm(SU1.T @ Sr - U1.T @ resid)))
     return (

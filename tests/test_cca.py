@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from regsketch import cca, la, problems, statdim
 from regsketch import sketch as sk
@@ -102,6 +103,24 @@ class TestSketched:
             val = cca.validate_cca(A, B, lam, lam, cand, exact, eta)
             hits += val.passed
         assert hits >= 8
+
+    def test_csr_views_share_one_draw(self):
+        A, B = _views(3, n=600)
+        A[np.abs(A) < 0.8] = 0.0
+        B[np.abs(B) < 0.8] = 0.0
+        As, Bs = scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(B)
+        spec = sk.countsketch(120, seed=3)
+        res = cca.solve_sketched_cca(As, Bs, 0.5, 0.5, spec)
+        ref = cca.solve_exact_cca(sk.apply(spec, As), sk.apply(spec, Bs), 0.5, 0.5)
+        dense = cca.solve_sketched_cca(A, B, 0.5, 0.5, spec)
+        for name in ("sigmas", "U", "V"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name))
+            np.testing.assert_allclose(getattr(res, name), getattr(dense, name), rtol=0, atol=1e-12)
+
+    def test_row_count_mismatch_rejected(self):
+        A, B = _views(4)
+        with pytest.raises(ValueError):
+            cca.solve_sketched_cca(A, B[:-1], 0.5, 0.5, sk.countsketch(50, seed=1))
 
     def test_shared_sketch_required(self):
         # sketching the two views with independent draws breaks the

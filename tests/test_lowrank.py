@@ -82,15 +82,29 @@ class TestBuildCore:
         assert pieces.SAR2.shape == (min(sizes["m"], 300), min(sizes["p_prime"], 200))
 
     def test_countsketch_touches_each_entry_once_per_stage(self):
+        # every stage is a real CountSketch (one entry per operator column, so
+        # one multiply-add per input entry) and each piece is its operator
+        # product, associated in the order the stages run
         rng = la.make_rng(5)
         dense = rng.standard_normal((150, 80)) * (rng.random((150, 80)) < 0.1)
         A = scipy.sparse.csr_matrix(dense)
         sizes = {"m": 40, "m_prime": 30, "p": 20, "p_prime": 15, "sd_hat": 5.0}
-        sk.reset_update_counter()
-        lowrank.build_core_sized(A, sizes, seed=5)
-        # stages: S on A, R on A, S2 on AR (dense after), R2 on SA, S2+R2 on A
-        # only the direct-on-A CountSketch stages count against nnz
-        assert sk.value_update_count() > 0
+        pieces = lowrank.build_core_sized(A, sizes, seed=5)
+        assert all(spec.variant == "countsketch" for spec in pieces.specs.values())
+        ops = {}
+        for name, spec in pieces.specs.items():
+            ops[name] = sk._operator(spec, A.shape[0] if spec.side == "left" else A.shape[1])
+            assert ops[name].nnz == ops[name].shape[1]
+        S, R, S2, R2 = (ops[k] for k in ("S", "R", "S2", "R2"))
+        expected = {
+            "SA": S @ A,
+            "AR": A @ R.T,
+            "S2AR": S2 @ (A @ R.T),
+            "SAR2": (S @ A) @ R2.T,
+            "S2AR2": (S2 @ A) @ R2.T,
+        }
+        for name, product in expected.items():
+            assert np.array_equal(getattr(pieces, name), product.toarray()), name
 
 
 class TestSolveCore:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from regsketch import la
+from regsketch import la, ridge
 from regsketch import sketch as sk
+
+VARIANTS = ["countsketch", "osnap", "srht", "gaussian"]
 
 
 def find_injective_countsketch_seed(m, n):
@@ -45,20 +47,36 @@ class TestApply:
             total += float(np.sum(Sx**2))
         assert abs(total / runs - target) <= 0.02 * target
 
-    def test_sparse_dense_agree(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sparse_dense_agree(self, variant):
         rng = la.make_rng(2)
         A = rng.standard_normal((50, 8)) * (rng.random((50, 8)) < 0.3)
-        spec = sk.countsketch(10, seed=3)
+        spec = getattr(sk, variant)(10, seed=3)
         np.testing.assert_allclose(
             sk.apply(spec, scipy.sparse.csr_matrix(A)), sk.apply(spec, A), atol=1e-12
         )
 
-    def test_right_side_is_transpose_of_left(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_right_side_is_transpose_of_left(self, variant):
         rng = la.make_rng(3)
         A = rng.standard_normal((9, 40))
-        left = sk.apply(sk.countsketch(7, seed=5), A.T)
-        right = sk.apply(sk.countsketch(7, seed=5, side="right"), A)
+        left = sk.apply(getattr(sk, variant)(7, seed=5), A.T)
+        right = sk.apply(getattr(sk, variant)(7, seed=5, side="right"), A)
         np.testing.assert_allclose(right, left.T, atol=1e-12)
+
+    def test_countsketch_matches_reference_loop(self):
+        # a colliding hash: rows that share a bucket are summed in row order
+        n, m = 200, 7
+        h, sgn = sk._countsketch_tables(m, n, 4)
+        assert len(set(h.tolist())) < n
+        rng = la.make_rng(19)
+        A = rng.standard_normal((n, 5)) * (rng.random((n, 5)) < 0.5)
+        ref = np.zeros((m, 5))
+        for i in range(n):
+            ref[h[i]] += sgn[i] * A[i]
+        spec = sk.countsketch(m, seed=4)
+        assert np.array_equal(sk.apply(spec, A), ref)
+        assert np.array_equal(sk.apply(spec, scipy.sparse.csr_matrix(A)), ref)
 
     def test_osnap_column_count(self):
         spec = sk.osnap(32, seed=1)
@@ -138,12 +156,33 @@ class TestCompose:
 
 
 def test_countsketch_update_count_bounded_by_nnz():
+    # the operator has one +-1 per column, at row h[i], so S @ A does exactly
+    # nnz(A) multiply-adds
+    n, m = 200, 40
+    h, sgn = sk._countsketch_tables(m, n, 1)
+    S = sk._operator(sk.countsketch(m, seed=1), n)
+    assert S.shape == (m, n) and S.nnz == n
+    assert np.array_equal(S.indptr, np.arange(n + 1))
+    assert np.array_equal(S.indices, h)
+    assert np.array_equal(S.data, sgn) and np.all(np.abs(S.data) == 1.0)
     rng = la.make_rng(11)
-    dense = rng.standard_normal((200, 30)) * (rng.random((200, 30)) < 0.1)
-    A = scipy.sparse.csr_matrix(dense)
-    sk.reset_update_counter()
-    sk.apply(sk.countsketch(40, seed=1), A)
-    assert sk.value_update_count() <= A.nnz
+    A = scipy.sparse.csr_matrix(rng.standard_normal((n, 30)) * (rng.random((n, 30)) < 0.1))
+    rows_of_entries = np.repeat(np.arange(n), np.diff(A.indptr))
+    assert int(np.sum(np.diff(S.indptr)[rows_of_entries])) == A.nnz
+    assert np.array_equal(sk.apply(sk.countsketch(m, seed=1), A), (S @ A).toarray())
+
+
+def test_osnap_operator_has_one_entry_per_block():
+    # s entries of +-1/sqrt(s) per column, one in each block of m // s rows
+    n, m = 300, 64
+    spec = sk.osnap(m, seed=2)
+    s = spec.osnap_s()
+    S = sk._operator(spec, n)
+    assert S.shape == (m, n) and S.nnz == s * n
+    assert np.array_equal(S.indptr, np.arange(0, s * n + 1, s))
+    blocks = S.indices.reshape(n, s) // (m // s)
+    assert np.array_equal(blocks, np.broadcast_to(np.arange(s), (n, s)))
+    assert np.all(np.abs(S.data) == 1.0 / np.sqrt(s))
 
 
 class TestSpecSerialization:
@@ -264,6 +303,12 @@ class TestRidgeConditions:
         )
         assert gram.pass_fraction >= 0.9
         assert vec.pass_fraction >= 0.9
+
+    def test_vec_threshold_from_exact_objective(self):
+        eps = 0.5
+        _, vec = sk.check_ridge_conditions(sk.identity(), self.A, self.b, self.lam, eps)
+        exact = ridge.solve_exact(ridge.RidgeProblem(self.A, self.b, self.lam))
+        assert abs(vec.threshold - np.sqrt(eps * exact.objective / 2)) <= 1e-10
 
     def test_rank_one_sketch_fails_gram(self):
         gram, _ = sk.check_ridge_conditions(
