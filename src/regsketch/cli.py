@@ -189,7 +189,8 @@ def _lowrank_trial(args, policy, seed):
     gap = sol.objective - ex.objective
     rec = TrialRecord.make(
         args.command, seed, ex.objective, sol.objective, args.eps,
-        {"lam": lam, "k": args.k, "gap_over_fro2": gap / fro2 if fro2 else 0.0},
+        {"lam": lam, "k": args.k, "gap_over_fro2": gap / fro2 if fro2 else 0.0,
+         "m": sol.sizes["m"], "sd_hat": sol.sizes["sd_hat"]},
     )
     rec.passed = gap <= args.eps * fro2 + 1e-9
     return rec

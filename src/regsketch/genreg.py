@@ -345,7 +345,7 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
 
 def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
     m = sk.recommend_sizes(policy, rank_hint, eps, "affine")
-    return lowrank._countsketch_or_identity(m, n_clamp, seed, side)
+    return sk.countsketch_or_identity(m, n_clamp, seed, side)
 
 
 def _numerical_rank(A, tol=1e-10):

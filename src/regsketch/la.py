@@ -51,6 +51,16 @@ def nnz(A) -> int:
     return int(np.asarray(A).size)
 
 
+BLOCK_ENTRIES = 1 << 17  # entries of one row block: 1 MiB of float64
+
+
+def row_blocks(n: int, width: int) -> list:
+    """Slices of consecutive rows covering 0..n, each a block of about
+    BLOCK_ENTRIES entries of an n x width matrix (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """A ~= U @ diag(sigma) @ V.T with orthonormal U, V columns."""

@@ -6,6 +6,11 @@ lam(...) solved by the same shrinkage, then lifts the factors back through
 triangular back-solves against the QR factors of the sketched operands.
 `genreg` runs the same core with its diagonal reduction in place of the
 shrinkage.
+
+The sketch sizes come from sd_lam of the left sketch SA itself
+(`statdim.sd_from_sketch`): S is redrawn at twice the rows until the size rule
+at sd_lam(SA) fits, each draw costing O(nnz(A)) plus an m x d SVD, and the
+final SA is the one the core is built from, so A is sketched for S once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import scipy.sparse
 
 from . import sketch as sk
 from . import statdim
-from .la import as_dense, derive_seed, make_rng
+from .la import as_dense, derive_seed, make_rng, row_blocks
 
 
 @dataclass
@@ -31,6 +36,8 @@ class LowRankFactors:
     lam: float
     sd_factor: float = 0.0  # sd_lam of the shrinkage factor, when known
     rank_truncated: bool = False
+    # of a sketched solve: m, m_prime, p, p_prime, sd_hat and the sizing draws
+    sizes: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -40,14 +47,23 @@ class LowRankFactors:
                 "lam": self.lam,
                 "sd_factor": self.sd_factor,
                 "rank_truncated": self.rank_truncated,
+                "sizes": self.sizes,
                 "shape": [int(self.Y.shape[0]), int(self.X.shape[1])],
             }
         )
 
 
 def objective_value(A, Y, X, lam: float) -> float:
-    R = Y @ X - as_dense(A)
-    return float(np.sum(R * R) + lam * (np.sum(Y * Y) + np.sum(X * X)))
+    """||YX - A||_F^2 + lam (||Y||_F^2 + ||X||_F^2).
+
+    The residual is formed and summed one row block at a time, so neither it
+    nor a dense copy of a CSR A exists in full.
+    """
+    fit = 0.0
+    for rows in row_blocks(*A.shape):
+        R = Y[rows] @ X - as_dense(A[rows])
+        fit += float(np.sum(R * R))
+    return float(fit + lam * (np.sum(Y * Y) + np.sum(X * X)))
 
 
 def shrink_sd(sigma: np.ndarray, lam: float, k: int) -> float:
@@ -105,44 +121,55 @@ class CorePieces:
     sizes: dict = field(default_factory=dict)
 
 
+def _stage_seeds(seed: int) -> list:
+    """Seeds of the S, R, S2 and R2 sketches of one solve."""
+    return [derive_seed(seed, 31 + i) for i in range(4)]
+
+
 def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: int = 0) -> dict:
-    """Sketch dimensions (m, m', p, p') from the size policy.
+    """Sketch dimensions (m, m', p, p'), sd_hat, the sizing draws, and SA.
 
     sd_lam of the optimal factor is unknown before solving; it is bounded by
-    min(the statdim estimate of A, k), which preserves the size expressions
-    without circularity.
+    sd_hat = min(sd_lam(A), k). For lam > 0, sd_lam(A) is read off the S
+    sketch itself (`statdim.sd_from_sketch`): S is drawn at the lowrank_S size
+    for sd_hat = 1 and redrawn larger until the size at sd_lam(SA) fits, at
+    O(nnz(A)) plus an m x d SVD per draw. The final SA is returned under "SA"
+    and build_core_sized solves with it, so A is sketched for S once. At
+    lam = 0, sd_hat = k and nothing is drawn. m', p and p' follow from sd_hat
+    and the final m.
     """
     n, d = A.shape
     if lam > 0:
-        sd_hat = min(statdim.sd_estimate(A, lam, seed=seed).estimate, float(k))
+        left = statdim.sd_from_sketch(
+            A, lam, lambda s: sk.recommend_sizes(policy, s, eps, "lowrank_S"), float(k),
+            seed=_stage_seeds(seed)[0],
+        )
+        sd_hat, m, draws, drawn = left.sd_hat, left.SA.shape[0], left.draws, {"SA": left.SA}
     else:
-        sd_hat = float(k)
-    m = min(n, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_S"))
-    m_p = min(d, sk.recommend_sizes(policy, min(sd_hat, k), eps, "lowrank_R"))
+        sd_hat, draws, drawn = float(k), 0, {}
+        m = min(n, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_S"))
+    m_p = min(d, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_R"))
     p = min(n, max(1, int(np.ceil(policy.k_affine * m_p / eps**2))))
     p_p = min(d, max(1, int(np.ceil(policy.k_affine * m / eps**2))))
-    return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat}
+    return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat, "draws": draws, **drawn}
 
 
 def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
+    """The core pieces at `sizes`; an "SA" that core_sizes drew is reused."""
     n, d = A.shape
-    rs = [derive_seed(seed, 31 + i) for i in range(4)]
-    S = _countsketch_or_identity(sizes["m"], n, rs[0], "left")
-    R = _countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
-    S2 = _countsketch_or_identity(sizes["p"], n, rs[2], "left")
-    R2 = _countsketch_or_identity(sizes["p_prime"], d, rs[3], "right")
-    return _assemble_core(A, S, R, S2, R2, sizes)
+    sizes = dict(sizes)
+    SA = sizes.pop("SA", None)
+    rs = _stage_seeds(seed)
+    S = sk.countsketch_or_identity(sizes["m"], n, rs[0], "left")
+    R = sk.countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
+    S2 = sk.countsketch_or_identity(sizes["p"], n, rs[2], "left")
+    R2 = sk.countsketch_or_identity(sizes["p_prime"], d, rs[3], "right")
+    return _assemble_core(A, S, R, S2, R2, sizes, SA=SA)
 
 
-def _countsketch_or_identity(m: int, limit: int, seed: int, side: str) -> sk.SketchSpec:
-    # at m >= dim the sketch reduces nothing and only adds collisions
-    if m >= limit:
-        return sk.identity(side=side)
-    return sk.countsketch(m, seed=seed, side=side)
-
-
-def _assemble_core(A, S, R, S2, R2, sizes) -> CorePieces:
-    SA = as_dense(sk.apply(S, A))
+def _assemble_core(A, S, R, S2, R2, sizes, SA=None) -> CorePieces:
+    if SA is None:
+        SA = as_dense(sk.apply(S, A))
     AR = as_dense(sk.apply(R, A))
     S2AR = as_dense(sk.apply(S2, AR))
     SAR2 = as_dense(sk.apply(R2, SA))
@@ -240,6 +267,7 @@ def solve_sketched(
             k=k,
             lam=lam,
             rank_truncated=sol.rank_truncated,
+            sizes=sol.sizes,
         )
     if pieces is None:
         policy = policy or sk.SizePolicy()
@@ -255,6 +283,7 @@ def solve_sketched(
         k=k,
         lam=lam,
         rank_truncated=truncated,
+        sizes=dict(pieces.sizes),
     )
 
 

@@ -8,7 +8,9 @@ column, so S @ A costs O(nnz(A)) or O(s nnz(A)). A Gaussian sketch is a dense
 m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
 transform in O(n d log n) without forming S.
 
-A right sketch is the left sketch of the transpose: A @ R = (S A')'.
+A right sketch is the left sketch of the transpose: A @ R = (S A')'. On a
+dense input a sparse operator meets A' one row block of A at a time, so no
+transposed copy of all of A is made.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .la import as_dense, derive_seed, make_rng, svd
+from .la import as_dense, derive_seed, make_rng, row_blocks, svd
 
 VARIANTS = ("identity", "countsketch", "osnap", "srht", "gaussian", "composed")
 
@@ -101,6 +103,12 @@ def identity(side: str = "left") -> SketchSpec:
 
 def countsketch(m: int, seed: int = 0, side: str = "left") -> SketchSpec:
     return SketchSpec("countsketch", m=m, seed=seed, side=side)
+
+
+def countsketch_or_identity(m: int, n: int, seed: int = 0, side: str = "left") -> SketchSpec:
+    """A CountSketch taking n rows (or columns) to m, or the identity when
+    m >= n: such a sketch reduces nothing and only adds collisions."""
+    return identity(side=side) if m >= n else countsketch(m, seed=seed, side=side)
 
 
 def osnap(m: int, s: int = 0, seed: int = 0, side: str = "left") -> SketchSpec:
@@ -216,6 +224,15 @@ def apply(spec: SketchSpec, A):
             out = apply(part, out)
         return out
     right = spec.side == "right"
+    if right and spec.variant in ("countsketch", "osnap") and not scipy.sparse.issparse(A):
+        A = np.asarray(A, dtype=np.float64)
+        S = _operator(spec, A.shape[1])
+        out = np.empty((A.shape[0], spec.m))
+        # (S A')' by row blocks of A: each output entry is the same sum, in the
+        # same order, and only one block of A' is copied to row-major order
+        for rows in row_blocks(*A.shape):
+            out[rows] = (S @ A[rows].T).T
+        return out
     if right:
         A = A.T.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=np.float64).T
     if spec.variant == "srht":

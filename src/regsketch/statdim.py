@@ -1,5 +1,6 @@
-"""Statistical dimension: exact computation and the constant-factor
-estimator built on a doubling search over residual-energy estimates.
+"""Statistical dimension: exact computation, the constant-factor estimator
+built on a doubling search over residual-energy estimates, and sizing a
+CountSketch from sd_lam of its own output.
 
 The estimator's certificate is the inequality chain
 (3/8) min{z', gamma/lam} <= sd_lam(A) <= (3/2)(z' + gamma/lam),
@@ -9,6 +10,10 @@ Cost: the estimator reads A once, to form the Gram of its short side
 (n*d*r flops dense, sum over rows of nnz(row)^2 sparse, r = min(n, d)), and
 then works on an r x r factor of that Gram in O(r^3). The doubling search and
 its subspace iterations never touch A again.
+
+`sd_from_sketch` reads sd_lam off a CountSketch SA instead, doubling its rows
+until a caller's size rule at that reading fits: each draw costs O(nnz(A))
+plus an m x d SVD, and the final SA is the sketch the caller solves with.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import sketch as sk
 from .la import as_dense, make_rng
 
 
@@ -136,3 +142,42 @@ def sd_estimate(A, lam: float, seed: int = 0, backend: str = "krylov") -> StatDi
                 binding=z < r,
             )
         z = min(2 * z, r)
+
+
+@dataclass
+class SketchedSd:
+    """A CountSketch of A sized from sd_lam of its own output."""
+
+    spec: sk.SketchSpec  # the final draw; the identity once m reached n
+    SA: np.ndarray  # spec applied to A, dense, m x d
+    sd_hat: float  # min(sd_lam(SA), cap)
+    draws: int  # sketches drawn, the final one included
+
+
+def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd:
+    """Draw an m-row CountSketch S of A until size(sd_hat) <= m or m = n.
+
+    sd_hat = min(sd_lam(SA), cap). m starts at size(1) and, while the draw
+    asks for more, becomes max(2m, size(sd_hat)), every draw with the same
+    seed. `size` maps an sd estimate to a row count and must be nondecreasing,
+    so the loop ends once m >= size(cap). Ridge leverage scores sum to sd_lam
+    (Cohen-Musco-Musco, SODA 2017) and an sd_lam-sized sketch preserves
+    A'A + lam I (Avron et al., ICML 2017), so SA read at the size the caller
+    needs for its solve also reads sd_lam to within a constant factor, with
+    constant probability: at sd_lam <= 1 the reading comes from the first,
+    size(1)-row draw.
+    """
+    if lam <= 0:
+        raise ValueError("sd_from_sketch requires lam > 0")
+    n = A.shape[0]
+    m = min(n, size(1.0))
+    draws = 0
+    while True:
+        spec = sk.countsketch_or_identity(m, n, seed)
+        SA = as_dense(sk.apply(spec, A))
+        draws += 1
+        sd_hat = min(sd_exact(SA, lam), cap)
+        need = size(sd_hat)
+        if need <= m or m >= n:
+            return SketchedSd(spec=spec, SA=SA, sd_hat=float(sd_hat), draws=draws)
+        m = min(n, max(2 * m, need))

@@ -48,6 +48,39 @@ class TestExactShrink:
             assert f.objective <= perturbed + 1e-12
 
 
+class TestObjectiveValue:
+    @staticmethod
+    def full_residual(A, Y, X, lam):
+        R = Y @ X - la.as_dense(A)
+        return float(np.sum(R * R) + lam * (np.sum(Y * Y) + np.sum(X * X)))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_blocked_sum_matches_full_residual(self, sparse):
+        # 1200 x 300 spans three row blocks
+        rng = la.make_rng(13)
+        A = rng.standard_normal((1200, 300)) * (rng.random((1200, 300)) < 0.3)
+        A = scipy.sparse.csr_matrix(A) if sparse else A
+        assert len(la.row_blocks(*A.shape)) > 1
+        Y, X = rng.standard_normal((1200, 4)), rng.standard_normal((4, 300))
+        for lam in (0.0, 0.3):
+            want = self.full_residual(A, Y, X, lam)
+            assert abs(lowrank.objective_value(A, Y, X, lam) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_exactly_rank_k_input(self, sparse):
+        # A has rank 4 and unit singular values, so the shrinkage factors at
+        # weight w leave a residual of exactly 4 w^2, a millionth of ||A||^2:
+        # a factored ||A||^2 - 2<Y, AX'> + ... form would cancel it away
+        A, _ = problems.generate_problem(1000, 300, 3, kind="flat", rank=4, noise=0)
+        w = 1e-3
+        f = lowrank.solve_exact_shrink(A, 4, w)
+        A = scipy.sparse.csr_matrix(A) if sparse else A
+        for lam in (0.0, w):
+            want = self.full_residual(A, f.Y, f.X, lam)
+            assert abs(lowrank.objective_value(A, f.Y, f.X, lam) - want) <= 1e-12 * want
+        assert abs(lowrank.objective_value(A, f.Y, f.X, 0.0) - 4 * w**2) <= 1e-9 * 4 * w**2
+
+
 class TestShrinkSd:
     def test_hand_value(self):
         # (1 - 1.5/3) + (1 - 1.5/2) = 0.75
@@ -202,6 +235,41 @@ class TestSolveSketched:
         exact = lowrank.solve_exact_shrink(A, 3, 0.4)
         assert sol.Y.shape == (10, 3) and sol.X.shape == (3, 30)
         assert sol.objective >= exact.objective - 1e-9
+
+    def test_sizes_read_off_the_left_sketch(self, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("lowrank sizing called statdim.sd_estimate")
+
+        monkeypatch.setattr(statdim, "sd_estimate", no_estimate)
+        A, _ = problems.generate_problem(2000, 400, 14, kind="geometric")
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        policy = sk.SizePolicy()
+        sizes = lowrank.core_sizes(A, 10, 0.5, lam, policy, seed=14)
+        pieces = lowrank.build_core_sized(A, sizes, seed=14)
+        # A is sketched for S once: the sizing draw is the solve's SA
+        assert pieces.SA is sizes["SA"]
+        assert np.array_equal(pieces.SA, sk.apply(pieces.specs["S"], A))
+        assert pieces.specs["S"].variant == "countsketch"
+        assert sizes["m"] == pieces.SA.shape[0] < 2000
+        assert sizes["m"] >= sk.recommend_sizes(policy, sizes["sd_hat"], 0.5, "lowrank_S")
+        assert 0.5 <= sizes["sd_hat"] / statdim.sd_exact(A, lam) <= 2.0
+        assert sizes["draws"] >= 1 and "SA" not in pieces.sizes
+        sol = lowrank.solve_sketched(A, 10, lam, 0.5, policy=policy, seed=14)
+        assert sol.sizes == pieces.sizes
+        assert set(sol.sizes) == {"m", "m_prime", "p", "p_prime", "sd_hat", "draws"}
+
+    def test_sizes_survive_transpose_dispatch(self):
+        A, _ = problems.generate_problem(300, 800, 15, kind="power")
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        sol = lowrank.solve_sketched(A, 5, lam, 0.5, seed=15)
+        direct = lowrank.solve_sketched(A.T.copy(), 5, lam, 0.5, seed=15)
+        assert sol.sizes == direct.sizes and sol.sizes["m"] <= 800
+        assert '"sizes"' in sol.to_json()
+
+    def test_lambda_zero_sizes_from_k(self):
+        A, _ = problems.generate_problem(300, 200, 4)
+        sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, sk.SizePolicy(), seed=4)
+        assert sizes["sd_hat"] == 5.0 and sizes["draws"] == 0 and "SA" not in sizes
 
     def test_json_summary(self):
         A = np.diag([3.0, 2.0, 1.0])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,34 @@ class TestApply:
         left = sk.apply(getattr(sk, variant)(7, seed=5), A.T)
         right = sk.apply(getattr(sk, variant)(7, seed=5, side="right"), A)
         np.testing.assert_allclose(right, left.T, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_right_side_equals_left_of_row_major_transpose(self, variant):
+        # 600 x 300 spans two row blocks; the blocked right sketch must give
+        # the very sums of the left sketch of a row-major copy of A'
+        rng = la.make_rng(21)
+        A = rng.standard_normal((600, 300)) * (rng.random((600, 300)) < 0.2)
+        assert len(la.row_blocks(*A.shape)) > 1
+        left = getattr(sk, variant)(40, seed=6)
+        right = getattr(sk, variant)(40, seed=6, side="right")
+        C = scipy.sparse.csr_matrix(A)
+        for X, XT in ((A, np.ascontiguousarray(A.T)), (C, C.T.tocsr())):
+            got = sk.apply(right, X)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, sk.apply(left, XT).T)
+
+    def test_right_countsketch_copies_no_full_transpose(self):
+        A = la.make_rng(22).standard_normal((4000, 1000))
+        spec = sk.countsketch(100, seed=1, side="right")
+        sk.apply(spec, A[:8])  # warm up imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            out = sk.apply(spec, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4000, 100)
+        assert peak < A.nbytes / 4
 
     def test_countsketch_matches_reference_loop(self):
         # a colliding hash: rows that share a bucket are summed in row order

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse
 
 from regsketch import la, problems, statdim
+from regsketch import sketch as sk
 
 
 class TestSdExact:
@@ -163,3 +164,64 @@ class TestGramFactorEstimator:
         exact = statdim.sd_exact(A, lam)
         assert est.lower <= exact <= est.upper
         assert abs(est.estimate - 8.0) <= 0.01 * 8.0
+
+
+class TestSdFromSketch:
+    """sd_lam read off a CountSketch sized by the lowrank_S rule at eps = 0.5."""
+
+    @staticmethod
+    def lam_for(sigma, target):
+        lo, hi = 1e-14, 1e14
+        for _ in range(200):
+            lam = np.sqrt(lo * hi)
+            lo, hi = (lam, hi) if statdim.sd_exact(sigma, lam) > target else (lo, lam)
+        return lam
+
+    @pytest.mark.parametrize("kind", problems.SPECTRA)
+    def test_estimate_within_factor_two(self, kind):
+        n, d = 4000, 40
+        policy = sk.SizePolicy()
+
+        def size(s):
+            return sk.recommend_sizes(policy, s, 0.5, "lowrank_S")
+
+        A, _ = problems.generate_problem(n, d, 0, kind=kind)
+        sigma = statdim.singular_values(A)
+        for target in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, d / 2, 0.9 * d, d - 0.5):
+            lam = self.lam_for(sigma, target)
+            sd = statdim.sd_exact(sigma, lam)
+            inside = 0
+            for seed in range(20):
+                got = statdim.sd_from_sketch(A, lam, size, float(d), seed=seed)
+                m = got.SA.shape[0]
+                assert size(got.sd_hat) <= m or m == n
+                assert m <= max(size(1.0), 2 * size(float(d)))
+                inside += 0.5 * sd <= got.sd_hat <= 2.0 * sd
+            # a randomized reading: at sd_lam <= 1 it comes from a 6-row sketch
+            assert inside >= 18, (kind, sd, inside)
+
+    def test_final_draw_is_the_returned_sketch(self):
+        A, _ = problems.generate_problem(3000, 50, 1, kind="power")
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        got = statdim.sd_from_sketch(
+            A, lam, lambda s: sk.recommend_sizes(sk.SizePolicy(), s, 0.5, "lowrank_S"), 50.0, seed=7
+        )
+        assert got.spec == sk.countsketch(got.SA.shape[0], seed=7)
+        assert np.array_equal(got.SA, sk.apply(got.spec, A))
+        assert got.sd_hat == min(statdim.sd_exact(got.SA, lam), 50.0)
+        assert got.draws > 1
+
+    def test_cap_bounds_estimate_and_size(self):
+        A, _ = problems.generate_problem(3000, 50, 2, kind="flat")
+        got = statdim.sd_from_sketch(A, 1e-6, lambda s: 4 * int(np.ceil(s)), 3.0, seed=1)
+        assert got.sd_hat == 3.0 and got.SA.shape[0] == 12
+
+    def test_reaching_n_gives_exact_value(self):
+        A, _ = problems.generate_problem(60, 20, 3, kind="flat")
+        got = statdim.sd_from_sketch(A, 0.01, lambda s: 1000, 20.0)
+        assert got.spec.variant == "identity"
+        assert got.sd_hat == statdim.sd_exact(A, 0.01)
+
+    def test_rejects_nonpositive_lambda(self):
+        with pytest.raises(ValueError):
+            statdim.sd_from_sketch(np.eye(3), 0.0, lambda s: 1, 3.0)
