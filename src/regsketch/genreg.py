@@ -8,7 +8,8 @@ undecidable, so falsification is the honest contract). On top of them sit:
   diagonal core problem, with closed-form diagonal solvers;
 * the sketched pipeline for general multiple-response regression
   (affine sketch, right sketch of the response, QR change of basis,
-  small-problem solve, triangular back-solve);
+  small-problem solve, triangular back-solve), whose proximal-gradient
+  small solver iterates on the Gram of the sketched problem;
 * general low-rank approximation, which runs the two-sided sketched core
   of `lowrank` with the diagonal reduction as its small solver.
 """
@@ -121,7 +122,8 @@ def _prox_nuclear(V, t):
 
 def _prox_vnorm1(V, t):
     nrm = np.linalg.norm(V, axis=1, keepdims=True)
-    scale = np.maximum(1.0 - t / np.maximum(nrm, 1e-300), 0.0)
+    # rows with nrm <= t go to zero; the floor at t keeps t / nrm from overflowing
+    scale = np.maximum(1.0 - t / np.maximum(nrm, max(t, 1e-300)), 0.0)
     return scale * V
 
 
@@ -312,27 +314,32 @@ def ridge_small_solver(lam: float):
 def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
     """Proximal-gradient reference solver for min ||A Z - B||_F^2 + f(Z).
 
-    Needs f.prox. Step size 1/L with L = 2 sigma_max(A)^2; stops when the
-    objective decrease stalls. Guaranteed never to return something worse
-    than Z = 0 (the starting point is compared at the end).
+    Needs f.prox. The loop runs on the Gram of the problem: G = A'A,
+    C = A'B and ||B||_F^2 are formed once, in O(m d (d + d')) for an m x d
+    A and d' responses; each step then costs O(d^2 d'), whatever m is.
+    Step size 1/L with L = 2 lambda_max(G); stops when the objective
+    decrease stalls. Guaranteed never to return something worse than Z = 0
+    (the starting point is compared at the end).
     """
     if f.prox is None:
         raise ValueError(f"measure {f.name} has no prox operator")
 
-    def objective(Ah, Bh, Z):
-        R = Ah @ Z - Bh
-        return float(np.sum(R * R)) + f.evaluate(Z)
-
     def solve(Ah, Bh):
-        L = 2.0 * np.linalg.norm(Ah, 2) ** 2
+        G = Ah.T @ Ah
+        C = Ah.T @ Bh
+        b2 = float(np.sum(Bh * Bh))
+        L = 2.0 * np.linalg.eigvalsh(G)[-1]
         step = 1.0 / max(L, 1e-12)
-        Z = np.zeros((Ah.shape[1], Bh.shape[1]))
-        prev = objective(Ah, Bh, Z)
+        Z = np.zeros(C.shape)
+        GZ = np.zeros(C.shape)
+        # ||A Z - B||^2 = <Z, G Z - 2 C> + ||B||^2
+        prev = b2 + f.evaluate(Z)
         best, best_obj = Z, prev
         for _ in range(iters):
-            grad = 2.0 * (Ah.T @ (Ah @ Z - Bh))
+            grad = 2.0 * (GZ - C)
             Z = f.prox(Z - step * grad, step)
-            obj = objective(Ah, Bh, Z)
+            GZ = G @ Z
+            obj = float(np.sum(Z * (GZ - 2.0 * C))) + b2 + f.evaluate(Z)
             if obj < best_obj:
                 best, best_obj = Z, obj
             if prev - obj < tol * max(abs(prev), 1.0):
@@ -384,13 +391,14 @@ def solve_general_regression(
         raise MeasureFlagError(f"{f.name}: right orthogonal invariance is required")
     policy = policy or sk.SizePolicy()
     Ad, Bd = as_dense(A), as_dense(B)
-    r = max(_numerical_rank(Ad), 1)
-    seeds = [derive_seed(seed, 51 + i) for i in range(3)]
     if identity_sketches:
         S = sk.identity()
         Rh = sk.identity(side="right")
         Sh = sk.identity()
     else:
+        # the rank only sizes the sketches, so the identity path skips its SVD
+        r = max(_numerical_rank(Ad), 1)
+        seeds = [derive_seed(seed, 51 + i) for i in range(3)]
         S = _affine_spec(policy, r, eps, Ad.shape[0], seeds[0])
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
         Sh = _affine_spec(policy, r, eps, Ad.shape[0], seeds[2])

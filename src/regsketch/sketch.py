@@ -177,20 +177,23 @@ def _operator(spec: SketchSpec, n: int):
     return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
 
 
-def fwht(x: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform along axis 0 (unnormalized).
+def fwht(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Fast Walsh-Hadamard transform along axis 0 (unnormalized).
 
-    Row count must be a power of two.
+    Row count must be a power of two. The butterflies run in place on one
+    C-ordered buffer: a copy of x, or x itself when overwrite_x is set and
+    x is C-contiguous, in which case x is overwritten by the result.
     """
     n = x.shape[0]
     if n & (n - 1):
         raise ValueError("FWHT length must be a power of two")
+    x = np.require(x, requirements="C") if overwrite_x else np.array(x, order="C")
     h = 1
     while h < n:
-        x = x.reshape(-1, 2, h, *x.shape[1:])
-        a = x[:, 0] + x[:, 1]
-        b = x[:, 0] - x[:, 1]
-        x = np.stack([a, b], axis=1).reshape(n, *x.shape[3:])
+        v = x.reshape(-1, 2, h, *x.shape[1:])
+        a = v[:, 0] + v[:, 1]
+        np.subtract(v[:, 0], v[:, 1], out=v[:, 1])
+        v[:, 0] = a
         h *= 2
     return x
 
@@ -203,7 +206,7 @@ def _apply_srht(A, m: int, seed: int) -> np.ndarray:
     sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
     X = np.zeros((N,) + Ad.shape[1:])
     X[:n] = sgn[:, None] * Ad  # padding rows are zeros
-    X = fwht(X) / math.sqrt(N)
+    X = fwht(X, overwrite_x=True) / math.sqrt(N)
     if m > N:
         raise ValueError(f"SRHT size m={m} exceeds padded input rows N={N}")
     rows = rng.choice(N, size=m, replace=False)

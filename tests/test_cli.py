@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,3 +112,17 @@ def test_genreg_measure_without_prox_is_usage_error(measure, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--measure" in err
+
+
+def test_module_entry_point_runs_from_a_checkout(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "regsketch", "genreg", "--seeds", "0..1",
+         "--n", "200", "--d", "6", "--measure", "vnorm_2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines() if line.strip()]
+    assert [r["seed"] for r in rows] == [0, 1]
+    assert all(r["command"] == "genreg" for r in rows)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +236,110 @@ class TestGeneralRegression:
                 np.eye(3), np.eye(3), bad, genreg.ridge_small_solver(1.0), 0.5,
                 assume_inheritance=True,
             )
+
+    def test_identity_path_skips_the_rank_svd(self, monkeypatch):
+        # the numerical rank only sizes sketches; identity sketches need none
+        def no_rank(A, tol=1e-10):
+            raise AssertionError("identity path computed the numerical rank")
+
+        monkeypatch.setattr(genreg, "_numerical_rank", no_rank)
+        rng = la.make_rng(5, 73)
+        A = rng.standard_normal((40, 6))
+        B = rng.standard_normal((40, 3))
+        lam = 0.7
+        f = genreg.scaled(MEASURES["frobenius_sq"], lam)
+        X, _ = genreg.solve_general_regression(
+            A, B, f, genreg.ridge_small_solver(lam), 0.5,
+            identity_sketches=True, assume_inheritance=True,
+        )
+        np.testing.assert_allclose(X, _exact_mr_ridge(A, B, lam)[0], atol=1e-6)
+
+
+PROX_MEASURES = ["vnorm_1", "vnorm_2", "nuclear", "frobenius_sq"]
+
+
+def _prox_problem(seed):
+    # mildly ill-conditioned columns make the loop run 100-150 steps
+    rng = la.make_rng(seed, 79)
+    A = rng.standard_normal((300, 12)) * np.logspace(0, -0.5, 12)
+    B = A @ rng.standard_normal((12, 5)) + 0.1 * rng.standard_normal((300, 5))
+    return A, B
+
+
+def _direct_prox_solve(f, Ah, Bh, iters=2000, tol=1e-10):
+    """The proximal-gradient loop on (Ah, Bh) itself: three products per step."""
+
+    def objective(Z):
+        R = Ah @ Z - Bh
+        return float(np.sum(R * R)) + f.evaluate(Z)
+
+    step = 1.0 / max(2.0 * np.linalg.norm(Ah, 2) ** 2, 1e-12)
+    Z = np.zeros((Ah.shape[1], Bh.shape[1]))
+    prev = objective(Z)
+    best, best_obj = Z, prev
+    for _ in range(iters):
+        Z = f.prox(Z - step * 2.0 * (Ah.T @ (Ah @ Z - Bh)), step)
+        obj = objective(Z)
+        if obj < best_obj:
+            best, best_obj = Z, obj
+        if prev - obj < tol * max(abs(prev), 1.0):
+            break
+        prev = obj
+    return best
+
+
+class _CountedMatmul(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        type(self).products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+class TestProxSmallSolver:
+    @pytest.mark.parametrize("name", PROX_MEASURES)
+    def test_gram_form_matches_direct_form(self, name):
+        f = genreg.scaled(MEASURES[name], 0.3)
+        solve = genreg.prox_small_solver(f)
+        for seed in range(3):
+            A, B = _prox_problem(seed)
+
+            def objective(Z):
+                R = A @ Z - B
+                return float(np.sum(R * R)) + f.evaluate(Z)
+
+            ref = objective(_direct_prox_solve(f, A, B))
+            assert abs(objective(solve(A, B)) - ref) <= 1e-9 * ref
+
+    def test_reads_the_sketch_a_bounded_number_of_times(self, monkeypatch):
+        A, B = _prox_problem(0)
+        base = genreg.scaled(MEASURES["vnorm_1"], 0.3)
+        calls = []
+
+        def counted_prox(V, t):
+            calls.append(t)
+            return base.prox(V, t)
+
+        f = dataclasses.replace(base, prox=counted_prox)
+        monkeypatch.setattr(_CountedMatmul, "products", 0)
+        genreg.prox_small_solver(f)(A.view(_CountedMatmul), B)
+        assert len(calls) >= 50
+        assert 1 <= _CountedMatmul.products <= 2
+
+    @pytest.mark.parametrize("name", PROX_MEASURES)
+    def test_zero_sketch_gives_zero(self, name):
+        f = genreg.scaled(MEASURES[name], 0.3)
+        B = la.make_rng(0, 81).standard_normal((30, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = genreg.prox_small_solver(f)(np.zeros((30, 4)), B)
+        assert np.array_equal(Z, np.zeros((4, 3)))
 
 
 class TestGeneralLowRank:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from regsketch import la, ridge
@@ -136,6 +137,44 @@ class TestFwht:
         rng = la.make_rng(6)
         x = rng.standard_normal((8, 2))
         np.testing.assert_allclose(sk.fwht(sk.fwht(x)) / 8.0, x, atol=1e-12)
+
+    @staticmethod
+    def _stacked_fwht(x):
+        # the level-by-level form that builds each level with np.stack
+        n = x.shape[0]
+        h = 1
+        while h < n:
+            x = x.reshape(-1, 2, h, *x.shape[1:])
+            a = x[:, 0] + x[:, 1]
+            b = x[:, 0] - x[:, 1]
+            x = np.stack([a, b], axis=1).reshape(n, *x.shape[3:])
+            h *= 2
+        return x
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (16,), (64, 5), (256, 3, 2), (4096, 64)])
+    def test_bit_identical_to_stacked_levels(self, shape):
+        x = la.make_rng(7).standard_normal(shape)
+        assert np.array_equal(sk.fwht(x), self._stacked_fwht(x))
+        assert np.array_equal(sk.fwht(x.copy(), overwrite_x=True), self._stacked_fwht(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 1024])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_matches_scipy_hadamard(self, n, cols):
+        shape = (n,) if cols is None else (n, cols)
+        x = la.make_rng(8).standard_normal(shape)
+        np.testing.assert_allclose(sk.fwht(x), scipy.linalg.hadamard(n) @ x, rtol=0, atol=1e-12)
+
+    def test_overwrite_x(self):
+        x = la.make_rng(9).standard_normal((32, 4))
+        x0 = x.copy()
+        y = sk.fwht(x)
+        assert np.array_equal(x, x0) and not np.shares_memory(x, y)
+        # a C-contiguous input is the work buffer; any other is copied first
+        assert sk.fwht(x, overwrite_x=True) is x
+        assert np.array_equal(x, y)
+        xt = np.asfortranarray(x0)
+        assert np.array_equal(sk.fwht(xt, overwrite_x=True), y)
+        assert np.array_equal(xt, x0)
 
 
 def test_srht_isometry_monte_carlo():
