@@ -318,33 +318,42 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
     C = A'B and ||B||_F^2 are formed once, in O(m d (d + d')) for an m x d
     A and d' responses; each step then costs O(d^2 d'), whatever m is.
     Step size 1/L with L = 2 lambda_max(G); stops when the objective
-    decrease stalls. Guaranteed never to return something worse than Z = 0
-    (the starting point is compared at the end).
+    decrease stalls. The stop rule and the best-iterate choice read
+    differences of the objective, <Z1 - Z0, G (Z1 + Z0) - 2 C> +
+    f(Z1) - f(Z0), which keep their precision when ||A Z - B||^2 is tiny
+    next to ||B||^2. Never returns something worse than Z = 0, the first
+    best iterate.
     """
     if f.prox is None:
         raise ValueError(f"measure {f.name} has no prox operator")
 
     def solve(Ah, Bh):
         G = Ah.T @ Ah
-        C = Ah.T @ Bh
-        b2 = float(np.sum(Bh * Bh))
+        C2 = 2.0 * (Ah.T @ Bh)
         L = 2.0 * np.linalg.eigvalsh(G)[-1]
         step = 1.0 / max(L, 1e-12)
-        Z = np.zeros(C.shape)
-        GZ = np.zeros(C.shape)
-        # ||A Z - B||^2 = <Z, G Z - 2 C> + ||B||^2
-        prev = b2 + f.evaluate(Z)
-        best, best_obj = Z, prev
+        Z = np.zeros(C2.shape)
+        GZ = np.zeros(C2.shape)
+        fZ = f.evaluate(Z)
+        prev = float(np.sum(Bh * Bh)) + fZ
+        best, G_best, f_best = Z, GZ, fZ
+
+        def change(Zn, GZn, fZn, Zo, GZo, fZo):
+            # obj(Zn) - obj(Zo) without the terms ||B||^2 and <Z, C>, whose
+            # cancellation would cost eps * ||B||^2 of absolute precision
+            return float(np.sum((Zn - Zo) * (GZn + GZo - C2))) + fZn - fZo
+
         for _ in range(iters):
-            grad = 2.0 * (GZ - C)
-            Z = f.prox(Z - step * grad, step)
-            GZ = G @ Z
-            obj = float(np.sum(Z * (GZ - 2.0 * C))) + b2 + f.evaluate(Z)
-            if obj < best_obj:
-                best, best_obj = Z, obj
-            if prev - obj < tol * max(abs(prev), 1.0):
+            Zn = f.prox(Z - step * (2.0 * GZ - C2), step)
+            GZn = G @ Zn
+            fZn = f.evaluate(Zn)
+            if change(Zn, GZn, fZn, best, G_best, f_best) < 0:
+                best, G_best, f_best = Zn, GZn, fZn
+            drop = -change(Zn, GZn, fZn, Z, GZ, fZ)
+            if drop < tol * max(abs(prev), 1.0):
                 break
-            prev = obj
+            prev -= drop
+            Z, GZ, fZ = Zn, GZn, fZn
         return best
 
     return solve

@@ -177,17 +177,16 @@ def _operator(spec: SketchSpec, n: int):
     return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
 
 
-def fwht(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+def fwht(x: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform along axis 0 (unnormalized).
 
-    Row count must be a power of two. The butterflies run in place on one
-    C-ordered buffer: a copy of x, or x itself when overwrite_x is set and
-    x is C-contiguous, in which case x is overwritten by the result.
+    Row count must be a power of two. x is left unchanged: the butterflies
+    run in place on one C-ordered copy of it, which is returned.
     """
     n = x.shape[0]
     if n & (n - 1):
         raise ValueError("FWHT length must be a power of two")
-    x = np.require(x, requirements="C") if overwrite_x else np.array(x, order="C")
+    x = np.array(x, order="C")
     h = 1
     while h < n:
         v = x.reshape(-1, 2, h, *x.shape[1:])
@@ -206,7 +205,7 @@ def _apply_srht(A, m: int, seed: int) -> np.ndarray:
     sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
     X = np.zeros((N,) + Ad.shape[1:])
     X[:n] = sgn[:, None] * Ad  # padding rows are zeros
-    X = fwht(X, overwrite_x=True) / math.sqrt(N)
+    X = fwht(X) / math.sqrt(N)
     if m > N:
         raise ValueError(f"SRHT size m={m} exceeds padded input rows N={N}")
     rows = rng.choice(N, size=m, replace=False)

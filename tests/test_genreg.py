@@ -317,6 +317,24 @@ class TestProxSmallSolver:
             ref = objective(_direct_prox_solve(f, A, B))
             assert abs(objective(solve(A, B)) - ref) <= 1e-9 * ref
 
+    @pytest.mark.parametrize("name", PROX_MEASURES)
+    def test_gram_form_matches_direct_form_near_consistent(self, name):
+        # B = A W at a large scale with a tiny weight: the objective is about
+        # 1e-9 of ||B||^2, below what <Z, G Z - 2 C> + ||B||^2 can resolve
+        f = genreg.scaled(MEASURES[name], 1e-8)
+        solve = genreg.prox_small_solver(f)
+        for seed in range(3):
+            rng = la.make_rng(seed, 83)
+            A = rng.standard_normal((300, 12)) * np.logspace(0, -0.5, 12)
+            B = 1e4 * (A @ rng.standard_normal((12, 5)))
+
+            def objective(Z):
+                R = A @ Z - B
+                return float(np.sum(R * R)) + f.evaluate(Z)
+
+            ref = objective(_direct_prox_solve(f, A, B))
+            assert abs(objective(solve(A, B)) - ref) <= 1e-9 * ref
+
     def test_reads_the_sketch_a_bounded_number_of_times(self, monkeypatch):
         A, B = _prox_problem(0)
         base = genreg.scaled(MEASURES["vnorm_1"], 0.3)

@@ -155,7 +155,6 @@ class TestFwht:
     def test_bit_identical_to_stacked_levels(self, shape):
         x = la.make_rng(7).standard_normal(shape)
         assert np.array_equal(sk.fwht(x), self._stacked_fwht(x))
-        assert np.array_equal(sk.fwht(x.copy(), overwrite_x=True), self._stacked_fwht(x))
 
     @pytest.mark.parametrize("n", [1, 2, 8, 1024])
     @pytest.mark.parametrize("cols", [None, 3])
@@ -163,18 +162,6 @@ class TestFwht:
         shape = (n,) if cols is None else (n, cols)
         x = la.make_rng(8).standard_normal(shape)
         np.testing.assert_allclose(sk.fwht(x), scipy.linalg.hadamard(n) @ x, rtol=0, atol=1e-12)
-
-    def test_overwrite_x(self):
-        x = la.make_rng(9).standard_normal((32, 4))
-        x0 = x.copy()
-        y = sk.fwht(x)
-        assert np.array_equal(x, x0) and not np.shares_memory(x, y)
-        # a C-contiguous input is the work buffer; any other is copied first
-        assert sk.fwht(x, overwrite_x=True) is x
-        assert np.array_equal(x, y)
-        xt = np.asfortranarray(x0)
-        assert np.array_equal(sk.fwht(xt, overwrite_x=True), y)
-        assert np.array_equal(xt, x0)
 
 
 def test_srht_isometry_monte_carlo():
