@@ -231,11 +231,11 @@ def _genreg_trial(args, policy, seed):
     B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
     # the reference side is the same prox solver behind identity sketches
     _, obj_exact = genreg.solve_general_regression(
-        A, B, f, solver, args.eps, seed=seed, identity_sketches=True,
+        A, B, f, solver, args.eps, policy=policy, seed=seed, identity_sketches=True,
         assume_inheritance=True,
     )
     _, obj = genreg.solve_general_regression(
-        A, B, f, solver, args.eps, seed=seed, assume_inheritance=True
+        A, B, f, solver, args.eps, policy=policy, seed=seed, assume_inheritance=True
     )
     return TrialRecord.make(args.command, seed, obj_exact, obj, args.eps, {"measure": args.measure})
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from . import lowrank
 from . import sketch as sk
@@ -306,7 +307,7 @@ def ridge_small_solver(lam: float):
 
     def solve(Ah, Bh):
         d = Ah.shape[1]
-        return np.linalg.solve(Ah.T @ Ah + lam * np.eye(d), Ah.T @ Bh)
+        return np.linalg.solve(as_dense(Ah.T @ Ah) + lam * np.eye(d), Ah.T @ Bh)
 
     return solve
 
@@ -322,13 +323,13 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
     differences of the objective, <Z1 - Z0, G (Z1 + Z0) - 2 C> +
     f(Z1) - f(Z0), which keep their precision when ||A Z - B||^2 is tiny
     next to ||B||^2. Never returns something worse than Z = 0, the first
-    best iterate.
+    best iterate. A CSR A stays sparse: only G is densified.
     """
     if f.prox is None:
         raise ValueError(f"measure {f.name} has no prox operator")
 
     def solve(Ah, Bh):
-        G = Ah.T @ Ah
+        G = as_dense(Ah.T @ Ah)
         C2 = 2.0 * (Ah.T @ Bh)
         L = 2.0 * np.linalg.eigvalsh(G)[-1]
         step = 1.0 / max(L, 1e-12)
@@ -347,9 +348,11 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
             Zn = f.prox(Z - step * (2.0 * GZ - C2), step)
             GZn = G @ Zn
             fZn = f.evaluate(Zn)
-            if change(Zn, GZn, fZn, best, G_best, f_best) < 0:
-                best, G_best, f_best = Zn, GZn, fZn
             drop = -change(Zn, GZn, fZn, Z, GZ, fZ)
+            # a monotone descent keeps best is Z, and then the two changes agree
+            to_best = -drop if best is Z else change(Zn, GZn, fZn, best, G_best, f_best)
+            if to_best < 0:
+                best, G_best, f_best = Zn, GZn, fZn
             if drop < tol * max(abs(prev), 1.0):
                 break
             prev -= drop
@@ -365,6 +368,33 @@ def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
 
 
 def _numerical_rank(A, tol=1e-10):
+    """Number of singular values of A above tol * sigma_1, as an SVD counts them.
+
+    Costs one short-side Gram G (A'A when n >= d, AA' otherwise; a CSR A
+    stays sparse up to that r x r product, r = min(n, d)) and its eigvalsh.
+    The SVD of A runs only when G cannot certify full rank.
+
+    The certificate. The computed G is off by at most gamma_k |A|'|A|
+    entrywise, k = max(n, d) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.5), a matrix of 2-norm at most k * eps * trace(G);
+    eigvalsh adds a backward error of a modest multiple of eps * ||G||_2,
+    allowed r * eps * trace(G). By Weyl, each computed eigenvalue w_i then
+    lies within (n + d) * eps * trace(G) of sigma_i^2. delta is twice that
+    bound, which covers the rounding of trace(G) and leaves the eigensolver's
+    unstated constant a factor of two. So w_min - delta > tol^2 (w_max +
+    delta) proves sigma_r > tol * sigma_1 with room to spare: sigma_r^2 >
+    delta / 2 >= (n + d) * eps * sigma_1^2 puts sigma_r 200 times or more
+    above the default cutoff, far beyond any rounding of the SVD, so the SVD
+    would count r too. The Gram squares the condition number, so it
+    certifies full rank but cannot resolve a smaller rank: rank-deficient or
+    near-threshold inputs, and A = 0, take the SVD count.
+    """
+    n, d = A.shape
+    G = as_dense(A.T @ A if n >= d else A @ A.T)
+    w = np.linalg.eigvalsh(G)
+    delta = 2.0 * (n + d) * np.finfo(np.float64).eps * float(np.trace(G))
+    if w.size and w[0] - delta > tol * tol * (w[-1] + delta):
+        return w.size
     s = _sv(A)
     if s.size == 0 or s[0] == 0:
         return 0
@@ -388,6 +418,11 @@ def solve_general_regression(
     subadditive (which together give contraction reduction and embedding
     inheritance), unless assume_inheritance asserts those consequences
     directly. Returns (X_tilde, objective-on-the-original-problem).
+
+    The sketches are sized from rank(A); the rank costs one short-side Gram
+    of A, with an SVD of A only when that Gram cannot certify full rank
+    (`_numerical_rank`). A CSR A stays sparse: the sketches, the small
+    solvers and the final A @ X all take it as it is. B is densified.
     """
     fl = f.flags
     if not assume_inheritance:
@@ -399,26 +434,28 @@ def solve_general_regression(
     elif not fl.right_orthogonal_invariant:
         raise MeasureFlagError(f"{f.name}: right orthogonal invariance is required")
     policy = policy or sk.SizePolicy()
-    Ad, Bd = as_dense(A), as_dense(B)
+    if not scipy.sparse.issparse(A):
+        A = as_dense(A)
+    Bd = as_dense(B)
     if identity_sketches:
         S = sk.identity()
         Rh = sk.identity(side="right")
         Sh = sk.identity()
     else:
-        # the rank only sizes the sketches, so the identity path skips its SVD
-        r = max(_numerical_rank(Ad), 1)
+        # the rank only sizes the sketches, so the identity path skips it
+        r = max(_numerical_rank(A), 1)
         seeds = [derive_seed(seed, 51 + i) for i in range(3)]
-        S = _affine_spec(policy, r, eps, Ad.shape[0], seeds[0])
+        S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
-        Sh = _affine_spec(policy, r, eps, Ad.shape[0], seeds[2])
+        Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
     SB = as_dense(sk.apply(S, Bd))
     SBRh = as_dense(sk.apply(Rh, SB))
-    ShA = as_dense(sk.apply(Sh, Ad))
+    ShA = sk.apply(Sh, A)  # A itself, CSR or dense, when Sh is the identity
     ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
     Q, R1, piv, _ = lowrank._pivoted_col_basis(SBRh.T)
     Z1 = small_solver(ShA, ShBRh @ Q)
     X = lowrank._lift_rows(Z1, R1, piv, SBRh.shape[0]) @ SB
-    Rm = Ad @ X - Bd
+    Rm = A @ X - Bd
     return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
 
 

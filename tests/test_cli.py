@@ -74,10 +74,26 @@ def test_policy_sized_subcommands_pass(tmp_path):
         ["mr-ridge", "--seeds", "0..9", "--n", "800", "--d", "15"],
         ["lowrank", "--seeds", "0..9", "--n", "300", "--d", "200", "--k", "5"],
         ["statdim", "--seeds", "0..9", "--n", "200", "--d", "30"],
+        ["genreg", "--seeds", "0..9", "--n", "600", "--d", "6", "--density", "0.5"],
     ]
     for i, argv in enumerate(cases):
         out = tmp_path / f"case{i}.jsonl"
         assert cli.main(argv + ["--out", str(out)]) == 0, argv[0]
+
+
+def test_genreg_reads_the_size_policy(tmp_path):
+    # k_affine this large sizes every affine sketch past its input: identities
+    config = tmp_path / "policy.json"
+    config.write_text('{"k_affine": 10000.0}')
+    out = tmp_path / "genreg.jsonl"
+    rc = cli.main([
+        "genreg", "--seeds", "0..2", "--n", "500", "--d", "6",
+        "--config", str(config), "--out", str(out),
+    ])
+    assert rc == 0
+    rows = _read_jsonl(out)
+    assert len(rows) == 3
+    assert all(r["sketch_objective"] == r["exact_objective"] for r in rows)
 
 
 def test_matrix_market_override(tmp_path):

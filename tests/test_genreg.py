@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from regsketch import genreg, la, lowrank
 from regsketch import sketch as sk
@@ -253,6 +255,108 @@ class TestGeneralRegression:
             identity_sketches=True, assume_inheritance=True,
         )
         np.testing.assert_allclose(X, _exact_mr_ridge(A, B, lam)[0], atol=1e-6)
+
+    def test_well_conditioned_sketched_path_skips_the_svd(self, monkeypatch):
+        # a certified full rank sizes the sketches without an SVD of A
+        def no_svd(A):
+            raise AssertionError("the sketched path took an SVD")
+
+        monkeypatch.setattr(genreg, "_sv", no_svd)
+        rng = la.make_rng(6, 73)
+        A = rng.standard_normal((2000, 8))
+        B = rng.standard_normal((2000, 3))
+        lam = 0.5
+        f = genreg.scaled(MEASURES["frobenius_sq"], lam)
+        _, obj = genreg.solve_general_regression(
+            A, B, f, genreg.ridge_small_solver(lam), 0.5, seed=6, assume_inheritance=True,
+        )
+        assert obj <= 1.5 * _exact_mr_ridge(A, B, lam)[1]
+
+
+def _with_spectrum(n, d, s, seed):
+    rng = la.make_rng(seed, 85)
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((d, len(s))))
+    return (U * s) @ V.T
+
+
+def _sparse_normal(n, d, density, seed):
+    rng = la.make_rng(seed, 87)
+    return scipy.sparse.random(
+        n, d, density=density, format="csr", random_state=rng, data_rvs=rng.standard_normal
+    )
+
+
+def _rank_deficient_csr():
+    A = _sparse_normal(300, 6, 0.5, 2).tolil()
+    A[:, 5] = A[:, 0]
+    return A.tocsr()
+
+
+# name -> (input, its rank, whether only the SVD can decide it)
+RANK_CASES = {
+    "tall": lambda: (_with_spectrum(200, 8, np.logspace(0, -2, 8), 1), 8, False),
+    "wide": lambda: (_with_spectrum(8, 200, np.logspace(0, -2, 8), 2), 8, False),
+    "rank_5": lambda: (_with_spectrum(60, 12, np.logspace(0, -1, 5), 3), 5, True),
+    "ratio_1e-9": lambda: (_with_spectrum(100, 6, [1.0, 0.5, 0.3, 0.2, 0.1, 1e-9], 4), 6, True),
+    "ratio_1e-11": lambda: (_with_spectrum(100, 6, [1.0, 0.5, 0.3, 0.2, 0.1, 1e-11], 5), 5, True),
+    "zero": lambda: (np.zeros((30, 4)), 0, True),
+    "csr": lambda: (_sparse_normal(400, 10, 0.3, 1), 10, False),
+    "csr_rank_deficient": lambda: (_rank_deficient_csr(), 5, True),
+}
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("case", sorted(RANK_CASES))
+    def test_matches_the_svd_count(self, case, monkeypatch):
+        A, rank, needs_svd = RANK_CASES[case]()
+        s = np.linalg.svd(la.as_dense(A), compute_uv=False)
+        assert int(np.sum(s > 1e-10 * s[0])) == rank
+        calls = []
+        real_sv = genreg._sv
+        monkeypatch.setattr(genreg, "_sv", lambda M: calls.append(M.shape) or real_sv(M))
+        assert genreg._numerical_rank(A) == rank
+        # the Gram certifies exactly the full-rank inputs that are far from the cutoff
+        assert bool(calls) == needs_svd
+
+
+class TestSparseInput:
+    @staticmethod
+    def _problem(n, d, dprime, density, seed):
+        A = _sparse_normal(n, d, density, seed)
+        rng = la.make_rng(seed, 89)
+        B = A @ rng.standard_normal((d, dprime)) + 0.1 * rng.standard_normal((n, dprime))
+        return A, B
+
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("name", ["frobenius_sq", "vnorm_2"])
+    def test_csr_matches_dense(self, name, identity):
+        A, B = self._problem(3000, 6, 3, 0.4, 7)
+        f = genreg.scaled(MEASURES[name], 0.3)
+        solver = genreg.ridge_small_solver(0.3) if name == "frobenius_sq" else genreg.prox_small_solver(f)
+        Xs = []
+        for M in (A, A.toarray()):
+            X, _ = genreg.solve_general_regression(
+                M, B, f, solver, 0.5, seed=7, identity_sketches=identity, assume_inheritance=True,
+            )
+            Xs.append(X)
+        np.testing.assert_allclose(Xs[0], Xs[1], rtol=0, atol=1e-12 * np.abs(Xs[1]).max())
+
+    def test_sketched_path_never_densifies_csr(self):
+        # sketched only: the identity path's lift is a d x n matrix, the size
+        # of a dense A, whatever A's format
+        A, B = self._problem(40_000, 50, 2, 0.02, 8)
+        dense_bytes = A.shape[0] * A.shape[1] * 8
+        f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
+        tracemalloc.start()
+        try:
+            genreg.solve_general_regression(
+                A, B, f, genreg.prox_small_solver(f), 1.0, seed=8, assume_inheritance=True,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
 
 
 PROX_MEASURES = ["vnorm_1", "vnorm_2", "nuclear", "frobenius_sq"]
