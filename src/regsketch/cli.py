@@ -105,15 +105,13 @@ def _load_policy(args):
     return sk.SizePolicy()
 
 
-def _load_matrix(args, seed, n=None, d=None):
+def _load_matrix(args, seed):
     if args.matrix:
         A = read_matrix_market(args.matrix)
         rng = np.random.default_rng(seed)
         b = A @ rng.standard_normal(A.shape[1])
         return A, b
-    return problems.generate_problem(
-        n or args.n, d or args.d, seed, kind=args.spectrum, density=args.density
-    )
+    return problems.generate_problem(args.n, args.d, seed, kind=args.spectrum, density=args.density)
 
 
 def _sketch_spec(args, m, seed, limit=None):
@@ -145,23 +143,6 @@ def _ridge_trial(args, policy, seed):
     )
 
 
-def _ridge_wide_trial(args, policy, seed):
-    A, b = _load_matrix(args, seed, n=args.n, d=args.d)
-    # small lam blows up the wide-regime error factor (1 + 3 sigma1^2/lam),
-    # so the default is a fixed moderate weight rather than an sd target
-    lam = args.lam if args.lam is not None else 0.5
-    if lam <= 0:
-        raise SystemExit("ridge-wide requires a positive regularization weight")
-    p = ridge.RidgeProblem(A, b, lam)
-    ex = ridge.solve_exact(p)
-    m, clamped = ridge.recommend_wide_size(policy, A, lam, args.eps)
-    sol = ridge.solve_sketched_cols(p, _sketch_spec(args, m, seed, limit=A.shape[1]))
-    return TrialRecord.make(
-        args.command, seed, ex.objective, sol.objective, args.eps,
-        {"lam": lam, "m": m, "clamped": clamped},
-    )
-
-
 def _mr_ridge_trial(args, policy, seed):
     A, _ = _load_matrix(args, seed)
     rng = np.random.default_rng(seed + 1)
@@ -172,7 +153,7 @@ def _mr_ridge_trial(args, policy, seed):
     ex = ridge.solve_exact(p)
     sd = statdim.sd_estimate(A, lam, seed=seed).estimate
     m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
-    sol = ridge.solve_sketched_mr(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
+    sol = ridge.solve_sketched_rows(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
     return TrialRecord.make(
         args.command, seed, ex.objective, sol.objective, args.eps,
         {"lam": lam, "m": m, "dprime": args.dprime},
@@ -266,25 +247,22 @@ def _check_embedding_trial(args, policy, seed):
     return rec
 
 
-# subcommand -> (help, per-seed trial, extra (flag, type, default)s, parser defaults)
+# subcommand -> (help, per-seed trial, extra (flag, type, default)s)
 TRIAL_COMMANDS = {
-    "ridge": ("row-sketched ridge regression trials", _ridge_trial, [], {}),
-    "ridge-wide": ("wide-regime (column-space) ridge trials", _ridge_wide_trial, [], {"n": 30, "d": 200}),
-    "mr-ridge": ("multiple-response ridge trials", _mr_ridge_trial, [("--dprime", int, 4)], {}),
-    "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, [("--k", int, 5)], {}),
-    "cca": ("regularized CCA trials", _cca_trial, [("--dprime", int, 20)], {}),
+    "ridge": ("row-sketched ridge regression trials", _ridge_trial, []),
+    "mr-ridge": ("multiple-response ridge trials", _mr_ridge_trial, [("--dprime", int, 4)]),
+    "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, [("--k", int, 5)]),
+    "cca": ("regularized CCA trials", _cca_trial, [("--dprime", int, 20)]),
     "genreg": (
         "general-regularizer regression trials",
         _genreg_trial,
         [("--measure", _prox_measure, "vnorm_2"), ("--dprime", int, 3)],
-        {},
     ),
-    "statdim": ("statistical-dimension estimator trials", _statdim_trial, [], {}),
+    "statdim": ("statistical-dimension estimator trials", _statdim_trial, []),
     "check-embedding": (
         "empirical subspace-embedding check",
         _check_embedding_trial,
         [("--m", int, None), ("--trials", int, 5)],
-        {},
     ),
 }
 
@@ -397,12 +375,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="regsketch")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, (help_text, trial, extra, defaults) in TRIAL_COMMANDS.items():
+    for name, (help_text, trial, extra) in TRIAL_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         for flag, type_, default in extra:
             p.add_argument(flag, type=type_, default=default)
-        p.set_defaults(fn=run_trials, trial=trial, **defaults)
+        p.set_defaults(fn=run_trials, trial=trial)
 
     p = sub.add_parser("calibrate", help="fit size-policy constants on the seeded family")
     _add_common(p)

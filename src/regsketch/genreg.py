@@ -25,6 +25,7 @@ import scipy.sparse
 from . import lowrank
 from . import sketch as sk
 from .la import as_dense, derive_seed, make_rng
+from .statdim import singular_values as _sv
 
 
 class MeasureFlagError(ValueError):
@@ -86,10 +87,6 @@ def spot_check_measure(m: MatrixMeasure, seed: int = 0, trials: int = 5, tol: fl
             if m.evaluate(A + Bm) > m.evaluate(A) + m.evaluate(Bm) + tol:
                 raise MeasureFlagError(f"{m.name}: subadditivity fails")
     return m
-
-
-def _sv(A):
-    return np.linalg.svd(as_dense(A), compute_uv=False)
 
 
 def _schatten(A, p):

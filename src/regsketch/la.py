@@ -1,5 +1,5 @@
-"""Dense/sparse linear-algebra substrate: SVD, lambda-QR, pseudo-inverse
-application, Matrix Market I/O, and seeded randomness.
+"""Dense/sparse linear-algebra substrate: SVD, lambda-QR, Matrix Market I/O,
+and seeded randomness.
 
 Matrices are plain numpy arrays (row-major float64) or scipy CSR arrays.
 All factorizations are returned as small frozen dataclasses so downstream
@@ -132,19 +132,6 @@ def lambda_qr(A, lam: float, rank_tol: float = 1e-12) -> LambdaQr:
     else:
         Q = scipy.linalg.solve_triangular(R.T, M.T, lower=True).T
     return LambdaQr(Q=Q, R=R, lam=float(lam), singular=singular)
-
-
-def pinv_apply(M, B, rcond: float = 1e-12) -> np.ndarray:
-    """Compute pinv(M) @ B via SVD, zeroing singular values below rcond*sigma_max."""
-    f = svd(M)
-    Bd = as_dense(B)
-    squeeze = Bd.ndim == 1
-    if squeeze:
-        Bd = Bd[:, None]
-    cutoff = rcond * (f.sigma[0] if f.sigma.size else 0.0)
-    inv = np.where(f.sigma > cutoff, 1.0 / np.where(f.sigma > 0, f.sigma, 1.0), 0.0)
-    out = f.V @ (inv[:, None] * (f.U.T @ Bd))
-    return out[:, 0] if squeeze else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -67,18 +68,32 @@ def test_csv_format(tmp_path):
 
 
 def test_policy_sized_subcommands_pass(tmp_path):
-    # small but honest configurations for each solver-backed subcommand
+    # small but honest configurations, one for each trial subcommand
     cases = [
         ["ridge", "--seeds", "0..9", "--n", "1200", "--d", "20"],
-        ["ridge-wide", "--seeds", "0..9", "--n", "15", "--d", "400"],
         ["mr-ridge", "--seeds", "0..9", "--n", "800", "--d", "15"],
         ["lowrank", "--seeds", "0..9", "--n", "300", "--d", "200", "--k", "5"],
+        ["cca", "--seeds", "0..9", "--n", "3000", "--d", "10", "--dprime", "8"],
         ["statdim", "--seeds", "0..9", "--n", "200", "--d", "30"],
         ["genreg", "--seeds", "0..9", "--n", "600", "--d", "6", "--density", "0.5"],
+        ["check-embedding", "--seeds", "0..4", "--n", "500", "--d", "20", "--m", "200"],
     ]
+    assert {argv[0] for argv in cases} == set(cli.TRIAL_COMMANDS)
     for i, argv in enumerate(cases):
         out = tmp_path / f"case{i}.jsonl"
         assert cli.main(argv + ["--out", str(out)]) == 0, argv[0]
+        if argv[0] in ("ridge", "mr-ridge"):
+            # the gate must run a real sketch, not one collapsed to the identity
+            n = int(argv[argv.index("--n") + 1])
+            assert all(r["m"] < n for r in _read_jsonl(out)), argv[0]
+
+
+def test_readme_examples_name_every_subcommand():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = set(re.findall(r"^regsketch ([\w-]+)", block, flags=re.MULTILINE))
+    assert named == set(cli.TRIAL_COMMANDS) | {"calibrate"}
 
 
 def test_genreg_reads_the_size_policy(tmp_path):

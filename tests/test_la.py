@@ -81,20 +81,6 @@ class TestLambdaQr:
         assert abs(np.sum(f.Q**2) - expected) <= 1e-8
 
 
-class TestPinvApply:
-    def test_identity(self):
-        np.testing.assert_allclose(la.pinv_apply(np.eye(3), np.eye(3)), np.eye(3))
-
-    def test_null_direction_dropped(self):
-        out = la.pinv_apply(np.diag([2.0, 0.0]), np.array([4.0, 5.0]))
-        np.testing.assert_allclose(out, [2.0, 0.0])
-
-    def test_identity_on_rowspace(self):
-        rng = la.make_rng(8)
-        M = rng.standard_normal((6, 4))
-        assert np.linalg.norm(la.pinv_apply(M, M) - np.eye(4)) <= 1e-9
-
-
 class TestMatrixMarket:
     def test_coordinate_single_entry(self, tmp_path):
         path = tmp_path / "one.mtx"

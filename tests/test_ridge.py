@@ -86,57 +86,6 @@ class TestSketchedRows:
             hits += sol.objective <= 1.5 * ex.objective + 1e-12
         assert hits >= 8
 
-    def test_repeats_take_best(self):
-        p = make_problem(200, 12, 5, lam=0.2)
-        one = ridge.solve_sketched_rows(p, sk.countsketch(60, seed=7), repeats=1)
-        five = ridge.solve_sketched_rows(p, sk.countsketch(60, seed=7), repeats=5)
-        assert five.objective <= one.objective + 1e-12
-
-
-class TestSketchedCols:
-    def test_identity_matches_exact(self):
-        p = make_problem(15, 120, 6, lam=0.8)
-        ex = ridge.solve_exact(p)
-        sol = ridge.solve_sketched_cols(p, sk.identity())
-        assert abs(sol.objective - ex.objective) <= 1e-6 * ex.objective
-
-    def test_hand_stationarity_identity_matrix(self):
-        # A = I2, b = (2,4), lam = 1, S = I: (G + I) G y = G b with G = I,
-        # so y = b/2 and x = y = (1, 2)
-        p = ridge.RidgeProblem(np.eye(2), np.array([2.0, 4.0]), 1.0)
-        sol = ridge.solve_sketched_cols(p, sk.identity())
-        np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-10)
-
-    def test_lambda_zero_rejected(self):
-        p = ridge.RidgeProblem(np.eye(2), np.array([1.0, 1.0]), 0.0)
-        with pytest.raises(ValueError):
-            ridge.solve_sketched_cols(p, sk.identity())
-
-    def test_wide_policy_within_eps(self):
-        policy = sk.SizePolicy()
-        hits = 0
-        for seed in range(10):
-            A, b = problems.generate_problem(15, 600, seed)
-            lam = float(np.linalg.norm(A, 2) ** 2)
-            p = ridge.RidgeProblem(A, b, lam)
-            ex = ridge.solve_exact(p)
-            m, clamped = ridge.recommend_wide_size(policy, A, lam, 0.5)
-            spec = sk.countsketch(m, seed=seed) if m < 600 else sk.identity()
-            sol = ridge.solve_sketched_cols(p, spec)
-            hits += sol.objective <= 1.5 * ex.objective + 1e-12
-        assert hits >= 8
-
-    def test_recommend_wide_size_clamps(self):
-        A, _ = problems.generate_problem(20, 50, 0)
-        m, clamped = ridge.recommend_wide_size(sk.SizePolicy(), A, 1e-6, 0.5)
-        assert m == 50 and clamped
-
-    def test_top_singular_value_estimate(self):
-        A, _ = problems.generate_problem(60, 20, 1)
-        est = ridge.estimate_top_singular_value(A)
-        s1 = float(np.linalg.norm(np.asarray(A), 2))
-        assert s1 <= est <= 1.3 * s1
-
 
 class TestMultipleResponse:
     def test_single_column_reduces_to_vector_solver(self):
@@ -144,7 +93,7 @@ class TestMultipleResponse:
         B = np.asarray(p.rhs).reshape(-1, 1)
         pm = ridge.RidgeProblem(p.A, B, p.lam)
         v = ridge.solve_sketched_rows(p, sk.countsketch(30, seed=2))
-        m = ridge.solve_sketched_mr(pm, sk.countsketch(30, seed=2))
+        m = ridge.solve_sketched_rows(pm, sk.countsketch(30, seed=2))
         np.testing.assert_allclose(m.x.reshape(-1), v.x, atol=1e-12)
 
     def test_identity_matches_exact_normal_equations(self):
@@ -153,7 +102,7 @@ class TestMultipleResponse:
         B = rng.standard_normal((40, 5))
         lam = 0.6
         pm = ridge.RidgeProblem(A, B, lam)
-        sol = ridge.solve_sketched_mr(pm, sk.identity())
+        sol = ridge.solve_sketched_rows(pm, sk.identity())
         X = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ B)
         np.testing.assert_allclose(sol.x, X, atol=1e-8)
 
@@ -171,7 +120,7 @@ class TestMultipleResponse:
             s = np.linalg.svd(np.asarray(A), compute_uv=False)
             sd = float(np.sum(s**2 / (s**2 + lam)))
             m = min(800, sk.recommend_sizes(policy, sd, 0.5, "ridge_rows"))
-            sol = ridge.solve_sketched_mr(pm, sk.countsketch(m, seed=seed))
+            sol = ridge.solve_sketched_rows(pm, sk.countsketch(m, seed=seed))
             hits += sol.objective <= 1.5 * ex.objective + 1e-12
         assert hits >= 8
 
