@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from . import lowrank
 from . import sketch as sk
-from .la import as_dense, derive_seed, make_rng
+from .la import as_dense, derive_seed, gram, make_rng
 from .statdim import singular_values as _sv
 
 
@@ -304,7 +305,7 @@ def ridge_small_solver(lam: float):
 
     def solve(Ah, Bh):
         d = Ah.shape[1]
-        return np.linalg.solve(as_dense(Ah.T @ Ah) + lam * np.eye(d), Ah.T @ Bh)
+        return np.linalg.solve(gram(Ah) + lam * np.eye(d), gram(Ah, Bh))
 
     return solve
 
@@ -320,14 +321,14 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
     differences of the objective, <Z1 - Z0, G (Z1 + Z0) - 2 C> +
     f(Z1) - f(Z0), which keep their precision when ||A Z - B||^2 is tiny
     next to ||B||^2. Never returns something worse than Z = 0, the first
-    best iterate. A CSR A stays sparse: only G is densified.
+    best iterate. A CSR A stays sparse: `la.gram` reads it in row blocks.
     """
     if f.prox is None:
         raise ValueError(f"measure {f.name} has no prox operator")
 
     def solve(Ah, Bh):
-        G = as_dense(Ah.T @ Ah)
-        C2 = 2.0 * (Ah.T @ Bh)
+        G = gram(Ah)
+        C2 = 2.0 * gram(Ah, Bh)
         L = 2.0 * np.linalg.eigvalsh(G)[-1]
         step = 1.0 / max(L, 1e-12)
         Z = np.zeros(C2.shape)
@@ -367,13 +368,15 @@ def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
 def _numerical_rank(A, tol=1e-10):
     """Number of singular values of A above tol * sigma_1, as an SVD counts them.
 
-    Costs one short-side Gram G (A'A when n >= d, AA' otherwise; a CSR A
-    stays sparse up to that r x r product, r = min(n, d)) and its eigvalsh.
+    Costs one short-side Gram G (A'A when n >= d, AA' otherwise, r x r with
+    r = min(n, d); a CSR A is read in row blocks by `la.gram`) and its
+    eigvalsh.
     The SVD of A runs only when G cannot certify full rank.
 
     The certificate. The computed G is off by at most gamma_k |A|'|A|
     entrywise, k = max(n, d) (Higham, *Accuracy and Stability of Numerical
     Algorithms*, section 3.5), a matrix of 2-norm at most k * eps * trace(G);
+    the bound holds for any order of summation, so for la.gram's row blocks.
     eigvalsh adds a backward error of a modest multiple of eps * ||G||_2,
     allowed r * eps * trace(G). By Weyl, each computed eigenvalue w_i then
     lies within (n + d) * eps * trace(G) of sigma_i^2. delta is twice that
@@ -387,7 +390,7 @@ def _numerical_rank(A, tol=1e-10):
     near-threshold inputs, and A = 0, take the SVD count.
     """
     n, d = A.shape
-    G = as_dense(A.T @ A if n >= d else A @ A.T)
+    G = gram(A) if n >= d else gram(A.T)
     w = np.linalg.eigvalsh(G)
     delta = 2.0 * (n + d) * np.finfo(np.float64).eps * float(np.trace(G))
     if w.size and w[0] - delta > tol * tol * (w[-1] + delta):
@@ -396,6 +399,15 @@ def _numerical_rank(A, tol=1e-10):
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def _lift(Z1, R1, piv, SB) -> np.ndarray:
+    """X = Z @ SB for the Z of `lowrank._lift_rows(Z1, R1, piv, SB.shape[0])`.
+
+    Z is zero outside the columns piv[:r], so only those rows of SB are
+    multiplied, and no Z as wide as SB is tall is formed.
+    """
+    return scipy.linalg.solve_triangular(R1, Z1.T).T @ SB[piv[: R1.shape[0]]]
 
 
 def solve_general_regression(
@@ -451,7 +463,7 @@ def solve_general_regression(
     ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
     Q, R1, piv, _ = lowrank._pivoted_col_basis(SBRh.T)
     Z1 = small_solver(ShA, ShBRh @ Q)
-    X = lowrank._lift_rows(Z1, R1, piv, SBRh.shape[0]) @ SB
+    X = _lift(Z1, R1, piv, SB)
     Rm = A @ X - Bd
     return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
 

@@ -1,5 +1,5 @@
-"""Dense/sparse linear-algebra substrate: SVD, lambda-QR, Matrix Market I/O,
-and seeded randomness.
+"""Dense/sparse linear-algebra substrate: SVD, lambda-QR, Gram products read
+in row blocks, Matrix Market I/O, and seeded randomness.
 
 Matrices are plain numpy arrays (row-major float64) or scipy CSR arrays.
 All factorizations are returned as small frozen dataclasses so downstream
@@ -61,6 +61,48 @@ def row_blocks(n: int, width: int) -> list:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def _csr_rows(A, rows: slice):
+    """A[rows] of a CSR A as a CSR array sharing A's data, built from its
+    arrays: scipy's own row slicing costs about five times as much."""
+    p0, p1 = A.indptr[rows.start], A.indptr[rows.stop]
+    return scipy.sparse.csr_array(
+        (A.data[p0:p1], A.indices[p0:p1], A.indptr[rows.start : rows.stop + 1] - p0),
+        shape=(rows.stop - rows.start, A.shape[1]),
+    )
+
+
+def gram(A, B=None) -> np.ndarray:
+    """The dense product A'B, or the Gram A'A when B is None.
+
+    A dense A gives A.T @ A or A.T @ B as numpy forms it. A sparse A is read
+    in the row blocks of `row_blocks` (sized by the columns of B): each block
+    adds blk' @ (that block of B, densified), so neither matrix is densified
+    whole and no sparse x sparse product runs; the cost is nnz(A)
+    multiply-adds per column of B.
+    """
+    if not scipy.sparse.issparse(A):
+        return A.T @ (A if B is None else B)
+    A = A.tocsr()
+    if B is not None and B.shape[0] != A.shape[0]:
+        raise ValueError("A and B must have equal row counts")
+    if scipy.sparse.issparse(B):
+        B = B.tocsr()
+    elif B is not None:
+        B = np.asarray(B, dtype=np.float64)
+    shape = A.shape[1:] if B is None else B.shape[1:]
+    out = np.zeros((A.shape[1],) + shape)
+    for rows in row_blocks(A.shape[0], shape[0] if shape else 1):
+        blk = _csr_rows(A, rows)
+        if B is None:
+            Bb = blk.toarray()
+        elif scipy.sparse.issparse(B):
+            Bb = _csr_rows(B, rows).toarray()
+        else:
+            Bb = B[rows]
+        out += blk.T @ Bb
+    return out
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """A ~= U @ diag(sigma) @ V.T with orthonormal U, V columns."""
@@ -115,6 +157,11 @@ def lambda_qr(A, lam: float, rank_tol: float = 1e-12) -> LambdaQr:
     For lam == 0 and rank-deficient A the result is flagged singular and Q is
     recovered through a pseudo-inverse; operations that invert R must reject
     such factors.
+
+    A is densified. Exact CCA runs this only when a lambda is zero or the
+    bound (trace(A'A) + lam) / lam on cond(A'A + lam I) = cond(R)^2 exceeds
+    cca.GRAM_COND_MAX; otherwise it takes the same R as the Cholesky factor
+    of `gram(A)` + lam I, read from a CSR A without densifying it.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import sketch as sk
-from .la import as_dense
+from .la import as_dense, gram
 
 _RIDGE_SOLVE_TOL = 1e-8  # relative normal-equation residual contract
 
@@ -67,28 +67,28 @@ def objective_value(p: RidgeProblem, x) -> float:
     return float(np.sum(R * R) + p.lam * np.sum(np.asarray(x) ** 2))
 
 
-def _solve_dense_ridge(A, B, lam: float):
+def _solve_ridge(A, B, lam: float):
     """Normal-equation solve, choosing the d x d or n x n formulation by min(n, d).
 
-    Returns (X, min_norm_flag)."""
+    A may be CSR: its Grams and A'B come from `la.gram`, and only the
+    lam = 0 least-squares fallback densifies it. Returns (X, min_norm_flag)."""
     n, d = A.shape
     if lam == 0.0:
-        X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        X, _, rank, _ = np.linalg.lstsq(as_dense(A), B, rcond=None)
         return X, rank < d
     if n >= d:
-        G = A.T @ A + lam * np.eye(d)
-        return scipy.linalg.solve(G, A.T @ B, assume_a="pos"), False
-    G = A @ A.T + lam * np.eye(n)
+        G = gram(A) + lam * np.eye(d)
+        return scipy.linalg.solve(G, gram(A, B), assume_a="pos"), False
+    G = gram(A.T) + lam * np.eye(n)
     return A.T @ scipy.linalg.solve(G, B, assume_a="pos"), False
 
 
 def solve_exact(p: RidgeProblem) -> RidgeSolution:
     """Exact ridge solution x* = (A'A + lam I)^{-1} A'b (or the n x n twin)."""
     t0 = time.perf_counter()
-    A = as_dense(p.A)
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
-    X, min_norm = _solve_dense_ridge(A, B if not squeeze else B[:, None], p.lam)
+    X, min_norm = _solve_ridge(p.A, B if not squeeze else B[:, None], p.lam)
     if squeeze:
         X = X[:, 0]
     return RidgeSolution(
@@ -134,6 +134,6 @@ def solve_sketched_rows(
     # the seed fixes S, so sketching A and B apart meets one draw
     SA = as_dense(sk.apply(spec, p.A))
     SB = as_dense(sk.apply(spec, B[:, None] if squeeze else B))
-    X, _ = _solve_dense_ridge(SA, SB, p.lam)
+    X, _ = _solve_ridge(SA, SB, p.lam)
     specs = [s1] + ([s2] if s2 is not None else [])
     return _guarded(p, X[:, 0] if squeeze else X, specs, t0)

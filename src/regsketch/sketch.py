@@ -4,7 +4,9 @@ A SketchSpec is a seeded, serializable description of a random linear
 operator S; apply(spec, A) returns S @ A, and the seed fixes S, so every
 input sketched with one spec meets the same draw. CountSketch and OSNAP are
 sparse m x n CSC matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per
-column, so S @ A costs O(nnz(A)) or O(s nnz(A)). A Gaussian sketch is a dense
+column, so S @ A costs O(nnz(A)) or O(s nnz(A)); on a CSR input it is
+scattered from S's arrays into one dense m x d result, with the sums of
+scipy's sparse x sparse product but without it. A Gaussian sketch is a dense
 m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
 transform in O(n d log n) without forming S.
 
@@ -212,6 +214,43 @@ def _apply_srht(A, m: int, seed: int) -> np.ndarray:
     return math.sqrt(N / m) * X[rows]
 
 
+SCATTER_ENTRIES = 1 << 14  # products per block of _scatter_csr: ~0.5 MB of temporaries
+
+
+def _scatter_csr(S, A) -> np.ndarray:
+    """(S @ A).toarray() for a CSC operator S with s entries in every column
+    and a CSR A, without scipy's sparse x sparse product.
+
+    A's stored entries are read in storage order, SCATTER_ENTRIES // s at a
+    time; each is multiplied by the s entries of S's column for its row and
+    added into the dense m x d result by np.add.at, which adds repeated
+    indices in order. Every output entry thus sums its terms over A's rows in
+    ascending order, as scipy's product does, and the result is bit-identical
+    to it, in O(s nnz(A)) time and one m x d buffer.
+    """
+    m, n = S.shape
+    d = A.shape[1]
+    s = S.nnz // n if n else 1
+    S_rows, S_vals = S.indices.reshape(n, s), S.data.reshape(n, s)
+    out = np.zeros((m, d))
+    flat = out.reshape(-1)
+    step = max(1, SCATTER_ENTRIES // s)
+    starts = np.arange(0, A.nnz, step)
+    # first row of each block: one search for all blocks, which keeps the
+    # int32 indptr from being cast anew per block
+    for lo, r0 in zip(starts.tolist(), (np.searchsorted(A.indptr, starts, "right") - 1).tolist()):
+        hi = min(lo + step, A.nnz)
+        r1 = int(np.searchsorted(A.indptr, A.indptr.dtype.type(hi)))
+        j = np.repeat(np.arange(r0, r1), np.diff(np.clip(A.indptr[r0 : r1 + 1], lo, hi)))
+        idx = np.take(S_rows, j, axis=0).astype(np.int64, copy=False)
+        idx *= d
+        idx += A.indices[lo:hi, None]
+        vals = np.take(S_vals, j, axis=0)
+        vals *= A.data[lo:hi, None]
+        np.add.at(flat, idx.ravel(), vals.ravel())
+    return out
+
+
 def apply(spec: SketchSpec, A):
     """Apply the sketching operator described by spec to A.
 
@@ -240,7 +279,11 @@ def apply(spec: SketchSpec, A):
     if spec.variant == "srht":
         out = _apply_srht(A, spec.m, spec.seed)
     else:
-        out = as_dense(_operator(spec, A.shape[0]) @ A)
+        S = _operator(spec, A.shape[0])
+        if scipy.sparse.issparse(S) and scipy.sparse.issparse(A):
+            out = _scatter_csr(S, A.tocsr())
+        else:
+            out = as_dense(S @ A)
     # row-major like the left side, so later BLAS calls see one layout
     return np.ascontiguousarray(out.T) if right else out
 

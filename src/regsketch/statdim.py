@@ -7,7 +7,7 @@ The estimator's certificate is the inequality chain
 which is deterministic when exact residuals are substituted for gamma.
 
 Cost: the estimator reads A once, to form the Gram of its short side
-(n*d*r flops dense, sum over rows of nnz(row)^2 sparse, r = min(n, d)), and
+(n*d*r flops dense, nnz(A)*r sparse, by row blocks; r = min(n, d)), and
 then works on an r x r factor of that Gram in O(r^3). The doubling search and
 its subspace iterations never touch A again.
 
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 
 from . import sketch as sk
-from .la import as_dense, make_rng
+from .la import as_dense, gram, make_rng
 
 
 def singular_values(A) -> np.ndarray:
@@ -101,14 +101,14 @@ def _gram_factor(A) -> np.ndarray:
     """r x r factor F = diag(sqrt(w)) V' of the short-side Gram G = V diag(w) V'.
 
     G is A'A when n >= d and AA' otherwise, so F has A's singular values, and
-    F'F = G; a CSR input stays sparse up to the r x r product. Eigenvalues
+    F'F = G; a CSR input is read in row blocks by `la.gram`. Eigenvalues
     below G's rounding level, max(n, d) * eps * max(w), are set to zero: they
     are rounding noise, some of it negative, and their square roots would be
     NaN or pose as singular values near sqrt(eps) * ||A||_2.
     """
     n, d = A.shape
-    G = A.T @ A if n >= d else A @ A.T
-    w, V = np.linalg.eigh(as_dense(G))
+    G = gram(A) if n >= d else gram(A.T)
+    w, V = np.linalg.eigh(G)
     w = np.where(w > max(n, d) * np.finfo(np.float64).eps * w.max(initial=0.0), w, 0.0)
     return np.sqrt(w)[:, None] * V.T
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from regsketch import cca, la, problems, statdim
@@ -79,6 +82,50 @@ class TestExact:
                 cross = U.T @ (A.T @ (B @ V))
                 for L in range(1, res.q + 1):
                     assert np.trace(cross[:L, :L]) <= np.trace(cross_exact[:L, :L]) + 1e-9
+
+
+def _assert_same_pairs(got, want, tol):
+    """Equal correlations, and weights equal up to the sign of each pair."""
+    np.testing.assert_allclose(got.sigmas, want.sigmas, rtol=0, atol=tol)
+    signs = np.sign(np.sum(got.U * want.U, axis=0))
+    for W, V in ((got.U, want.U), (got.V, want.V)):
+        np.testing.assert_allclose(W * signs, V, rtol=0, atol=tol * np.abs(V).max())
+
+
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
+class TestGramRoute:
+    def test_matches_lambda_qr_route(self, monkeypatch):
+        for seed in range(5):
+            A, B = _views(seed + 20)
+            A[np.abs(A) < 0.5] = 0.0
+            with monkeypatch.context() as mp:
+                _forbid(mp, cca, "lambda_qr")
+                dense = cca.solve_exact_cca(A, B, 0.5, 0.7)
+                csr = cca.solve_exact_cca(scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(B), 0.5, 0.7)
+            with monkeypatch.context() as mp:
+                mp.setattr(cca, "GRAM_COND_MAX", 0.0)
+                _forbid(mp, scipy.linalg, "cholesky")
+                qr = cca.solve_exact_cca(A, B, 0.5, 0.7)
+            _assert_same_pairs(dense, qr, 1e-10)
+            _assert_same_pairs(csr, qr, 1e-10)
+
+    @pytest.mark.parametrize("lams", [(1e-9, 0.5), (0.5, 1e-9), (0.0, 0.5)])
+    def test_outside_the_bound_takes_lambda_qr(self, lams, monkeypatch):
+        A, B = _views(21)
+        bounds = [(np.trace(M.T @ M) + lam) / lam if lam > 0 else np.inf for M, lam in zip((A, B), lams)]
+        assert max(bounds) > cca.GRAM_COND_MAX
+        _forbid(monkeypatch, scipy.linalg, "cholesky")
+        res = cca.solve_exact_cca(A, B, *lams)
+        GA = A.T @ A + lams[0] * np.eye(A.shape[1])
+        GB = B.T @ B + lams[1] * np.eye(B.shape[1])
+        assert np.max(np.abs(res.U.T @ GA @ res.U - np.eye(res.q))) <= 1e-8
+        assert np.max(np.abs(res.V.T @ GB @ res.V - np.eye(res.q))) <= 1e-8
 
 
 class TestSketched:
@@ -184,3 +231,37 @@ class TestValidator:
         val = cca.validate_cca(A, B, 0.4, 0.4, exact, exact, 0.1)
         assert '"passed": true' in val.to_json()
         assert '"sigmas"' in exact.to_json()
+
+
+class TestSparseViews:
+    @staticmethod
+    def _csr(n, d, seed):
+        rng = la.make_rng(seed, 47)
+        return scipy.sparse.random(n, d, density=0.02, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+
+    def test_validator_csr_matches_dense(self):
+        A, B = _views(13, n=2000)
+        A[np.abs(A) < 0.8] = 0.0
+        B[np.abs(B) < 0.8] = 0.0
+        exact = cca.solve_exact_cca(A, B, 0.4, 0.4)
+        cand = cca.solve_sketched_cca(A, B, 0.4, 0.4, sk.countsketch(300, seed=1))
+        dense = cca.validate_cca(A, B, 0.4, 0.4, cand, exact, 0.25)
+        csr = cca.validate_cca(scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(B), 0.4, 0.4, cand, exact, 0.25)
+        for name in ("max_sigma_dev", "max_constraint_dev", "max_alignment_dev", "trace_gaps"):
+            np.testing.assert_allclose(getattr(csr, name), getattr(dense, name), rtol=0, atol=1e-10)
+        assert csr.passed == dense.passed
+
+    def test_exact_and_validator_never_densify_csr(self):
+        A, B = self._csr(100_000, 50, 1), self._csr(100_000, 30, 2)
+        dense_bytes = A.shape[0] * A.shape[1] * 8
+        warm = cca.solve_exact_cca(A[:50], B[:50], 1.0, 1.0)  # imports and caches outside the trace
+        cca.validate_cca(A[:50], B[:50], 1.0, 1.0, warm, warm, 0.1)
+        tracemalloc.start()
+        try:
+            exact = cca.solve_exact_cca(A, B, 1.0, 1.0)
+            val = cca.validate_cca(A, B, 1.0, 1.0, exact, exact, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val.passed
+        assert peak < dense_bytes / 4

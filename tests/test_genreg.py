@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from regsketch import genreg, la, lowrank
@@ -342,21 +343,59 @@ class TestSparseInput:
             Xs.append(X)
         np.testing.assert_allclose(Xs[0], Xs[1], rtol=0, atol=1e-12 * np.abs(Xs[1]).max())
 
-    def test_sketched_path_never_densifies_csr(self):
-        # sketched only: the identity path's lift is a d x n matrix, the size
-        # of a dense A, whatever A's format
+    def _peak_over_dense(self, identity):
+        """tracemalloc peak of one solve on a 40000 x 50 CSR A, over A's dense bytes."""
         A, B = self._problem(40_000, 50, 2, 0.02, 8)
-        dense_bytes = A.shape[0] * A.shape[1] * 8
         f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
         tracemalloc.start()
         try:
             genreg.solve_general_regression(
-                A, B, f, genreg.prox_small_solver(f), 1.0, seed=8, assume_inheritance=True,
+                A, B, f, genreg.prox_small_solver(f), 1.0, seed=8,
+                identity_sketches=identity, assume_inheritance=True,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < dense_bytes / 4
+        return peak / (A.shape[0] * A.shape[1] * 8)
+
+    def test_sketched_path_never_densifies_csr(self):
+        assert self._peak_over_dense(identity=False) < 1 / 4
+
+    def test_identity_path_lifts_without_a_d_by_n_matrix(self):
+        # a zero-filled d x n lift alone is A's dense size. What keeps this
+        # path above 1/4 is the pivoted QR of the 2 x n B': the workspace
+        # scipy asks geqp3 for, about 39 doubles per column (12.5 MB here)
+        assert self._peak_over_dense(identity=True) < 1
+
+
+class TestLift:
+    @staticmethod
+    def _zero_filled_lift(Z1, R1, piv, SB):
+        """The lift as a d x m matrix, zero outside the pivot columns, times SB."""
+        Z = np.zeros((Z1.shape[0], SB.shape[0]))
+        Z[:, piv[: R1.shape[0]]] = scipy.linalg.solve_triangular(R1, Z1.T).T
+        return Z @ SB
+
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("csr", [True, False])
+    def test_matches_the_zero_filled_lift(self, identity, csr, monkeypatch):
+        A, B = TestSparseInput._problem(3000, 6, 4, 0.4, 9)
+        f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
+        lift, seen = genreg._lift, []
+
+        def recorded(Z1, R1, piv, SB):
+            X = lift(Z1, R1, piv, SB)
+            seen.append((X, self._zero_filled_lift(Z1, R1, piv, SB)))
+            return X
+
+        monkeypatch.setattr(genreg, "_lift", recorded)
+        X, _ = genreg.solve_general_regression(
+            A if csr else A.toarray(), B, f, genreg.prox_small_solver(f), 0.5, seed=9,
+            identity_sketches=identity, assume_inheritance=True,
+        )
+        [(got, want)] = seen
+        assert got is X
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 PROX_MEASURES = ["vnorm_1", "vnorm_2", "nuclear", "frobenius_sq"]

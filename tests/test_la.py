@@ -81,6 +81,43 @@ class TestLambdaQr:
         assert abs(np.sum(f.Q**2) - expected) <= 1e-8
 
 
+class TestGram:
+    @staticmethod
+    def _sparse(shape, seed):
+        rng = la.make_rng(seed, 5)
+        return rng.standard_normal(shape) * (rng.random(shape) < 0.2)
+
+    @pytest.mark.parametrize("shape", [(3000, 7), (40, 300)])
+    @pytest.mark.parametrize("block", [la.BLOCK_ENTRIES, 256])
+    def test_csr_matches_dense(self, shape, block, monkeypatch):
+        # a 256-entry block splits both shapes into many row blocks
+        monkeypatch.setattr(la, "BLOCK_ENTRIES", block)
+        A = self._sparse(shape, 1)
+        rng = la.make_rng(2, 5)
+        b, B = rng.standard_normal(shape[0]), rng.standard_normal((shape[0], 3))
+        C = self._sparse((shape[0], 4), 3)
+        for got, want in (
+            (la.gram(scipy.sparse.csr_matrix(A)), A.T @ A),
+            (la.gram(scipy.sparse.csr_array(A), b), A.T @ b),
+            (la.gram(scipy.sparse.csr_matrix(A), B), A.T @ B),
+            (la.gram(scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(C)), A.T @ C),
+        ):
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("shape", [(3000, 7), (40, 300)])
+    def test_dense_is_numpy_product(self, shape):
+        A = self._sparse(shape, 4)
+        B = la.make_rng(6).standard_normal((shape[0], 2))
+        assert np.array_equal(la.gram(A), A.T @ A)
+        assert np.array_equal(la.gram(A.T), A @ A.T)
+        assert np.array_equal(la.gram(A, B), A.T @ B)
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            la.gram(scipy.sparse.csr_matrix(np.eye(4)), np.ones((3, 2)))
+
+
 class TestMatrixMarket:
     def test_coordinate_single_entry(self, tmp_path):
         path = tmp_path / "one.mtx"

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from regsketch import la, problems, ridge
 from regsketch import sketch as sk
@@ -49,6 +52,35 @@ class TestSolveExact:
             p1 = make_problem(40, 6, seed, lam=0.1)
             p2 = ridge.RidgeProblem(p1.A, p1.rhs, 0.9)
             assert ridge.solve_exact(p1).objective <= ridge.solve_exact(p2).objective + 1e-12
+
+
+def _sparse_problem(n, d, seed, density):
+    rng = la.make_rng(seed, 53)
+    A = scipy.sparse.random(n, d, density=density, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+    return A, rng.standard_normal(n), rng.standard_normal((n, 3))
+
+
+class TestSparseExact:
+    @pytest.mark.parametrize("n,d,lam", [(2000, 20, 0.3), (30, 300, 0.3), (2000, 20, 0.0)])
+    def test_csr_matches_dense(self, n, d, lam):
+        A, b, B = _sparse_problem(n, d, 4, 0.2)
+        for rhs in (b, B):
+            got = ridge.solve_exact(ridge.RidgeProblem(A, rhs, lam))
+            want = ridge.solve_exact(ridge.RidgeProblem(A.toarray(), rhs, lam))
+            np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-10 * np.abs(want.x).max())
+            assert abs(got.objective - want.objective) <= 1e-10 * want.objective
+
+    def test_never_densifies_csr(self):
+        A, b, _ = _sparse_problem(100_000, 50, 5, 0.02)
+        dense_bytes = A.shape[0] * A.shape[1] * 8
+        ridge.solve_exact(ridge.RidgeProblem(A[:100], b[:100], 0.5))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            ridge.solve_exact(ridge.RidgeProblem(A, b, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
 
 
 class TestSketchedRows:

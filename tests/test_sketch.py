@@ -240,6 +240,44 @@ def test_osnap_operator_has_one_entry_per_block():
     assert np.all(np.abs(S.data) == 1.0 / np.sqrt(s))
 
 
+def _csr_cases():
+    rng = la.make_rng(31)
+    A = rng.standard_normal((300, 7)) * (rng.random((300, 7)) < 0.3)
+    A[10:40] = 0.0  # a run of empty rows
+    long_row = np.zeros((5, 20_000))
+    long_row[2] = rng.standard_normal(20_000)  # more than SCATTER_ENTRIES = 2^14 entries
+    return {
+        "empty_rows": scipy.sparse.csr_matrix(A),
+        "all_zero": scipy.sparse.csr_matrix((50, 4)),
+        "one_row": scipy.sparse.csr_matrix(rng.standard_normal((1, 6))),
+        "m_above_n": scipy.sparse.csr_matrix(rng.standard_normal((10, 3))),
+        "long_row": scipy.sparse.csr_matrix(long_row),
+    }
+
+
+class TestCsrScatter:
+    """apply on a CSR input scatters from the operator's CSC arrays; it must
+    give the very sums of scipy's sparse x sparse product of that operator."""
+
+    @pytest.mark.parametrize("case", sorted(_csr_cases()))
+    @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
+    @pytest.mark.parametrize("scatter", [sk.SCATTER_ENTRIES, 24])
+    def test_matches_operator_product(self, case, variant, scatter, monkeypatch):
+        # with 24-product blocks, block boundaries fall inside rows
+        monkeypatch.setattr(sk, "SCATTER_ENTRIES", scatter)
+        A = _csr_cases()[case]
+        n, d = A.shape
+        m = 40 if case == "m_above_n" else 16
+        left = getattr(sk, variant)(m, seed=5)
+        right = getattr(sk, variant)(m, seed=5, side="right")
+        got = sk.apply(left, A)
+        assert isinstance(got, np.ndarray) and got.shape == (m, d)
+        assert np.array_equal(got, (sk._operator(left, n) @ A).toarray())
+        got = sk.apply(right, A)
+        assert got.shape == (n, m)
+        assert np.array_equal(got, (A @ sk._operator(left, d).T).toarray())
+
+
 class TestSpecSerialization:
     def test_json_round_trip(self):
         spec = sk.compose(sk.srht(64, seed=5), sk.osnap(256, s=4, seed=9))
