@@ -117,10 +117,9 @@ def _load_matrix(args, seed):
 def _sketch_spec(args, m, seed, limit=None):
     if args.sketch:
         return sk.SketchSpec.from_json(args.sketch).with_seed(seed)
-    if limit is not None and m >= limit:
-        # the sketch cannot reduce the dimension; hashing would only add noise
-        return sk.identity()
-    return sk.countsketch(m, seed=seed)
+    if limit is None:
+        return sk.countsketch(m, seed=seed)
+    return sk.countsketch_or_identity(m, limit, seed)
 
 
 def _resolve_lambda(args, A):
@@ -210,7 +209,7 @@ def _genreg_trial(args, policy, seed):
     A, _ = _load_matrix(args, seed)
     rng = np.random.default_rng(seed + 2)
     B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
-    # the reference side is the same prox solver behind identity sketches
+    # the reference side is the same prox solver on (A, B) itself
     _, obj_exact = genreg.solve_general_regression(
         A, B, f, solver, args.eps, policy=policy, seed=seed, identity_sketches=True,
         assume_inheritance=True,

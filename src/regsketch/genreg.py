@@ -8,7 +8,8 @@ undecidable, so falsification is the honest contract). On top of them sit:
   diagonal core problem, with closed-form diagonal solvers;
 * the sketched pipeline for general multiple-response regression
   (affine sketch, right sketch of the response, QR change of basis,
-  small-problem solve, triangular back-solve), whose proximal-gradient
+  small-problem solve, triangular back-solve, or the small solver on
+  (A, B) alone when every sketch is the identity), whose proximal-gradient
   small solver iterates on the Gram of the sketched problem;
 * general low-rank approximation, which runs the two-sided sketched core
   of `lowrank` with the diagonal reduction as its small solver.
@@ -430,7 +431,10 @@ def solve_general_regression(
 
     The sketches are sized from rank(A); the rank costs one short-side Gram
     of A, with an SVD of A only when that Gram cannot certify full rank
-    (`_numerical_rank`). A CSR A stays sparse: the sketches, the small
+    (`_numerical_rank`). When every sketch is the identity, because
+    identity_sketches asks for it or the sizes reach n and d', the reduced
+    problem is the problem itself: X is small_solver(A, B), with no change
+    of basis and no lift. A CSR A stays sparse: the sketches, the small
     solvers and the final A @ X all take it as it is. B is densified.
     """
     fl = f.flags
@@ -442,28 +446,31 @@ def solve_general_regression(
             )
     elif not fl.right_orthogonal_invariant:
         raise MeasureFlagError(f"{f.name}: right orthogonal invariance is required")
-    policy = policy or sk.SizePolicy()
     if not scipy.sparse.issparse(A):
         A = as_dense(A)
     Bd = as_dense(B)
-    if identity_sketches:
-        S = sk.identity()
-        Rh = sk.identity(side="right")
-        Sh = sk.identity()
-    else:
+    direct = identity_sketches
+    if not direct:
         # the rank only sizes the sketches, so the identity path skips it
+        policy = policy or sk.SizePolicy()
         r = max(_numerical_rank(A), 1)
         seeds = [derive_seed(seed, 51 + i) for i in range(3)]
         S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
         Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
-    SB = as_dense(sk.apply(S, Bd))
-    SBRh = as_dense(sk.apply(Rh, SB))
-    ShA = sk.apply(Sh, A)  # A itself, CSR or dense, when Sh is the identity
-    ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
-    Q, R1, piv, _ = lowrank._pivoted_col_basis(SBRh.T)
-    Z1 = small_solver(ShA, ShBRh @ Q)
-    X = _lift(Z1, R1, piv, SB)
+        direct = all(s.variant == "identity" for s in (S, Rh, Sh))
+    if direct:
+        # the reduced problem is (A, B) itself, and the change of basis by
+        # an orthogonal Q would return this same X by right invariance
+        X = small_solver(A, Bd)
+    else:
+        SB = as_dense(sk.apply(S, Bd))
+        SBRh = as_dense(sk.apply(Rh, SB))
+        ShA = sk.apply(Sh, A)
+        ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
+        Q, R1, piv, _ = lowrank._pivoted_col_basis(SBRh.T)
+        Z1 = small_solver(ShA, ShBRh @ Q)
+        X = _lift(Z1, R1, piv, SB)
     Rm = A @ X - Bd
     return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
 
@@ -476,7 +483,6 @@ def solve_general_lowrank(
     eps: float,
     policy: sk.SizePolicy | None = None,
     seed: int = 0,
-    identity_sketches: bool = False,
 ):
     """Two-sided sketched reduction for min ||YX - A||_F^2 + f(Y, X).
 
@@ -491,15 +497,11 @@ def solve_general_lowrank(
     if not (1 <= k <= min(n, d)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
     policy = policy or sk.SizePolicy()
-    if identity_sketches:
-        S, Sh = sk.identity(), sk.identity()
-        R, Rh = sk.identity(side="right"), sk.identity(side="right")
-    else:
-        seeds = [derive_seed(seed, 61 + i) for i in range(4)]
-        S = _affine_spec(policy, float(k), eps, n, seeds[0])
-        R = _affine_spec(policy, float(k), eps, d, seeds[1], side="right")
-        Sh = _affine_spec(policy, float(k), eps, n, seeds[2])
-        Rh = _affine_spec(policy, float(k), eps, d, seeds[3], side="right")
+    seeds = [derive_seed(seed, 61 + i) for i in range(4)]
+    S = _affine_spec(policy, float(k), eps, n, seeds[0])
+    R = _affine_spec(policy, float(k), eps, d, seeds[1], side="right")
+    Sh = _affine_spec(policy, float(k), eps, n, seeds[2])
+    Rh = _affine_spec(policy, float(k), eps, d, seeds[3], side="right")
     pieces = lowrank._assemble_core(Ad, S, R, Sh, Rh, {})
     Z_R, Z_S, truncated = lowrank._solve_two_sided(
         pieces.S2AR, pieces.SAR2, pieces.S2AR2, k,

@@ -110,33 +110,31 @@ class SvdFactors:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    full: bool = False
 
     def reconstruct(self) -> np.ndarray:
-        return (self.U[:, : self.sigma.size] * self.sigma) @ self.V[:, : self.sigma.size].T
+        return (self.U * self.sigma) @ self.V.T
 
 
-def svd(A, full: bool = False) -> SvdFactors:
-    """SVD of a dense (or densified) matrix.
+def svd(A) -> SvdFactors:
+    """Thin SVD (r = min(n, d)) of a dense (or densified) matrix.
 
-    Thin by default (r = min(n, d)); with full=True, U and V are completed
-    to square orthogonal matrices. Raises LinAlgFailure on non-convergence.
+    Raises LinAlgFailure on non-convergence.
     """
     M = as_dense(A)
     if not np.all(np.isfinite(M)):
         raise ValueError("svd requires finite entries")
     try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=full)
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
         try:
-            U, s, Vt = scipy.linalg.svd(M, full_matrices=full, lapack_driver="gesvd")
+            U, s, Vt = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
         except Exception as exc:  # pragma: no cover - rare LAPACK failure path
             fro = float(np.linalg.norm(M))
             raise LinAlgFailure(
                 f"SVD failed to converge for {M.shape[0]}x{M.shape[1]} matrix "
                 f"(frobenius={fro:.3e}, max|a_ij|={np.abs(M).max():.3e})"
             ) from exc
-    return SvdFactors(U=U, sigma=s, V=Vt.T, full=full)
+    return SvdFactors(U=U, sigma=s, V=Vt.T)
 
 
 @dataclass(frozen=True)

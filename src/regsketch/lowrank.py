@@ -247,19 +247,19 @@ def solve_sketched(
     policy: sk.SizePolicy | None = None,
     seed: int = 0,
     pieces: CorePieces | None = None,
-    transpose_dispatch: bool = True,
 ) -> LowRankFactors:
     """Sketched rank-k ridge factorization: build_core_sized -> solve_core -> lift.
 
     The objective is recomputed on the original A. When d > n the problem is
-    solved on the transpose (the objective is symmetric under it).
+    solved on the transpose (the objective is symmetric under it), which is
+    tall, so the call on it solves directly.
     """
     n, d = A.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
-    if transpose_dispatch and d > n and pieces is None:
+    if d > n and pieces is None:
         AT = A.T.tocsr() if scipy.sparse.issparse(A) else as_dense(A).T
-        sol = solve_sketched(AT, k, lam, eps, policy, seed=seed, transpose_dispatch=False)
+        sol = solve_sketched(AT, k, lam, eps, policy, seed=seed)
         return LowRankFactors(
             Y=sol.X.T,
             X=sol.Y.T,
@@ -286,19 +286,3 @@ def solve_sketched(
         sizes=dict(pieces.sizes),
     )
 
-
-def identity_pieces(A) -> CorePieces:
-    """All-Identity core pieces (every sketched operand is A itself)."""
-    Ad = as_dense(A)
-    n, d = Ad.shape
-    ident = sk.identity()
-    identr = sk.identity(side="right")
-    return CorePieces(
-        SA=Ad,
-        AR=Ad,
-        S2AR=Ad,
-        SAR2=Ad,
-        S2AR2=Ad,
-        specs={"S": ident, "R": identr, "S2": ident, "R2": identr},
-        sizes={"m": n, "m_prime": d, "p": n, "p_prime": d},
-    )

@@ -100,7 +100,7 @@ def solve_exact(p: RidgeProblem) -> RidgeSolution:
     )
 
 
-def _guarded(p: RidgeProblem, x, specs, t0) -> RidgeSolution:
+def _guarded(p: RidgeProblem, x, spec, t0) -> RidgeSolution:
     """Return x scored on the original problem, or x = 0 if that is no worse."""
     B = as_dense(p.rhs)
     obj, zero_obj = objective_value(p, x), float(np.sum(B * B))
@@ -112,28 +112,25 @@ def _guarded(p: RidgeProblem, x, specs, t0) -> RidgeSolution:
         x=x,
         objective=obj,
         method="sketched_rows",
-        sketches=tuple(specs),
+        sketches=(spec,),
         wall_time=time.perf_counter() - t0,
         guard_applied=guard,
     )
 
 
-def solve_sketched_rows(
-    p: RidgeProblem, s1: sk.SketchSpec, s2: sk.SketchSpec | None = None
-) -> RidgeSolution:
+def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
     """Row-sketched ridge: solve the m-row problem min ||S(Ax-b)||^2 + lam||x||^2.
 
-    S = s2∘s1 when s2 is given. The lam||x||^2 term is kept exact (only the
-    data rows are sketched). A matrix rhs (several responses) shares the one
-    sketch and the one factorization of the small problem.
+    S is `spec`, which may be a composition (`sketch.compose`). The
+    lam||x||^2 term is kept exact (only the data rows are sketched). A matrix
+    rhs (several responses) shares the one sketch and the one factorization
+    of the small problem.
     """
     t0 = time.perf_counter()
-    spec = sk.compose(s2, s1) if s2 is not None else s1
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
     # the seed fixes S, so sketching A and B apart meets one draw
     SA = as_dense(sk.apply(spec, p.A))
     SB = as_dense(sk.apply(spec, B[:, None] if squeeze else B))
     X, _ = _solve_ridge(SA, SB, p.lam)
-    specs = [s1] + ([s2] if s2 is not None else [])
-    return _guarded(p, X[:, 0] if squeeze else X, specs, t0)
+    return _guarded(p, X[:, 0] if squeeze else X, spec, t0)

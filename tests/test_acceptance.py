@@ -33,7 +33,7 @@ def test_acceptance_ridge_tall_composed_sketch():
         m1 = min(4000, sk.recommend_sizes(policy, sd, eps, "ridge_rows"))
         m2 = min(m1, sk.recommend_sizes(policy, sd, eps, "ridge_rows", variant="srht"))
         sol = ridge.solve_sketched_rows(
-            p, sk.countsketch(m1, seed=seed), sk.srht(m2, seed=seed + 1)
+            p, sk.compose(sk.srht(m2, seed=seed + 1), sk.countsketch(m1, seed=seed))
         )
         hits += sol.objective <= 1.5 * exact.objective + 1e-12
     elapsed = time.perf_counter() - t0
@@ -53,7 +53,9 @@ def test_acceptance_lowrank():
         exact = lowrank.solve_exact_shrink(A, 10, lam)
         sol = lowrank.solve_sketched(A, 10, lam, 0.5, seed=seed)
         hits += sol.objective <= 1.5 * exact.objective + 1e-12
-        ident = lowrank.solve_sketched(A, 10, lam, 0.5, pieces=lowrank.identity_pieces(A))
+        left, right = sk.identity(), sk.identity(side="right")
+        pieces = lowrank._assemble_core(A, left, right, left, right, {})
+        ident = lowrank.solve_sketched(A, 10, lam, 0.5, pieces=pieces)
         ident_ok &= abs(ident.objective - exact.objective) <= 1e-6 * exact.objective
     oracle_ok = True
     for seed in range(20):
@@ -144,12 +146,11 @@ def test_acceptance_general_regularizers():
     R = A @ X_ref - B
     obj_ref = float(np.sum(R * R)) + lam * float(np.sum(X_ref * X_ref))
     reg_ok = abs(obj - obj_ref) <= 1e-6 * obj_ref
-    # identity collapse, low-rank pipeline
+    # identity collapse, low-rank pipeline: the default sizes reach 15 and 11
     C = rng.standard_normal((15, 11))
     exact = lowrank.solve_exact_shrink(C, 4, 0.4)
     got = genreg.solve_general_lowrank(
-        C, 4, genreg.ridge_pair(0.4), lambda s: genreg.diag_solver_shrink(s, 0.4),
-        0.5, identity_sketches=True,
+        C, 4, genreg.ridge_pair(0.4), lambda s: genreg.diag_solver_shrink(s, 0.4), 0.5,
     )
     lr_ok = abs(got.objective - exact.objective) <= 1e-6 * exact.objective
     # diagonal-core brute-force dominance on 4x4 problems

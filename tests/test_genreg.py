@@ -257,6 +257,58 @@ class TestGeneralRegression:
         )
         np.testing.assert_allclose(X, _exact_mr_ridge(A, B, lam)[0], atol=1e-6)
 
+    @pytest.mark.parametrize("csr", [True, False])
+    def test_identity_path_is_the_small_solve(self, csr, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the identity path changed basis or lifted")
+
+        monkeypatch.setattr(lowrank, "_pivoted_col_basis", no_basis)
+        monkeypatch.setattr(genreg, "_lift", no_basis)
+        A, B = TestSparseInput._problem(3000, 6, 4, 0.4, 10)
+        A = A if csr else A.toarray()
+        f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
+        solver = genreg.prox_small_solver(f)
+        X, obj = genreg.solve_general_regression(
+            A, B, f, solver, 0.5, identity_sketches=True, assume_inheritance=True,
+        )
+        want = solver(A, B)
+        assert np.array_equal(X, want)
+        R = A @ want - B
+        assert obj == float(np.sum(R * R)) + f.evaluate(want)
+
+    def test_collapsing_policy_is_the_identity_path(self):
+        # k_affine this large sizes every sketch past n and d': all identities
+        rng = la.make_rng(7, 73)
+        A = rng.standard_normal((300, 6))
+        B = A @ rng.standard_normal((6, 3)) + 0.1 * rng.standard_normal((300, 3))
+        f = genreg.scaled(MEASURES["vnorm_1"], 0.3)
+        solver = genreg.prox_small_solver(f)
+        policy = sk.SizePolicy(k_affine=1e4)
+        got = genreg.solve_general_regression(A, B, f, solver, 0.5, policy=policy, seed=7)
+        want = genreg.solve_general_regression(A, B, f, solver, 0.5, identity_sketches=True)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(got[0], solver(A, B))
+
+    def test_change_of_basis_is_exact_for_an_identity_right_sketch(self, monkeypatch):
+        # with Rh the identity, the basis change and the lift undo each other:
+        # X is the small solve on (Sh A, Sh B)
+        specs = []
+        affine_spec = genreg._affine_spec
+        monkeypatch.setattr(
+            genreg, "_affine_spec", lambda *a, **k: specs.append(affine_spec(*a, **k)) or specs[-1]
+        )
+        rng = la.make_rng(6, 73)
+        A = rng.standard_normal((2000, 8))
+        B = A @ rng.standard_normal((8, 3)) + 0.1 * rng.standard_normal((2000, 3))
+        lam = 0.5
+        f = genreg.scaled(MEASURES["frobenius_sq"], lam)
+        solver = genreg.ridge_small_solver(lam)
+        X, _ = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=6, assume_inheritance=True)
+        S, Rh, Sh = specs
+        assert (S.variant, Rh.variant, Sh.variant) == ("countsketch", "identity", "countsketch")
+        want = solver(sk.apply(Sh, A), sk.apply(Sh, B))
+        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_well_conditioned_sketched_path_skips_the_svd(self, monkeypatch):
         # a certified full rank sizes the sketches without an SVD of A
         def no_svd(A):
@@ -361,11 +413,10 @@ class TestSparseInput:
     def test_sketched_path_never_densifies_csr(self):
         assert self._peak_over_dense(identity=False) < 1 / 4
 
-    def test_identity_path_lifts_without_a_d_by_n_matrix(self):
-        # a zero-filled d x n lift alone is A's dense size. What keeps this
-        # path above 1/4 is the pivoted QR of the 2 x n B': the workspace
-        # scipy asks geqp3 for, about 39 doubles per column (12.5 MB here)
-        assert self._peak_over_dense(identity=True) < 1
+    def test_identity_path_never_densifies_csr(self):
+        # no pivoted QR of the 2 x n B' and no d x n lift: the small solver
+        # reads the CSR A through its Gram
+        assert self._peak_over_dense(identity=True) < 1 / 4
 
 
 class TestLift:
@@ -376,9 +427,8 @@ class TestLift:
         Z[:, piv[: R1.shape[0]]] = scipy.linalg.solve_triangular(R1, Z1.T).T
         return Z @ SB
 
-    @pytest.mark.parametrize("identity", [True, False])
     @pytest.mark.parametrize("csr", [True, False])
-    def test_matches_the_zero_filled_lift(self, identity, csr, monkeypatch):
+    def test_matches_the_zero_filled_lift(self, csr, monkeypatch):
         A, B = TestSparseInput._problem(3000, 6, 4, 0.4, 9)
         f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
         lift, seen = genreg._lift, []
@@ -391,7 +441,7 @@ class TestLift:
         monkeypatch.setattr(genreg, "_lift", recorded)
         X, _ = genreg.solve_general_regression(
             A if csr else A.toarray(), B, f, genreg.prox_small_solver(f), 0.5, seed=9,
-            identity_sketches=identity, assume_inheritance=True,
+            assume_inheritance=True,
         )
         [(got, want)] = seen
         assert got is X
@@ -509,10 +559,9 @@ class TestGeneralLowRank:
         A = rng.standard_normal((15, 11))
         lam = 0.4
         ref = lowrank.solve_exact_shrink(A, 4, lam)
+        # the default sizes reach 15 and 11: every sketch is the identity
         got = genreg.solve_general_lowrank(
-            A, 4, genreg.ridge_pair(lam),
-            lambda s: genreg.diag_solver_shrink(s, lam),
-            0.5, identity_sketches=True,
+            A, 4, genreg.ridge_pair(lam), lambda s: genreg.diag_solver_shrink(s, lam), 0.5,
         )
         assert abs(got.objective - ref.objective) <= 1e-6 * ref.objective
 
@@ -525,8 +574,7 @@ class TestGeneralLowRank:
         ref = lowrank.solve_exact_shrink(A, 3, lam)
         got = genreg.solve_general_lowrank(
             A, 3, genreg.nuclear_product_pair(lam),
-            lambda s: genreg.diag_solver_shrink(s, lam, "frob+trace"),
-            0.5, identity_sketches=True,
+            lambda s: genreg.diag_solver_shrink(s, lam, "frob+trace"), 0.5,
         )
         np.testing.assert_allclose(got.Y @ got.X, ref.Y @ ref.X, atol=1e-6)
 

@@ -96,11 +96,17 @@ class TestShrinkSd:
         assert abs(sd_y - sd_x) <= 1e-12
 
 
+def _identity_pieces(A):
+    """The core pieces with every sketch the identity."""
+    left, right = sk.identity(), sk.identity(side="right")
+    return lowrank._assemble_core(A, left, right, left, right, {})
+
+
 class TestBuildCore:
     def test_identity_pieces_are_input(self):
         rng = la.make_rng(3)
         A = rng.standard_normal((12, 9))
-        pieces = lowrank.identity_pieces(A)
+        pieces = _identity_pieces(A)
         for name in ("SA", "AR", "S2AR", "SAR2", "S2AR2"):
             np.testing.assert_array_equal(getattr(pieces, name), A)
 
@@ -208,13 +214,13 @@ class TestSolveSketched:
         rng = la.make_rng(10)
         A = rng.standard_normal((20, 14))
         exact = lowrank.solve_exact_shrink(A, 4, 0.7)
-        sol = lowrank.solve_sketched(A, 4, 0.7, 0.5, pieces=lowrank.identity_pieces(A))
+        sol = lowrank.solve_sketched(A, 4, 0.7, 0.5, pieces=_identity_pieces(A))
         assert abs(sol.objective - exact.objective) <= 1e-6 * exact.objective
 
     def test_lambda_zero_identity_exact_fit(self):
         rng = la.make_rng(11)
         A = rng.standard_normal((10, 6))
-        sol = lowrank.solve_sketched(A, 6, 0.0, 0.5, pieces=lowrank.identity_pieces(A))
+        sol = lowrank.solve_sketched(A, 6, 0.0, 0.5, pieces=_identity_pieces(A))
         assert sol.objective <= 1e-8 * np.sum(A * A)
 
     def test_policy_sizes_within_eps(self):
