@@ -128,34 +128,33 @@ def _resolve_lambda(args, A):
     return problems.lambda_for_sd(A, 3.0, 8.0)
 
 
+def _sketch_rows(spec, n):
+    """Rows the applied sketch leaves of n: the m of its outermost part that
+    is not the identity, or n when every part is."""
+    parts = spec.inner if spec.variant == "composed" else (spec,)
+    return next((part.m for part in parts if part.variant != "identity"), n)
+
+
 def _ridge_trial(args, policy, seed):
     A, b = _load_matrix(args, seed)
+    responses = {}
+    if "dprime" in args:
+        # mr-ridge: a seeded d'-column B near the range of A
+        rng = np.random.default_rng(seed + 1)
+        b = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
+        b = b + 0.01 * rng.standard_normal(b.shape)
+        responses = {"dprime": args.dprime}
     lam = _resolve_lambda(args, A)
     p = ridge.RidgeProblem(A, b, lam)
     ex = ridge.solve_exact(p)
     sd = statdim.sd_estimate(A, lam, seed=seed).estimate
     m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
-    sol = ridge.solve_sketched_rows(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
+    spec = _sketch_spec(args, m, seed, limit=A.shape[0])
+    sol = ridge.solve_sketched_rows(p, spec)
     return TrialRecord.make(
         args.command, seed, ex.objective, sol.objective, args.eps,
-        {"lam": lam, "m": m, "sd_hat": sd, "guard": sol.guard_applied},
-    )
-
-
-def _mr_ridge_trial(args, policy, seed):
-    A, _ = _load_matrix(args, seed)
-    rng = np.random.default_rng(seed + 1)
-    B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
-    B = B + 0.01 * rng.standard_normal(B.shape)
-    lam = _resolve_lambda(args, A)
-    p = ridge.RidgeProblem(A, B, lam)
-    ex = ridge.solve_exact(p)
-    sd = statdim.sd_estimate(A, lam, seed=seed).estimate
-    m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
-    sol = ridge.solve_sketched_rows(p, _sketch_spec(args, m, seed, limit=A.shape[0]))
-    return TrialRecord.make(
-        args.command, seed, ex.objective, sol.objective, args.eps,
-        {"lam": lam, "m": m, "dprime": args.dprime},
+        {"lam": lam, "m": _sketch_rows(spec, A.shape[0]), "sd_hat": sd, "guard": sol.guard_applied,
+         **responses},
     )
 
 
@@ -177,17 +176,21 @@ def _lowrank_trial(args, policy, seed):
 
 
 def _cca_trial(args, policy, seed):
-    A, _ = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
-    B, _ = problems.generate_problem(args.n, args.dprime, seed + 10_000, kind=args.spectrum)
+    A, _ = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum, density=args.density)
+    B, _ = problems.generate_problem(
+        args.n, args.dprime, seed + 10_000, kind=args.spectrum, density=args.density
+    )
     lam = args.lam if args.lam is not None else 0.1
     ex = cca_mod.solve_exact_cca(A, B, lam, lam)
     sd_max = max(statdim.sd_exact(A, lam), statdim.sd_exact(B, lam))
     m = min(args.n, cca_mod.cca_sketch_size(policy, sd_max, args.eps))
-    sol = cca_mod.solve_sketched_cca(A, B, lam, lam, _sketch_spec(args, m, seed, limit=args.n))
+    spec = _sketch_spec(args, m, seed, limit=args.n)
+    sol = cca_mod.solve_sketched_cca(A, B, lam, lam, spec)
     val = cca_mod.validate_cca(A, B, lam, lam, sol, ex, eta=args.eps)
     rec = TrialRecord.make(
         args.command, seed, sum(ex.sigmas), sum(sol.sigmas), args.eps,
-        {"lam": lam, "m": m, "max_sigma_dev": val.max_sigma_dev, "validated": val.passed},
+        {"lam": lam, "m": _sketch_rows(spec, args.n), "max_sigma_dev": val.max_sigma_dev,
+         "validated": val.passed},
     )
     rec.passed = val.passed
     return rec
@@ -239,7 +242,8 @@ def _check_embedding_trial(args, policy, seed):
     rep = sk.check_subspace_embedding(spec, A, args.eps, trials=args.trials)
     rec = TrialRecord.make(
         args.command, seed, args.eps, max(rep.deviations), 0.0,
-        {"variant": spec.variant, "m": spec.m, "pass_fraction": rep.pass_fraction},
+        {"variant": spec.variant, "m": _sketch_rows(spec, A.shape[0]),
+         "pass_fraction": rep.pass_fraction},
     )
     rec.passed = rep.passed
     rec.ratio = max(rep.deviations) / rep.threshold
@@ -249,7 +253,7 @@ def _check_embedding_trial(args, policy, seed):
 # subcommand -> (help, per-seed trial, extra (flag, type, default)s)
 TRIAL_COMMANDS = {
     "ridge": ("row-sketched ridge regression trials", _ridge_trial, []),
-    "mr-ridge": ("multiple-response ridge trials", _mr_ridge_trial, [("--dprime", int, 4)]),
+    "mr-ridge": ("multiple-response ridge trials", _ridge_trial, [("--dprime", int, 4)]),
     "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, [("--k", int, 5)]),
     "cca": ("regularized CCA trials", _cca_trial, [("--dprime", int, 20)]),
     "genreg": (
@@ -321,11 +325,15 @@ def _pass_rate_for_constant(purpose, K, seeds, eps, args):
 
 def cmd_calibrate(args):
     """Smallest constant per purpose with >= 0.9 pass rate: double up from
-    0.5, then bisect 12 steps."""
+    1/16, then bisect 12 steps. Prints the fitted SizePolicy as JSON, the
+    format --config reads."""
     seeds = _seed_range(args.seeds)
     eps = args.eps
-    out = {}
-    for purpose in ("ridge_rows", "ridge_rows_srht", "ridge_rows_gauss", "subspace", "affine"):
+    fitted = {}
+    for purpose, constant in (
+        ("ridge_rows", "k_sparse"), ("ridge_rows_srht", "k_srht"), ("ridge_rows_gauss", "k_gauss"),
+        ("subspace", "k_subspace"), ("affine", "k_affine"),
+    ):
         K = 1.0 / 16.0
         while K < 4096 and _pass_rate_for_constant(purpose, K, seeds, eps, args) < 0.9:
             K *= 2.0
@@ -336,18 +344,14 @@ def cmd_calibrate(args):
                 hi = mid
             else:
                 lo = mid
-        out[purpose] = hi
-    result = {
-        "k_sparse": out["ridge_rows"],
-        "k_srht": out["ridge_rows_srht"],
-        "k_gauss": out["ridge_rows_gauss"],
-        "k_subspace": out["subspace"],
-        "k_affine": out["affine"],
-        "epsilon": eps,
-        "seeds": args.seeds,
-        "family": f"{args.n}x{args.d} {args.spectrum}",
-    }
-    text = json.dumps(result, indent=2)
+        fitted[constant] = hi
+    policy = sk.SizePolicy(
+        **fitted,
+        epsilon=eps,
+        provenance=f"regsketch calibrate --seeds {args.seeds} --eps {eps} "
+        f"({args.n}x{args.d} {args.spectrum} family): minima at 0.9 pass rate",
+    )
+    text = json.dumps(dataclasses.asdict(policy), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -11,8 +11,8 @@ undecidable, so falsification is the honest contract). On top of them sit:
   small-problem solve, triangular back-solve, or the small solver on
   (A, B) alone when every sketch is the identity), whose proximal-gradient
   small solver iterates on the Gram of the sketched problem;
-* general low-rank approximation, which runs the two-sided sketched core
-  of `lowrank` with the diagonal reduction as its small solver.
+* general low-rank approximation, which runs `lowrank`'s two-sided
+  sketched pipeline on A as given, with a diagonal solver in the core.
 """
 
 from __future__ import annotations
@@ -274,20 +274,14 @@ def _require_pair_flags(pair_f: PairMeasure):
 def solve_diag_reduction(A, k: int, pair_f: PairMeasure, diag_solver, schatten_p: float | None = None):
     """SVD reduction of min fit(YX - A) + f(Y, X) to a k x k diagonal core.
 
-    diag_solver(sigma_k) must return diagonal (w, z); the result is lifted as
-    Y = U_k diag(w), X = diag(z) V_k'. Fit term is ||.||_F^2 by default or the
-    Schatten-p norm when schatten_p is given. The recomputed dense objective
-    is returned alongside the factors.
+    diag_solver(sigma_k) must return diagonal (w, z); `lowrank._svd_reduction`
+    lifts them as Y = U_k diag(w), X = diag(z) V_k'. Fit term is ||.||_F^2 by
+    default or the Schatten-p norm when schatten_p is given. The recomputed
+    dense objective is returned alongside the factors.
     """
     _require_pair_flags(pair_f)
     Ad = as_dense(A)
-    n, d = Ad.shape
-    if not (1 <= k <= min(n, d)):
-        raise ValueError("k must satisfy 1 <= k <= min(n, d)")
-    U, s, Vt = np.linalg.svd(Ad, full_matrices=False)
-    w, z = diag_solver(s[:k])
-    Y = U[:, :k] * np.asarray(w)
-    X = np.asarray(z)[:, None] * Vt[:k]
+    Y, X, _ = lowrank._svd_reduction(Ad, k, diag_solver)
     R = Y @ X - Ad
     if schatten_p is None:
         fit = float(np.sum(R * R))
@@ -403,7 +397,7 @@ def _numerical_rank(A, tol=1e-10):
 
 
 def _lift(Z1, R1, piv, SB) -> np.ndarray:
-    """X = Z @ SB for the Z of `lowrank._lift_rows(Z1, R1, piv, SB.shape[0])`.
+    """X = Z @ SB for the Z with Z SB' = Z1 Q', (Q, R1, piv) the basis of SB'.
 
     Z is zero outside the columns piv[:r], so only those rows of SB are
     multiplied, and no Z as wide as SB is tall is formed.
@@ -488,12 +482,12 @@ def solve_general_lowrank(
 
     Affine sketches S (left) and R (right) and inner sketches S-hat and
     R-hat feed the two-sided core of `lowrank`, whose reduced k x k problem
-    is solved by the SVD diagonal reduction with diag_solver. The returned
-    objective is recomputed on the original A.
+    is solved by the SVD reduction with diag_solver. A CSR A stays sparse:
+    it is only sketched, and the returned objective, recomputed on A, sums
+    the fit over row blocks (`lowrank.objective_value`).
     """
     _require_pair_flags(pair_f)
-    Ad = as_dense(A)
-    n, d = Ad.shape
+    n, d = A.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
     policy = policy or sk.SizePolicy()
@@ -502,18 +496,16 @@ def solve_general_lowrank(
     R = _affine_spec(policy, float(k), eps, d, seeds[1], side="right")
     Sh = _affine_spec(policy, float(k), eps, n, seeds[2])
     Rh = _affine_spec(policy, float(k), eps, d, seeds[3], side="right")
-    pieces = lowrank._assemble_core(Ad, S, R, Sh, Rh, {})
+    pieces = lowrank._assemble_core(A, S, R, Sh, Rh, {})
     Z_R, Z_S, truncated = lowrank._solve_two_sided(
-        pieces.S2AR, pieces.SAR2, pieces.S2AR2, k,
-        lambda M, kk: solve_diag_reduction(M, kk, pair_f, diag_solver),
+        pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, diag_solver
     )
     Y = pieces.AR @ Z_R
     X = Z_S @ pieces.SA
-    Rm = Y @ X - Ad
     return lowrank.LowRankFactors(
         Y=Y,
         X=X,
-        objective=float(np.sum(Rm * Rm)) + pair_f.evaluate(Y, X),
+        objective=lowrank.objective_value(A, Y, X, 0.0) + pair_f.evaluate(Y, X),
         k=k,
         lam=0.0,
         rank_truncated=truncated,

@@ -1,11 +1,11 @@
 """Ridge-regularized low-rank approximation.
 
-The closed-form optimum is SVD shrinkage; the sketched route reduces the
-problem two-sidedly to a small core min ||Z_R' Z_S' - U_C' G U_D||_F^2 +
-lam(...) solved by the same shrinkage, then lifts the factors back through
-triangular back-solves against the QR factors of the sketched operands.
-`genreg` runs the same core with its diagonal reduction in place of the
-shrinkage.
+The SVD reduces the problem, for any orthogonally invariant pair penalty, to
+a diagonal one (`_svd_reduction`); the ridge pair's diagonal answer, the
+shrinkage sqrt((sigma - lam)_+), is the closed-form optimum. The sketched
+route reduces A two-sidedly to a small core, solves it by that reduction with
+the caller's diagonal solver (`genreg` passes its own), then lifts the factors
+through triangular back-solves against the QR factors of the sketched operands.
 
 The sketch sizes come from sd_lam of the left sketch SA itself
 (`statdim.sd_from_sketch`): S is redrawn at twice the rows until the size rule
@@ -16,7 +16,7 @@ final SA is the one the core is built from, so A is sketched for S once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -74,20 +74,29 @@ def shrink_sd(sigma: np.ndarray, lam: float, k: int) -> float:
     return float(np.sum(1.0 - lam / kept)) if kept.size else 0.0
 
 
-def solve_exact_shrink(A, k: int, lam: float) -> LowRankFactors:
-    """Closed-form optimum: Y = U_k sqrt((S_k - lam I)_+), X = sqrt(...) V_k'."""
+def _svd_reduction(A, k: int, diag_solver):
+    """(Y, X, sigma) with Y = U_k diag(w), X = diag(z) V_k' for (w, z) =
+    diag_solver(sigma[:k]), from the thin SVD U diag(sigma) V' of A."""
     Ad = as_dense(A)
-    n, d = Ad.shape
-    if not (1 <= k <= min(n, d)):
+    if not (1 <= k <= min(Ad.shape)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
     U, s, Vt = np.linalg.svd(Ad, full_matrices=False)
-    w = np.sqrt(np.maximum(s[:k] - lam, 0.0))
-    Y = U[:, :k] * w
-    X = w[:, None] * Vt[:k]
+    w, z = diag_solver(s[:k])
+    return U[:, :k] * np.asarray(w), np.asarray(z)[:, None] * Vt[:k], s
+
+
+def _shrinkage(lam: float):
+    """Diagonal solver of the ridge pair: w = z = sqrt((sigma - lam)_+)."""
+    return lambda sigma: (np.sqrt(np.maximum(sigma - lam, 0.0)),) * 2
+
+
+def solve_exact_shrink(A, k: int, lam: float) -> LowRankFactors:
+    """Closed-form optimum: Y = U_k sqrt((S_k - lam I)_+), X = sqrt(...) V_k'."""
+    Y, X, s = _svd_reduction(A, k, _shrinkage(lam))
     return LowRankFactors(
         Y=Y,
         X=X,
-        objective=objective_value(Ad, Y, X, lam),
+        objective=objective_value(A, Y, X, lam),
         k=k,
         lam=lam,
         sd_factor=shrink_sd(s, lam, k),
@@ -196,19 +205,19 @@ def _pivoted_col_basis(M, tol: float = 1e-10):
 def solve_core(C, D, G, k: int, lam: float):
     """Solve min ||C Z_R Z_S D - G||_F^2 + lam||C Z_R||_F^2 + lam||Z_S D||_F^2.
 
-    Reduces to shrinkage on U_C' G U_D, then recovers Z_R, Z_S by triangular
-    back-solves against the pivoted QR factors of C and D'. Rank-deficient
-    cores are zero-padded and flagged rather than rejected.
+    The ridge instance of `_solve_two_sided`: the core's diagonal solver is
+    the shrinkage. Rank-deficient cores are zero-padded and flagged rather
+    than rejected.
     """
-    return _solve_two_sided(C, D, G, k, lambda M, kk: solve_exact_shrink(M, kk, lam))
+    return _solve_two_sided(C, D, G, k, _shrinkage(lam))
 
 
-def _solve_two_sided(C, D, G, k: int, solve_small):
-    """The two-sided core with a pluggable small solver.
+def _solve_two_sided(C, D, G, k: int, diag_solver):
+    """The two-sided core for any orthogonally invariant pair regularizer.
 
-    solve_small(M, kk) returns factors (.Y, .X) of the rank-kk problem on
-    M = U_C' G U_D; shrinkage gives the ridge core, a diagonal reduction
-    gives any other orthogonally invariant pair regularizer.
+    The SVD reduction of M = U_C' G U_D with diag_solver(sigma_k) -> (w, z)
+    gives the core factors (Z'_R, Z'_S); Z_R and Z_S follow by triangular
+    back-solves against the pivoted QR factors of C and D'.
     """
     C, D, G = as_dense(C), as_dense(D), as_dense(G)
     p, m_p = C.shape
@@ -219,24 +228,17 @@ def _solve_two_sided(C, D, G, k: int, solve_small):
     truncated = small_k < k
     if small_k == 0:
         return np.zeros((m_p, k)), np.zeros((k, m)), True
-    Mid = U_C.T @ G @ U_D
-    core = solve_small(Mid, small_k)
+    Y, X, _ = _svd_reduction(U_C.T @ G @ U_D, small_k, diag_solver)
     Zp_R = np.zeros((rc, k))
-    Zp_R[:, :small_k] = core.Y
+    Zp_R[:, :small_k] = Y
     Zp_S = np.zeros((k, rd))
-    Zp_S[:small_k, :] = core.X
+    Zp_S[:small_k, :] = X
     # back-solve: C Z_R = U_C Z'_R and Z_S D = Z'_S U_D'
     Z_R = np.zeros((m_p, k))
     Z_R[pivc[:rc]] = scipy.linalg.solve_triangular(R1c, Zp_R)
-    return Z_R, _lift_rows(Zp_S, R1d, pivd, m), truncated
-
-
-def _lift_rows(Zp, R1, piv, width: int) -> np.ndarray:
-    """Z with Z @ D = Zp @ U', where (U, R1, piv) is _pivoted_col_basis(D')
-    and D has `width` rows."""
-    Z = np.zeros((Zp.shape[0], width))
-    Z[:, piv[: R1.shape[0]]] = scipy.linalg.solve_triangular(R1, Zp.T).T
-    return Z
+    Z_S = np.zeros((k, m))
+    Z_S[:, pivd[:rd]] = scipy.linalg.solve_triangular(R1d, Zp_S.T).T
+    return Z_R, Z_S, truncated
 
 
 def solve_sketched(
@@ -246,7 +248,6 @@ def solve_sketched(
     eps: float,
     policy: sk.SizePolicy | None = None,
     seed: int = 0,
-    pieces: CorePieces | None = None,
 ) -> LowRankFactors:
     """Sketched rank-k ridge factorization: build_core_sized -> solve_core -> lift.
 
@@ -257,22 +258,13 @@ def solve_sketched(
     n, d = A.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
-    if d > n and pieces is None:
+    if d > n:
         AT = A.T.tocsr() if scipy.sparse.issparse(A) else as_dense(A).T
         sol = solve_sketched(AT, k, lam, eps, policy, seed=seed)
-        return LowRankFactors(
-            Y=sol.X.T,
-            X=sol.Y.T,
-            objective=sol.objective,
-            k=k,
-            lam=lam,
-            rank_truncated=sol.rank_truncated,
-            sizes=sol.sizes,
-        )
-    if pieces is None:
-        policy = policy or sk.SizePolicy()
-        sizes = core_sizes(A, k, eps, lam, policy, seed=seed)
-        pieces = build_core_sized(A, sizes, seed=seed)
+        return replace(sol, Y=sol.X.T, X=sol.Y.T)
+    policy = policy or sk.SizePolicy()
+    sizes = core_sizes(A, k, eps, lam, policy, seed=seed)
+    pieces = build_core_sized(A, sizes, seed=seed)
     Z_R, Z_S, truncated = solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
     Y = pieces.AR @ Z_R
     X = Z_S @ pieces.SA

@@ -53,9 +53,9 @@ def test_acceptance_lowrank():
         exact = lowrank.solve_exact_shrink(A, 10, lam)
         sol = lowrank.solve_sketched(A, 10, lam, 0.5, seed=seed)
         hits += sol.objective <= 1.5 * exact.objective + 1e-12
-        left, right = sk.identity(), sk.identity(side="right")
-        pieces = lowrank._assemble_core(A, left, right, left, right, {})
-        ident = lowrank.solve_sketched(A, 10, lam, 0.5, pieces=pieces)
+        # these constants size all four sketches past n and d: identities
+        collapse = sk.SizePolicy(k_sparse=1e6, k_affine=1e6)
+        ident = lowrank.solve_sketched(A, 10, lam, 0.5, policy=collapse)
         ident_ok &= abs(ident.objective - exact.objective) <= 1e-6 * exact.objective
     oracle_ok = True
     for seed in range(20):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from regsketch import cli
+from regsketch import sketch as sk
 
 
 def _read_jsonl(path):
@@ -124,6 +125,57 @@ def test_matrix_market_override(tmp_path):
     ])
     assert rc == 0
     assert len(_read_jsonl(out)) == 1
+
+
+COMPOSED = (
+    '{"variant": "composed", "inner": [{"variant": "gaussian", "m": 40}, '
+    '{"variant": "countsketch", "m": 200}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, sketch, rows",
+    [
+        (["ridge"], '{"variant": "gaussian", "m": 50}', 50),
+        (["ridge"], '{"variant": "identity"}', 600),
+        (["ridge"], COMPOSED, 40),
+        (["mr-ridge"], '{"variant": "gaussian", "m": 50}', 50),
+        (["cca", "--dprime", "8"], COMPOSED, 40),
+        (["check-embedding"], COMPOSED, 40),
+    ],
+    ids=[
+        "ridge-gaussian", "ridge-identity", "ridge-composed", "mr-ridge-gaussian", "cca-composed",
+        "check-embedding-composed",
+    ],
+)
+def test_records_report_the_applied_sketch(tmp_path, argv, sketch, rows):
+    # "m" is the row count of the --sketch that ran, not the policy's size
+    out = tmp_path / "r.jsonl"
+    cli.main(argv + ["--seeds", "0", "--n", "600", "--d", "10", "--sketch", sketch, "--out", str(out)])
+    assert [r["m"] for r in _read_jsonl(out)] == [rows]
+
+
+def test_calibrated_policy_reads_as_config(tmp_path, monkeypatch):
+    # every constant passes, so the search ends fast; the output format is under test
+    monkeypatch.setattr(cli, "_pass_rate_for_constant", lambda *args: 1.0)
+    policy = tmp_path / "policy.json"
+    assert cli.main(["calibrate", "--seeds", "0..1", "--eps", "0.5", "--out", str(policy)]) == 0
+    fitted = sk.SizePolicy.from_json(policy.read_text())
+    assert fitted.epsilon == 0.5 and "--seeds 0..1" in fitted.provenance
+    out = tmp_path / "ridge.jsonl"
+    cli.main(["ridge", "--seeds", "0", "--n", "300", "--d", "10", "--config", str(policy), "--out", str(out)])
+    [row] = _read_jsonl(out)
+    assert row["m"] == sk.recommend_sizes(fitted, row["sd_hat"], 0.5, "ridge_rows")
+
+
+def test_cca_honours_density(tmp_path):
+    reports = []
+    for density in ([], ["--density", "0.3"]):
+        out = tmp_path / f"cca{len(density)}.jsonl"
+        argv = ["cca", "--seeds", "0", "--n", "1500", "--d", "6", "--dprime", "5", "--out", str(out)]
+        cli.main(argv + density)
+        reports.append(out.read_bytes())
+    assert reports[0] != reports[1]
 
 
 def test_seed_range_parsing():

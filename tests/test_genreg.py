@@ -610,9 +610,45 @@ class TestGeneralLowRank:
             for i, (dim, side) in enumerate([(400, "left"), (300, "right"), (400, "left"), (300, "right")])
         ]
         assert all(spec.variant == "countsketch" for spec in specs)
-        ref = lowrank.solve_sketched(A, k, lam, eps, pieces=lowrank._assemble_core(A, *specs, {}))
-        np.testing.assert_allclose(got.Y, ref.Y, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.X, ref.X, rtol=0, atol=1e-12)
+        pieces = lowrank._assemble_core(A, *specs, {})
+        Z_R, Z_S, _ = lowrank.solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
+        assert np.array_equal(got.Y, pieces.AR @ Z_R)
+        assert np.array_equal(got.X, Z_S @ pieces.SA)
+
+    def test_core_solves_only_the_diagonal_problem(self, monkeypatch):
+        # the k x k core is reduced by the SVD and its diagonal solver alone,
+        # never by a full solver that also builds factors and an objective
+        def full_solver(*args, **kwargs):
+            raise AssertionError("the core ran a full low-rank solver")
+
+        monkeypatch.setattr(lowrank, "solve_exact_shrink", full_solver)
+        monkeypatch.setattr(genreg, "solve_diag_reduction", full_solver)
+        lam, k, eps, seed = 0.6, 8, 0.5, 3
+        rng = la.make_rng(seed, 81)
+        A = rng.standard_normal((400, 50)) @ rng.standard_normal((50, 300)) / 50.0
+        sol = lowrank.solve_sketched(A, k, lam, eps, seed=seed)
+        assert sol.sizes["m"] < 400 and sol.sizes["m_prime"] < 300
+        got = genreg.solve_general_lowrank(
+            A, k, genreg.ridge_pair(lam), lambda s: genreg.diag_solver_shrink(s, lam), eps, seed=seed,
+        )
+        assert got.Y.shape == (400, k) and got.X.shape == (k, 300)
+
+    def test_csr_input_is_never_densified(self):
+        # 40000 x 200 CSR: a dense copy of A alone would be 64 MB
+        A = _sparse_normal(40_000, 200, 0.05, 12)
+        lam = 0.5
+        pair, diag = genreg.ridge_pair(lam), lambda s: genreg.diag_solver_shrink(s, lam)
+        tracemalloc.start()
+        try:
+            got = genreg.solve_general_lowrank(A, 2, pair, diag, 0.5, seed=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * A.shape[0] * A.shape[1] * 8
+        want = genreg.solve_general_lowrank(A.toarray(), 2, pair, diag, 0.5, seed=12)
+        for name in ("Y", "X"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), name
 
     def test_flag_violation_rejected(self):
         noflags = genreg.MeasureFlags()

@@ -96,6 +96,10 @@ class TestShrinkSd:
         assert abs(sd_y - sd_x) <= 1e-12
 
 
+# sizes all four sketches past n and d, so each one is the identity
+COLLAPSE = sk.SizePolicy(k_sparse=1e6, k_affine=1e6)
+
+
 def _identity_pieces(A):
     """The core pieces with every sketch the identity."""
     left, right = sk.identity(), sk.identity(side="right")
@@ -214,13 +218,14 @@ class TestSolveSketched:
         rng = la.make_rng(10)
         A = rng.standard_normal((20, 14))
         exact = lowrank.solve_exact_shrink(A, 4, 0.7)
-        sol = lowrank.solve_sketched(A, 4, 0.7, 0.5, pieces=_identity_pieces(A))
+        sol = lowrank.solve_sketched(A, 4, 0.7, 0.5, policy=COLLAPSE)
+        assert [sol.sizes[key] for key in ("m", "m_prime", "p", "p_prime")] == [20, 14, 20, 14]
         assert abs(sol.objective - exact.objective) <= 1e-6 * exact.objective
 
     def test_lambda_zero_identity_exact_fit(self):
         rng = la.make_rng(11)
         A = rng.standard_normal((10, 6))
-        sol = lowrank.solve_sketched(A, 6, 0.0, 0.5, pieces=_identity_pieces(A))
+        sol = lowrank.solve_sketched(A, 6, 0.0, 0.5, policy=COLLAPSE)
         assert sol.objective <= 1e-8 * np.sum(A * A)
 
     def test_policy_sizes_within_eps(self):
