@@ -14,7 +14,6 @@ regularized CCA plus the per-prefix trace gap against the exact solver.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +38,6 @@ class CcaResult:
     lambda2: float
     q: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sigmas": [float(s) for s in self.sigmas],
-                "lambda1": self.lambda1,
-                "lambda2": self.lambda2,
-                "q": self.q,
-            }
-        )
-
 
 @dataclass
 class CcaValidation:
@@ -58,18 +47,6 @@ class CcaValidation:
     max_alignment_dev: float
     trace_gaps: list  # trace_gap(L) for L = 1..q
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eta": self.eta,
-                "max_sigma_dev": self.max_sigma_dev,
-                "max_constraint_dev": self.max_constraint_dev,
-                "max_alignment_dev": self.max_alignment_dev,
-                "trace_gaps": [float(g) for g in self.trace_gaps],
-                "passed": self.passed,
-            }
-        )
 
 
 def _regularized_gram(A, lam: float):

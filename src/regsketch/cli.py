@@ -23,53 +23,36 @@ from . import cca as cca_mod
 from . import genreg, lowrank, problems, ridge
 from . import sketch as sk
 from . import statdim
-from .la import as_dense, read_matrix_market
+from .la import MatrixMarketError, as_dense, read_matrix_market
 
 RATIO_FLOOR = 1.0 - 1e-9
 PASS_RATE = 0.8
 
 
-@dataclasses.dataclass
-class TrialRecord:
-    command: str
-    seed: int
-    exact_objective: float
-    sketch_objective: float
-    ratio: float
-    passed: bool
-    extra: dict = dataclasses.field(default_factory=dict)
-
-    @staticmethod
-    def make(command, seed, exact_obj, sketch_obj, eps, extra=None):
+def _record(args, seed, exact_obj, sketch_obj, extra, passed=None, ratio=None):
+    """One trial's record, in the order `emit` writes it: command, seed,
+    exact_objective, sketch_objective, ratio, passed, then the subcommand's
+    extras. ratio defaults to sketch_obj / exact_obj, floored at RATIO_FLOOR,
+    and passed to ratio <= 1 + eps."""
+    if ratio is None:
         if exact_obj > 0:
             ratio = max(sketch_obj / exact_obj, RATIO_FLOOR)
         else:
             ratio = 1.0 if sketch_obj <= 1e-12 else math.inf
-        return TrialRecord(
-            command=command,
-            seed=seed,
-            exact_objective=exact_obj,
-            sketch_objective=sketch_obj,
-            ratio=ratio,
-            passed=ratio <= 1.0 + eps,
-            extra=extra or {},
-        )
-
-    def row(self):
-        base = {
-            "command": self.command,
-            "seed": self.seed,
-            "exact_objective": self.exact_objective,
-            "sketch_objective": self.sketch_objective,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
-        base.update(self.extra)
-        return base
+    if passed is None:
+        passed = ratio <= 1.0 + args.eps
+    return {
+        "command": args.command,
+        "seed": seed,
+        "exact_objective": exact_obj,
+        "sketch_objective": sketch_obj,
+        "ratio": ratio,
+        "passed": passed,
+        **extra,
+    }
 
 
-def emit(records, out, fmt):
-    rows = [r.row() for r in records]
+def emit(rows, out, fmt):
     fh = open(out, "w") if out else sys.stdout
     try:
         if fmt == "csv":
@@ -84,8 +67,8 @@ def emit(records, out, fmt):
     finally:
         if out:
             fh.close()
-    n = len(records)
-    npass = sum(r.passed for r in records)
+    n = len(rows)
+    npass = sum(r["passed"] for r in rows)
     rate = npass / n if n else 0.0
     print(f"{npass}/{n} trials passed (rate {rate:.2f}, need {PASS_RATE:.2f})", file=sys.stderr)
     return rate >= PASS_RATE
@@ -98,16 +81,34 @@ def _seed_range(text):
     return [int(text)]
 
 
-def _load_policy(args):
-    if args.config:
-        with open(args.config) as fh:
+def _policy_file(path):
+    """argparse type of --config: the SizePolicy in a JSON file."""
+    try:
+        with open(path) as fh:
             return sk.SizePolicy.from_json(fh.read())
-    return sk.SizePolicy()
+    except (OSError, ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read a size policy from {path!r}: {exc}") from None
+
+
+def _sketch_json(text):
+    """argparse type of --sketch: a SketchSpec in JSON."""
+    try:
+        return sk.SketchSpec.from_json(text)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise argparse.ArgumentTypeError(f"not a sketch spec: {text!r} ({exc!r})") from None
+
+
+def _matrix_file(path):
+    """argparse type of --matrix: the matrix in a Matrix Market file."""
+    try:
+        return read_matrix_market(path)
+    except (OSError, ValueError, MatrixMarketError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read a matrix from {path!r}: {exc}") from None
 
 
 def _load_matrix(args, seed):
-    if args.matrix:
-        A = read_matrix_market(args.matrix)
+    if args.matrix is not None:
+        A = args.matrix
         rng = np.random.default_rng(seed)
         b = A @ rng.standard_normal(A.shape[1])
         return A, b
@@ -115,8 +116,8 @@ def _load_matrix(args, seed):
 
 
 def _sketch_spec(args, m, seed, limit=None):
-    if args.sketch:
-        return sk.SketchSpec.from_json(args.sketch).with_seed(seed)
+    if args.sketch is not None:
+        return args.sketch.with_seed(seed)
     if limit is None:
         return sk.countsketch(m, seed=seed)
     return sk.countsketch_or_identity(m, limit, seed)
@@ -151,8 +152,8 @@ def _ridge_trial(args, policy, seed):
     m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
     spec = _sketch_spec(args, m, seed, limit=A.shape[0])
     sol = ridge.solve_sketched_rows(p, spec)
-    return TrialRecord.make(
-        args.command, seed, ex.objective, sol.objective, args.eps,
+    return _record(
+        args, seed, ex.objective, sol.objective,
         {"lam": lam, "m": _sketch_rows(spec, A.shape[0]), "sd_hat": sd, "guard": sol.guard_applied,
          **responses},
     )
@@ -166,13 +167,12 @@ def _lowrank_trial(args, policy, seed):
     # pass criterion: additive eps ||A||_F^2 slack on the objective gap
     fro2 = float(np.sum(as_dense(A) ** 2))
     gap = sol.objective - ex.objective
-    rec = TrialRecord.make(
-        args.command, seed, ex.objective, sol.objective, args.eps,
+    return _record(
+        args, seed, ex.objective, sol.objective,
         {"lam": lam, "k": args.k, "gap_over_fro2": gap / fro2 if fro2 else 0.0,
          "m": sol.sizes["m"], "sd_hat": sol.sizes["sd_hat"]},
+        passed=gap <= args.eps * fro2 + 1e-9,
     )
-    rec.passed = gap <= args.eps * fro2 + 1e-9
-    return rec
 
 
 def _cca_trial(args, policy, seed):
@@ -187,13 +187,12 @@ def _cca_trial(args, policy, seed):
     spec = _sketch_spec(args, m, seed, limit=args.n)
     sol = cca_mod.solve_sketched_cca(A, B, lam, lam, spec)
     val = cca_mod.validate_cca(A, B, lam, lam, sol, ex, eta=args.eps)
-    rec = TrialRecord.make(
-        args.command, seed, sum(ex.sigmas), sum(sol.sigmas), args.eps,
+    return _record(
+        args, seed, sum(ex.sigmas), sum(sol.sigmas),
         {"lam": lam, "m": _sketch_rows(spec, args.n), "max_sigma_dev": val.max_sigma_dev,
          "validated": val.passed},
+        passed=val.passed,
     )
-    rec.passed = val.passed
-    return rec
 
 
 def _prox_measure(name):
@@ -220,7 +219,7 @@ def _genreg_trial(args, policy, seed):
     _, obj = genreg.solve_general_regression(
         A, B, f, solver, args.eps, policy=policy, seed=seed, assume_inheritance=True
     )
-    return TrialRecord.make(args.command, seed, obj_exact, obj, args.eps, {"measure": args.measure})
+    return _record(args, seed, obj_exact, obj, {"measure": args.measure})
 
 
 def _statdim_trial(args, policy, seed):
@@ -228,26 +227,24 @@ def _statdim_trial(args, policy, seed):
     lam = args.lam if args.lam is not None else 0.1
     exact = statdim.sd_exact(A, lam)
     est = statdim.sd_estimate(A, lam, seed=seed)
-    rec = TrialRecord.make(
-        args.command, seed, exact, est.estimate, args.eps,
+    return _record(
+        args, seed, exact, est.estimate,
         {"lam": lam, "lower": est.lower, "upper": est.upper, "binding": est.binding},
+        passed=est.lower <= exact <= est.upper if est.binding else True,
     )
-    rec.passed = est.lower <= exact <= est.upper if est.binding else True
-    return rec
 
 
 def _check_embedding_trial(args, policy, seed):
     A, _ = _load_matrix(args, seed)
     spec = _sketch_spec(args, args.m or A.shape[0] // 2, seed)
     rep = sk.check_subspace_embedding(spec, A, args.eps, trials=args.trials)
-    rec = TrialRecord.make(
-        args.command, seed, args.eps, max(rep.deviations), 0.0,
+    return _record(
+        args, seed, args.eps, max(rep.deviations),
         {"variant": spec.variant, "m": _sketch_rows(spec, A.shape[0]),
          "pass_fraction": rep.pass_fraction},
+        passed=rep.passed,
+        ratio=max(rep.deviations) / rep.threshold,
     )
-    rec.passed = rep.passed
-    rec.ratio = max(rep.deviations) / rep.threshold
-    return rec
 
 
 # subcommand -> (help, per-seed trial, extra (flag, type, default)s)
@@ -272,9 +269,8 @@ TRIAL_COMMANDS = {
 
 def run_trials(args):
     """One record per seed from the subcommand's trial, then the summary."""
-    policy = _load_policy(args)
-    records = [args.trial(args, policy, seed) for seed in _seed_range(args.seeds)]
-    return emit(records, args.out, args.format)
+    rows = [args.trial(args, args.policy, seed) for seed in _seed_range(args.seeds)]
+    return emit(rows, args.out, args.format)
 
 
 def _pass_rate_for_constant(purpose, K, seeds, eps, args):
@@ -367,9 +363,11 @@ def _add_common(p):
     p.add_argument("--d", type=int, default=30)
     p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA)
     p.add_argument("--density", type=float, default=None)
-    p.add_argument("--matrix", default=None, help="Matrix Market file for A")
-    p.add_argument("--sketch", default=None, help="sketch spec as JSON")
-    p.add_argument("--config", default=None, help="size-policy JSON file")
+    p.add_argument("--matrix", type=_matrix_file, default=None, help="Matrix Market file for A")
+    p.add_argument("--sketch", type=_sketch_json, default=None, help="sketch spec as JSON")
+    p.add_argument(
+        "--config", dest="policy", type=_policy_file, default=sk.SizePolicy(), help="size-policy JSON file"
+    )
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="jsonl", choices=("jsonl", "csv"))
 

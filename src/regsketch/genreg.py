@@ -26,7 +26,7 @@ import scipy.sparse
 
 from . import lowrank
 from . import sketch as sk
-from .la import as_dense, derive_seed, gram, make_rng
+from .la import RANK_RTOL, as_dense, derive_seeds, gram, make_rng
 from .statdim import singular_values as _sv
 
 
@@ -64,29 +64,33 @@ def _rand_orthogonal(rng, n):
     return Q
 
 
-def spot_check_measure(m: MatrixMeasure, seed: int = 0, trials: int = 5, tol: float = 1e-8):
+SPOT_CHECK_TRIALS = 5  # random matrices each declared flag is tested on
+SPOT_CHECK_TOL = 1e-8  # relative slack of each tested (in)equality
+
+
+def spot_check_measure(m: MatrixMeasure):
     """Randomized falsification of the declared-true flags; raises on failure."""
-    rng = make_rng(seed, 41)
-    for _ in range(trials):
+    rng = make_rng(0, 41)
+    for _ in range(SPOT_CHECK_TRIALS):
         A = rng.standard_normal((5, 4))
         base = m.evaluate(A)
         scale = max(abs(base), 1.0)
         if m.flags.left_orthogonal_invariant:
-            if abs(m.evaluate(_rand_orthogonal(rng, 5) @ A) - base) > tol * scale:
+            if abs(m.evaluate(_rand_orthogonal(rng, 5) @ A) - base) > SPOT_CHECK_TOL * scale:
                 raise MeasureFlagError(f"{m.name}: left orthogonal invariance fails")
         if m.flags.right_orthogonal_invariant:
-            if abs(m.evaluate(A @ _rand_orthogonal(rng, 4)) - base) > tol * scale:
+            if abs(m.evaluate(A @ _rand_orthogonal(rng, 4)) - base) > SPOT_CHECK_TOL * scale:
                 raise MeasureFlagError(f"{m.name}: right orthogonal invariance fails")
         if m.flags.padding_invariant:
             padded = np.vstack([A, np.zeros((2, 4))])
-            if abs(m.evaluate(padded) - base) > tol * scale:
+            if abs(m.evaluate(padded) - base) > SPOT_CHECK_TOL * scale:
                 raise MeasureFlagError(f"{m.name}: row-padding invariance fails")
             padded = np.hstack([A, np.zeros((5, 3))])
-            if abs(m.evaluate(padded) - base) > tol * scale:
+            if abs(m.evaluate(padded) - base) > SPOT_CHECK_TOL * scale:
                 raise MeasureFlagError(f"{m.name}: column-padding invariance fails")
         if m.flags.subadditive:
             Bm = rng.standard_normal((5, 4))
-            if m.evaluate(A + Bm) > m.evaluate(A) + m.evaluate(Bm) + tol:
+            if m.evaluate(A + Bm) > m.evaluate(A) + m.evaluate(Bm) + SPOT_CHECK_TOL:
                 raise MeasureFlagError(f"{m.name}: subadditivity fails")
     return m
 
@@ -208,13 +212,17 @@ def nuclear_product_pair(lam: float) -> PairMeasure:
 DIAG_VARIANTS = ("frob+trace", "frob+frobYX", "schattenp+trace")
 
 
-def _golden_section(fn, lo, hi, tol=1e-10, iters=200):
+GOLDEN_ITERS = 200  # step cap of the golden-section search
+GOLDEN_TOL = 1e-10  # bracket width, relative to max(1, |hi|), at which it stops
+
+
+def _golden_section(fn, lo, hi):
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if b - a < tol * max(1.0, abs(hi)):
+    for _ in range(GOLDEN_ITERS):
+        if b - a < GOLDEN_TOL * max(1.0, abs(hi)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -305,7 +313,11 @@ def ridge_small_solver(lam: float):
     return solve
 
 
-def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
+PROX_ITERS = 2000  # step cap of prox_small_solver
+PROX_TOL = 1e-10  # objective decrease, relative to the objective, at which it stops
+
+
+def prox_small_solver(f: MatrixMeasure):
     """Proximal-gradient reference solver for min ||A Z - B||_F^2 + f(Z).
 
     Needs f.prox. The loop runs on the Gram of the problem: G = A'A,
@@ -337,7 +349,7 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
             # cancellation would cost eps * ||B||^2 of absolute precision
             return float(np.sum((Zn - Zo) * (GZn + GZo - C2))) + fZn - fZo
 
-        for _ in range(iters):
+        for _ in range(PROX_ITERS):
             Zn = f.prox(Z - step * (2.0 * GZ - C2), step)
             GZn = G @ Zn
             fZn = f.evaluate(Zn)
@@ -346,7 +358,7 @@ def prox_small_solver(f: MatrixMeasure, iters: int = 2000, tol: float = 1e-10):
             to_best = -drop if best is Z else change(Zn, GZn, fZn, best, G_best, f_best)
             if to_best < 0:
                 best, G_best, f_best = Zn, GZn, fZn
-            if drop < tol * max(abs(prev), 1.0):
+            if drop < PROX_TOL * max(abs(prev), 1.0):
                 break
             prev -= drop
             Z, GZ, fZ = Zn, GZn, fZn
@@ -360,8 +372,9 @@ def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
     return sk.countsketch_or_identity(m, n_clamp, seed, side)
 
 
-def _numerical_rank(A, tol=1e-10):
-    """Number of singular values of A above tol * sigma_1, as an SVD counts them.
+def _numerical_rank(A):
+    """Number of singular values of A above RANK_RTOL * sigma_1, as an SVD
+    counts them.
 
     Costs one short-side Gram G (A'A when n >= d, AA' otherwise, r x r with
     r = min(n, d); a CSR A is read in row blocks by `la.gram`) and its
@@ -376,10 +389,10 @@ def _numerical_rank(A, tol=1e-10):
     allowed r * eps * trace(G). By Weyl, each computed eigenvalue w_i then
     lies within (n + d) * eps * trace(G) of sigma_i^2. delta is twice that
     bound, which covers the rounding of trace(G) and leaves the eigensolver's
-    unstated constant a factor of two. So w_min - delta > tol^2 (w_max +
-    delta) proves sigma_r > tol * sigma_1 with room to spare: sigma_r^2 >
-    delta / 2 >= (n + d) * eps * sigma_1^2 puts sigma_r 200 times or more
-    above the default cutoff, far beyond any rounding of the SVD, so the SVD
+    unstated constant a factor of two. So w_min - delta > RANK_RTOL^2 (w_max
+    + delta) proves sigma_r > RANK_RTOL * sigma_1 with room to spare:
+    sigma_r^2 > delta / 2 >= (n + d) * eps * sigma_1^2 puts sigma_r 200 times
+    or more above the cutoff, far beyond any rounding of the SVD, so the SVD
     would count r too. The Gram squares the condition number, so it
     certifies full rank but cannot resolve a smaller rank: rank-deficient or
     near-threshold inputs, and A = 0, take the SVD count.
@@ -388,12 +401,12 @@ def _numerical_rank(A, tol=1e-10):
     G = gram(A) if n >= d else gram(A.T)
     w = np.linalg.eigvalsh(G)
     delta = 2.0 * (n + d) * np.finfo(np.float64).eps * float(np.trace(G))
-    if w.size and w[0] - delta > tol * tol * (w[-1] + delta):
+    if w.size and w[0] - delta > RANK_RTOL * RANK_RTOL * (w[-1] + delta):
         return w.size
     s = _sv(A)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def _lift(Z1, R1, piv, SB) -> np.ndarray:
@@ -448,7 +461,7 @@ def solve_general_regression(
         # the rank only sizes the sketches, so the identity path skips it
         policy = policy or sk.SizePolicy()
         r = max(_numerical_rank(A), 1)
-        seeds = [derive_seed(seed, 51 + i) for i in range(3)]
+        seeds = derive_seeds(seed, 51, 3)
         S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
         Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
@@ -491,7 +504,7 @@ def solve_general_lowrank(
     if not (1 <= k <= min(n, d)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
     policy = policy or sk.SizePolicy()
-    seeds = [derive_seed(seed, 61 + i) for i in range(4)]
+    seeds = derive_seeds(seed, 61, 4)
     S = _affine_spec(policy, float(k), eps, n, seeds[0])
     R = _affine_spec(policy, float(k), eps, d, seeds[1], side="right")
     Sh = _affine_spec(policy, float(k), eps, n, seeds[2])

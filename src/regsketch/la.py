@@ -38,6 +38,17 @@ def derive_seed(seed: int, stream: int) -> int:
     return int(make_rng(seed, stream).integers(0, 2**63 - 1))
 
 
+def derive_seeds(seed: int, first: int, count: int) -> list:
+    """derive_seed(seed, stream) for the count streams first, first + 1, ..."""
+    return [derive_seed(seed, first + i) for i in range(count)]
+
+
+# Relative cutoff of the numerical rank: singular values (or pivoted-QR
+# diagonals) at most RANK_RTOL times the largest count as zero.
+RANK_RTOL = 1e-10
+LAMBDA_QR_RANK_TOL = 1e-12  # R diagonal ratio at which lambda_qr flags R singular
+
+
 def as_dense(A) -> np.ndarray:
     if scipy.sparse.issparse(A):
         return np.asarray(A.todense(), dtype=np.float64)
@@ -147,7 +158,7 @@ class LambdaQr:
     singular: bool = False
 
 
-def lambda_qr(A, lam: float, rank_tol: float = 1e-12) -> LambdaQr:
+def lambda_qr(A, lam: float) -> LambdaQr:
     """QR-like factorization with a ridge term folded into R.
 
     Computed as the R factor of a QR of the stacked matrix [A; sqrt(lam)*I]
@@ -171,7 +182,7 @@ def lambda_qr(A, lam: float, rank_tol: float = 1e-12) -> LambdaQr:
     signs = np.where(np.diag(R) < 0, -1.0, 1.0)
     R = signs[:, None] * R
     diag = np.abs(np.diag(R))
-    singular = bool(diag.min(initial=np.inf) <= rank_tol * max(diag.max(initial=0.0), 1e-300))
+    singular = bool(diag.min(initial=np.inf) <= LAMBDA_QR_RANK_TOL * max(diag.max(initial=0.0), 1e-300))
     if singular:
         Q = M @ np.linalg.pinv(R)
     else:

@@ -15,7 +15,6 @@ final SA is the one the core is built from, so A is sketched for S once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +23,10 @@ import scipy.sparse
 
 from . import sketch as sk
 from . import statdim
-from .la import as_dense, derive_seed, make_rng, row_blocks
+from .la import RANK_RTOL, as_dense, derive_seeds, make_rng, row_blocks
+
+ALS_ITERS = 500  # sweep cap of als_reference
+ALS_TOL = 1e-12  # relative objective decrease at which als_reference stops
 
 
 @dataclass
@@ -38,19 +40,6 @@ class LowRankFactors:
     rank_truncated: bool = False
     # of a sketched solve: m, m_prime, p, p_prime, sd_hat and the sizing draws
     sizes: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "objective": self.objective,
-                "k": self.k,
-                "lam": self.lam,
-                "sd_factor": self.sd_factor,
-                "rank_truncated": self.rank_truncated,
-                "sizes": self.sizes,
-                "shape": [int(self.Y.shape[0]), int(self.X.shape[1])],
-            }
-        )
 
 
 def objective_value(A, Y, X, lam: float) -> float:
@@ -103,17 +92,17 @@ def solve_exact_shrink(A, k: int, lam: float) -> LowRankFactors:
     )
 
 
-def als_reference(A, k: int, lam: float, iters: int = 500, tol: float = 1e-12, seed: int = 0):
+def als_reference(A, k: int, lam: float, seed: int = 0):
     """Alternating-least-squares oracle for the same objective (test use)."""
     Ad = as_dense(A)
     rng = make_rng(seed, 23)
     Y = rng.standard_normal((Ad.shape[0], k)) * 0.1
     prev = np.inf
-    for _ in range(iters):
+    for _ in range(ALS_ITERS):
         X = np.linalg.solve(Y.T @ Y + lam * np.eye(k), Y.T @ Ad)
         Y = np.linalg.solve(X @ X.T + lam * np.eye(k), X @ Ad.T).T
         obj = objective_value(Ad, Y, X, lam)
-        if prev - obj < tol * max(obj, 1.0):
+        if prev - obj < ALS_TOL * max(obj, 1.0):
             break
         prev = obj
     return Y, X, objective_value(Ad, Y, X, lam)
@@ -128,11 +117,6 @@ class CorePieces:
     S2AR2: np.ndarray  # p x p'
     specs: dict = field(default_factory=dict)
     sizes: dict = field(default_factory=dict)
-
-
-def _stage_seeds(seed: int) -> list:
-    """Seeds of the S, R, S2 and R2 sketches of one solve."""
-    return [derive_seed(seed, 31 + i) for i in range(4)]
 
 
 def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: int = 0) -> dict:
@@ -151,7 +135,7 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
     if lam > 0:
         left = statdim.sd_from_sketch(
             A, lam, lambda s: sk.recommend_sizes(policy, s, eps, "lowrank_S"), float(k),
-            seed=_stage_seeds(seed)[0],
+            seed=derive_seeds(seed, 31, 1)[0],
         )
         sd_hat, m, draws, drawn = left.sd_hat, left.SA.shape[0], left.draws, {"SA": left.SA}
     else:
@@ -168,7 +152,7 @@ def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
     n, d = A.shape
     sizes = dict(sizes)
     SA = sizes.pop("SA", None)
-    rs = _stage_seeds(seed)
+    rs = derive_seeds(seed, 31, 4)  # S, R, S2, R2
     S = sk.countsketch_or_identity(sizes["m"], n, rs[0], "left")
     R = sk.countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
     S2 = sk.countsketch_or_identity(sizes["p"], n, rs[2], "left")
@@ -194,11 +178,12 @@ def _assemble_core(A, S, R, S2, R2, sizes, SA=None) -> CorePieces:
     )
 
 
-def _pivoted_col_basis(M, tol: float = 1e-10):
-    """Column-pivoted QR basis of colspace(M): returns (U, R1, piv, rank)."""
+def _pivoted_col_basis(M):
+    """Column-pivoted QR basis of colspace(M): returns (U, R1, piv, rank),
+    the rank counting the R diagonals above RANK_RTOL times the first."""
     Q, Rm, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
     diag = np.abs(np.diag(Rm))
-    r = int(np.sum(diag > tol * max(diag[0] if diag.size else 0.0, 1e-300)))
+    r = int(np.sum(diag > RANK_RTOL * max(diag[0] if diag.size else 0.0, 1e-300)))
     return Q[:, :r], Rm[:r, :r], piv, r
 
 

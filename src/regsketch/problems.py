@@ -26,7 +26,6 @@ def generate_problem(
     d: int,
     seed: int,
     kind: str = "geometric",
-    decay: float = 0.5,
     noise: float = 1e-3,
     density: float | None = None,
     rank: int | None = None,
@@ -39,7 +38,7 @@ def generate_problem(
     """
     rng = make_rng(seed, 7)
     r = rank or min(n, d)
-    s = spectrum(kind, r, decay)
+    s = spectrum(kind, r)
     U0, _ = np.linalg.qr(rng.standard_normal((n, r)))
     V0, _ = np.linalg.qr(rng.standard_normal((d, r)))
     A = (U0 * s) @ V0.T

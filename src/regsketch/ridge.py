@@ -9,8 +9,6 @@ is returned instead, so the returned objective never exceeds ||b||^2.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,24 +40,9 @@ class RidgeProblem:
 class RidgeSolution:
     x: np.ndarray
     objective: float
-    method: str
     sketches: tuple = field(default_factory=tuple)
-    wall_time: float = 0.0
     min_norm: bool = False  # lam = 0 with rank-deficient A: pseudo-inverse fallback
     guard_applied: bool = False  # large-lambda guard replaced the candidate by x = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "objective": self.objective,
-                "method": self.method,
-                "sketches": [json.loads(s.to_json()) for s in self.sketches],
-                "wall_time": self.wall_time,
-                "min_norm": self.min_norm,
-                "guard_applied": self.guard_applied,
-                "x_shape": list(np.asarray(self.x).shape),
-            }
-        )
 
 
 def objective_value(p: RidgeProblem, x) -> float:
@@ -85,22 +68,15 @@ def _solve_ridge(A, B, lam: float):
 
 def solve_exact(p: RidgeProblem) -> RidgeSolution:
     """Exact ridge solution x* = (A'A + lam I)^{-1} A'b (or the n x n twin)."""
-    t0 = time.perf_counter()
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
     X, min_norm = _solve_ridge(p.A, B if not squeeze else B[:, None], p.lam)
     if squeeze:
         X = X[:, 0]
-    return RidgeSolution(
-        x=X,
-        objective=objective_value(p, X),
-        method="exact",
-        wall_time=time.perf_counter() - t0,
-        min_norm=min_norm,
-    )
+    return RidgeSolution(x=X, objective=objective_value(p, X), min_norm=min_norm)
 
 
-def _guarded(p: RidgeProblem, x, spec, t0) -> RidgeSolution:
+def _guarded(p: RidgeProblem, x, spec) -> RidgeSolution:
     """Return x scored on the original problem, or x = 0 if that is no worse."""
     B = as_dense(p.rhs)
     obj, zero_obj = objective_value(p, x), float(np.sum(B * B))
@@ -108,14 +84,7 @@ def _guarded(p: RidgeProblem, x, spec, t0) -> RidgeSolution:
     if guard:
         x = np.zeros((p.A.shape[1],) if B.ndim == 1 else (p.A.shape[1], B.shape[1]))
         obj = zero_obj
-    return RidgeSolution(
-        x=x,
-        objective=obj,
-        method="sketched_rows",
-        sketches=(spec,),
-        wall_time=time.perf_counter() - t0,
-        guard_applied=guard,
-    )
+    return RidgeSolution(x=x, objective=obj, sketches=(spec,), guard_applied=guard)
 
 
 def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
@@ -126,11 +95,10 @@ def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
     rhs (several responses) shares the one sketch and the one factorization
     of the small problem.
     """
-    t0 = time.perf_counter()
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
     # the seed fixes S, so sketching A and B apart meets one draw
     SA = as_dense(sk.apply(spec, p.A))
     SB = as_dense(sk.apply(spec, B[:, None] if squeeze else B))
     X, _ = _solve_ridge(SA, SB, p.lam)
-    return _guarded(p, X[:, 0] if squeeze else X, spec, t0)
+    return _guarded(p, X[:, 0] if squeeze else X, spec)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .la import as_dense, derive_seed, make_rng, row_blocks, svd
+from .la import as_dense, derive_seeds, make_rng, row_blocks, svd
 
 VARIANTS = ("identity", "countsketch", "osnap", "srht", "gaussian", "composed")
 
@@ -65,10 +65,8 @@ class SketchSpec:
 
     def with_seed(self, seed: int) -> "SketchSpec":
         if self.variant == "composed":
-            parts = tuple(
-                p.with_seed(derive_seed(seed, i))
-                for i, p in enumerate(self.inner)
-            )
+            seeds = derive_seeds(seed, 0, len(self.inner))
+            parts = tuple(p.with_seed(s) for p, s in zip(self.inner, seeds))
             return dataclasses.replace(self, seed=seed, inner=parts)
         return dataclasses.replace(self, seed=seed)
 
@@ -317,8 +315,13 @@ class SizePolicy:
         "at 0.9 pass rate, frozen here with a >= 3x safety margin"
     )
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+    def __post_init__(self):
+        # a policy read from a file fails here, not later inside a size bound
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            want = str if f.name == "provenance" else (int, float)
+            if not isinstance(v, want) or isinstance(v, bool):
+                raise TypeError(f"SizePolicy.{f.name} cannot be {v!r}")
 
     @staticmethod
     def from_json(text: str) -> "SizePolicy":
@@ -383,22 +386,9 @@ class EmbedReport:
     def max_deviation(self) -> float:
         return max(self.deviations) if self.deviations else 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "condition": self.condition,
-                "deviations": [float(d) for d in self.deviations],
-                "threshold": self.threshold,
-                "trials": self.trials,
-                "pass_fraction": self.pass_fraction,
-                "passed": self.passed,
-                "note": self.note,
-            }
-        )
-
 
 def _trial_specs(spec: SketchSpec, trials: int):
-    return [spec.with_seed(derive_seed(spec.seed, 1 + t)) for t in range(trials)]
+    return [spec.with_seed(s) for s in derive_seeds(spec.seed, 1, trials)]
 
 
 def _report(condition, devs, threshold, note=""):

@@ -18,14 +18,15 @@ plus an m x d SVD, and the final SA is the sketch the caller solves with.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 from . import sketch as sk
-from .la import as_dense, gram, make_rng
+from .la import RANK_RTOL, as_dense, gram, make_rng
+
+POWER_ITERS = 8  # subspace iterations of the krylov residual estimate
 
 
 def singular_values(A) -> np.ndarray:
@@ -47,17 +48,15 @@ def sd_exact(A_or_sigma, lam: float) -> float:
         # rank with a relative cutoff, since sd_0 equals the rank
         if s.size == 0:
             return 0.0
-        return float(np.sum(s > 1e-10 * s.max()))
+        return float(np.sum(s > RANK_RTOL * s.max()))
     return float(np.sum(s**2 / (s**2 + lam)))
 
 
-def residual_norm_estimate(
-    A, z: int, seed: int = 0, q: int = 8, backend: str = "krylov"
-) -> float:
+def residual_norm_estimate(A, z: int, seed: int = 0, backend: str = "krylov") -> float:
     """Estimate ||A - A_z||_F^2 (the tail energy below the top-z directions).
 
     backend "krylov": ||A||_F^2 minus a top-z energy estimate from randomized
-    block subspace iteration (block 2z, q power iterations); meets the
+    block subspace iteration (block 2z, POWER_ITERS power iterations); meets the
     1/3-relative-error contract with constant probability on our test spectra.
     backend "exact": dense SVD, for deterministic certificate tests.
     """
@@ -75,7 +74,7 @@ def residual_norm_estimate(
     block = min(2 * z, r)
     Q = rng.standard_normal((d, block))
     Y = A @ Q
-    for _ in range(q):
+    for _ in range(POWER_ITERS):
         Q, _ = np.linalg.qr(as_dense(Y))
         Y = A @ (A.T @ Q)
     Q, _ = np.linalg.qr(as_dense(Y))
@@ -92,9 +91,6 @@ class StatDimEstimate:
     lower: float  # (3/8) min{z', gamma_hat/lam}
     upper: float  # (3/2) (z' + gamma_hat/lam)
     binding: bool  # False when the doubling search reached min(n, d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
 
 
 def _gram_factor(A) -> np.ndarray:

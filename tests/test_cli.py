@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from regsketch import cli
+from regsketch import cli, la
 from regsketch import sketch as sk
 
 
@@ -68,21 +68,30 @@ def test_csv_format(tmp_path):
     assert "ratio" in lines[0]
 
 
+COMMON_FIELDS = ["command", "seed", "exact_objective", "sketch_objective", "ratio", "passed"]
+
+
 def test_policy_sized_subcommands_pass(tmp_path):
-    # small but honest configurations, one for each trial subcommand
+    # small but honest configurations, one for each trial subcommand, with
+    # the extra fields each record carries after the common ones
     cases = [
-        ["ridge", "--seeds", "0..9", "--n", "1200", "--d", "20"],
-        ["mr-ridge", "--seeds", "0..9", "--n", "800", "--d", "15"],
-        ["lowrank", "--seeds", "0..9", "--n", "300", "--d", "200", "--k", "5"],
-        ["cca", "--seeds", "0..9", "--n", "3000", "--d", "10", "--dprime", "8"],
-        ["statdim", "--seeds", "0..9", "--n", "200", "--d", "30"],
-        ["genreg", "--seeds", "0..9", "--n", "600", "--d", "6", "--density", "0.5"],
-        ["check-embedding", "--seeds", "0..4", "--n", "500", "--d", "20", "--m", "200"],
+        (["ridge", "--seeds", "0..9", "--n", "1200", "--d", "20"], ["lam", "m", "sd_hat", "guard"]),
+        (["mr-ridge", "--seeds", "0..9", "--n", "800", "--d", "15"],
+         ["lam", "m", "sd_hat", "guard", "dprime"]),
+        (["lowrank", "--seeds", "0..9", "--n", "300", "--d", "200", "--k", "5"],
+         ["lam", "k", "gap_over_fro2", "m", "sd_hat"]),
+        (["cca", "--seeds", "0..9", "--n", "3000", "--d", "10", "--dprime", "8"],
+         ["lam", "m", "max_sigma_dev", "validated"]),
+        (["statdim", "--seeds", "0..9", "--n", "200", "--d", "30"], ["lam", "lower", "upper", "binding"]),
+        (["genreg", "--seeds", "0..9", "--n", "600", "--d", "6", "--density", "0.5"], ["measure"]),
+        (["check-embedding", "--seeds", "0..4", "--n", "500", "--d", "20", "--m", "200"],
+         ["variant", "m", "pass_fraction"]),
     ]
-    assert {argv[0] for argv in cases} == set(cli.TRIAL_COMMANDS)
-    for i, argv in enumerate(cases):
+    assert {argv[0] for argv, _ in cases} == set(cli.TRIAL_COMMANDS)
+    for i, (argv, extras) in enumerate(cases):
         out = tmp_path / f"case{i}.jsonl"
         assert cli.main(argv + ["--out", str(out)]) == 0, argv[0]
+        assert all(list(r) == COMMON_FIELDS + extras for r in _read_jsonl(out)), argv[0]
         if argv[0] in ("ridge", "mr-ridge"):
             # the gate must run a real sketch, not one collapsed to the identity
             n = int(argv[argv.index("--n") + 1])
@@ -112,19 +121,60 @@ def test_genreg_reads_the_size_policy(tmp_path):
     assert all(r["sketch_objective"] == r["exact_objective"] for r in rows)
 
 
-def test_matrix_market_override(tmp_path):
+def test_matrix_market_override(tmp_path, monkeypatch):
     mm = tmp_path / "a.mtx"
     mm.write_text(
         "%%MatrixMarket matrix array real general\n3 2\n1.0\n0.0\n0.0\n0.0\n2.0\n0.0\n"
     )
+    reads = []
+
+    def counted_read(path):
+        reads.append(path)
+        return la.read_matrix_market(path)
+
+    monkeypatch.setattr(cli, "read_matrix_market", counted_read)
     out = tmp_path / "mm.jsonl"
     rc = cli.main([
-        "ridge", "--seeds", "0", "--matrix", str(mm), "--lam", "1.0",
+        "ridge", "--seeds", "0..2", "--matrix", str(mm), "--lam", "1.0",
         "--sketch", '{"variant": "identity", "m": 0, "seed": 0, "side": "left"}',
         "--out", str(out),
     ])
     assert rc == 0
-    assert len(_read_jsonl(out)) == 1
+    assert len(_read_jsonl(out)) == 3
+    assert reads == [str(mm)]  # read once per run, not once per seed
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--config", '{"k_sparse": 2.0, "no_such_constant": 1.0}'),
+        ("--config", None),
+        ("--config", "not json"),
+        ("--config", '{"k_sparse": "2.0"}'),
+        ("--sketch", '{"variant": "bogus", "m": 5}'),
+        ("--sketch", "not json"),
+        ("--sketch", '{"m": 5}'),
+        ("--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n"),
+        ("--matrix", None),
+    ],
+    ids=[
+        "config-unknown-key", "config-missing-file", "config-not-json", "config-wrong-type",
+        "sketch-bogus-variant", "sketch-not-json", "sketch-no-variant",
+        "matrix-short", "matrix-missing-file",
+    ],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, flag, value):
+    # exit 2 with a usage message, distinct from exit 1 for a low pass rate
+    if flag != "--sketch":
+        path = tmp_path / "input"
+        if value is not None:
+            path.write_text(value)
+        value = str(path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ridge", "--seeds", "0", "--n", "100", "--d", "5", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag in err
 
 
 COMPOSED = (

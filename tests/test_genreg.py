@@ -242,7 +242,7 @@ class TestGeneralRegression:
 
     def test_identity_path_skips_the_rank_svd(self, monkeypatch):
         # the numerical rank only sizes sketches; identity sketches need none
-        def no_rank(A, tol=1e-10):
+        def no_rank(A):
             raise AssertionError("identity path computed the numerical rank")
 
         monkeypatch.setattr(genreg, "_numerical_rank", no_rank)

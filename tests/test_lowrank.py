@@ -275,17 +275,11 @@ class TestSolveSketched:
         sol = lowrank.solve_sketched(A, 5, lam, 0.5, seed=15)
         direct = lowrank.solve_sketched(A.T.copy(), 5, lam, 0.5, seed=15)
         assert sol.sizes == direct.sizes and sol.sizes["m"] <= 800
-        assert '"sizes"' in sol.to_json()
 
     def test_lambda_zero_sizes_from_k(self):
         A, _ = problems.generate_problem(300, 200, 4)
         sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, sk.SizePolicy(), seed=4)
         assert sizes["sd_hat"] == 5.0 and sizes["draws"] == 0 and "SA" not in sizes
-
-    def test_json_summary(self):
-        A = np.diag([3.0, 2.0, 1.0])
-        f = lowrank.solve_exact_shrink(A, 2, 1.5)
-        assert '"objective"' in f.to_json()
 
 
 def test_invalid_k_rejected():

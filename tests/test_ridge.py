@@ -155,10 +155,3 @@ class TestMultipleResponse:
             sol = ridge.solve_sketched_rows(pm, sk.countsketch(m, seed=seed))
             hits += sol.objective <= 1.5 * ex.objective + 1e-12
         assert hits >= 8
-
-
-def test_solution_json_serializes():
-    p = make_problem(30, 4, 9, lam=0.2)
-    sol = ridge.solve_sketched_rows(p, sk.countsketch(12, seed=1))
-    obj = sol.to_json()
-    assert '"method"' in obj and '"objective"' in obj
