@@ -355,20 +355,25 @@ def cmd_calibrate(args):
     return True
 
 
-def _add_common(p):
+def _add_family(p):
+    """Flags of every subcommand: the seeded problem family and the output."""
     p.add_argument("--seeds", default="0..9", help="seed or inclusive range a..b")
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=30)
     p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA)
+    p.add_argument("--out", default=None)
+
+
+def _add_trial_flags(p):
+    """Flags only the trial subcommands read; calibrate rejects them."""
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
     p.add_argument("--density", type=float, default=None)
     p.add_argument("--matrix", type=_matrix_file, default=None, help="Matrix Market file for A")
     p.add_argument("--sketch", type=_sketch_json, default=None, help="sketch spec as JSON")
     p.add_argument(
         "--config", dest="policy", type=_policy_file, default=sk.SizePolicy(), help="size-policy JSON file"
     )
-    p.add_argument("--out", default=None)
     p.add_argument("--format", default="jsonl", choices=("jsonl", "csv"))
 
 
@@ -378,13 +383,14 @@ def main(argv=None):
 
     for name, (help_text, trial, extra) in TRIAL_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_family(p)
+        _add_trial_flags(p)
         for flag, type_, default in extra:
             p.add_argument(flag, type=type_, default=default)
         p.set_defaults(fn=run_trials, trial=trial)
 
     p = sub.add_parser("calibrate", help="fit size-policy constants on the seeded family")
-    _add_common(p)
+    _add_family(p)
     p.set_defaults(fn=cmd_calibrate)
 
     args = ap.parse_args(argv)

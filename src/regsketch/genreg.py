@@ -284,17 +284,17 @@ def solve_diag_reduction(A, k: int, pair_f: PairMeasure, diag_solver, schatten_p
 
     diag_solver(sigma_k) must return diagonal (w, z); `lowrank._svd_reduction`
     lifts them as Y = U_k diag(w), X = diag(z) V_k'. Fit term is ||.||_F^2 by
-    default or the Schatten-p norm when schatten_p is given. The recomputed
-    dense objective is returned alongside the factors.
+    default or the Schatten-p norm when schatten_p is given. A is passed on
+    as given, so a CSR A stays sparse through the reduction and through the
+    Frobenius fit, summed over row blocks; the Schatten-p fit forms the dense
+    residual. The recomputed objective is returned alongside the factors.
     """
     _require_pair_flags(pair_f)
-    Ad = as_dense(A)
-    Y, X, _ = lowrank._svd_reduction(Ad, k, diag_solver)
-    R = Y @ X - Ad
+    Y, X, _ = lowrank._svd_reduction(A, k, diag_solver)
     if schatten_p is None:
-        fit = float(np.sum(R * R))
+        fit = lowrank.objective_value(A, Y, X, 0.0)
     else:
-        fit = _schatten(R, schatten_p)
+        fit = _schatten(Y @ X - as_dense(A), schatten_p)
     return lowrank.LowRankFactors(Y=Y, X=X, objective=fit + pair_f.evaluate(Y, X), k=k, lam=0.0)
 
 

@@ -13,6 +13,8 @@ import scipy.sparse
 from regsketch import cca, genreg, la, lowrank, problems, ridge, statdim
 from regsketch import sketch as sk
 
+from oracles import als_reference
+
 
 def _verdict(name, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}", flush=True)
@@ -62,7 +64,7 @@ def test_acceptance_lowrank():
         rng = la.make_rng(seed, 91)
         B = rng.standard_normal((8, 6))
         closed = lowrank.solve_exact_shrink(B, 3, 0.6)
-        _, _, als_obj = lowrank.als_reference(B, 3, 0.6, seed=seed)
+        _, _, als_obj = als_reference(B, 3, 0.6, seed=seed)
         oracle_ok &= abs(closed.objective - als_obj) <= 1e-6 * max(als_obj, 1.0)
     _verdict(
         f"low-rank: {hits}/10 within 1.5x, identity {'ok' if ident_ok else 'bad'}, "

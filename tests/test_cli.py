@@ -145,33 +145,43 @@ def test_matrix_market_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "command, flag, value",
     [
-        ("--config", '{"k_sparse": 2.0, "no_such_constant": 1.0}'),
-        ("--config", None),
-        ("--config", "not json"),
-        ("--config", '{"k_sparse": "2.0"}'),
-        ("--sketch", '{"variant": "bogus", "m": 5}'),
-        ("--sketch", "not json"),
-        ("--sketch", '{"m": 5}'),
-        ("--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n"),
-        ("--matrix", None),
+        ("ridge", "--config", '{"k_sparse": 2.0, "no_such_constant": 1.0}'),
+        ("ridge", "--config", None),
+        ("ridge", "--config", "not json"),
+        ("ridge", "--config", '{"k_sparse": "2.0"}'),
+        ("ridge", "--sketch", '{"variant": "bogus", "m": 5}'),
+        ("ridge", "--sketch", "not json"),
+        ("ridge", "--sketch", '{"m": 5}'),
+        ("ridge", "--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n"),
+        ("ridge", "--matrix", None),
+        # calibrate fits its constants on its own family and reads none of
+        # the trial flags, so even a well-formed one is a usage error
+        ("calibrate", "--sketch", '{"variant": "gaussian", "m": 3}'),
+        ("calibrate", "--config", '{"k_sparse": 2.0}'),
+        ("calibrate", "--lam", "5"),
+        ("calibrate", "--density", "0.1"),
+        ("calibrate", "--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n"),
+        ("calibrate", "--format", "csv"),
     ],
     ids=[
         "config-unknown-key", "config-missing-file", "config-not-json", "config-wrong-type",
         "sketch-bogus-variant", "sketch-not-json", "sketch-no-variant",
         "matrix-short", "matrix-missing-file",
+        "calibrate-sketch", "calibrate-config", "calibrate-lam", "calibrate-density", "calibrate-matrix",
+        "calibrate-format",
     ],
 )
-def test_malformed_input_is_usage_error(tmp_path, capsys, flag, value):
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, flag, value):
     # exit 2 with a usage message, distinct from exit 1 for a low pass rate
-    if flag != "--sketch":
+    if flag in ("--config", "--matrix"):
         path = tmp_path / "input"
         if value is not None:
             path.write_text(value)
         value = str(path)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["ridge", "--seeds", "0", "--n", "100", "--d", "5", flag, value])
+        cli.main([command, "--seeds", "0", "--n", "100", "--d", "5", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and flag in err

@@ -650,6 +650,29 @@ class TestGeneralLowRank:
             g, w = getattr(got, name), getattr(want, name)
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), name
 
+    def test_exact_solves_never_densify_csr(self):
+        # the truncated SVD (k = 2 of 200) and the row-blocked objective read
+        # the 40000 x 200 CSR as given: a dense copy alone would be 64 MB
+        A = _sparse_normal(40_000, 200, 0.05, 12)
+        lam = 0.5
+        pair, diag = genreg.ridge_pair(lam), lambda s: genreg.diag_solver_shrink(s, lam)
+
+        def solve(M):
+            return lowrank.solve_exact_shrink(M, 2, lam), genreg.solve_diag_reduction(M, 2, pair, diag)
+
+        tracemalloc.start()
+        try:
+            got = solve(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * A.shape[0] * A.shape[1] * 8
+        for g, w in zip(got, solve(A.toarray())):
+            for name in ("Y", "X"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
+            assert abs(g.objective - w.objective) <= 1e-10 * w.objective
+
     def test_flag_violation_rejected(self):
         noflags = genreg.MeasureFlags()
         bad = genreg.PairMeasure("bad", lambda Y, X: 0.0, noflags, noflags)

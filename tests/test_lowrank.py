@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from regsketch import la, lowrank, problems, statdim
 from regsketch import sketch as sk
+
+from oracles import als_reference
 
 
 class TestExactShrink:
@@ -33,7 +36,7 @@ class TestExactShrink:
             rng = la.make_rng(seed, 17)
             A = rng.standard_normal((8, 6))
             closed = lowrank.solve_exact_shrink(A, 3, 0.8)
-            _, _, als_obj = lowrank.als_reference(A, 3, 0.8, seed=seed)
+            _, _, als_obj = als_reference(A, 3, 0.8, seed=seed)
             assert closed.objective <= als_obj + 1e-6 * max(als_obj, 1.0)
             assert abs(closed.objective - als_obj) <= 1e-6 * max(als_obj, 1.0)
 
@@ -94,6 +97,94 @@ class TestShrinkSd:
         sd_y = statdim.sd_exact(f.Y, lam)
         sd_x = statdim.sd_exact(f.X, lam)
         assert abs(sd_y - sd_x) <= 1e-12
+
+
+def _planted(n, d, sigma, seed):
+    """n x d with singular values sigma and Haar singular vectors."""
+    rng = la.make_rng(seed, 5)
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(sigma))))
+    V, _ = np.linalg.qr(rng.standard_normal((d, len(sigma))))
+    return (U * sigma) @ V.T
+
+
+# 400 x 300 inputs for k = 8, below the truncated-SVD fraction (8 <= 30)
+TRUNCATED_CASES = {
+    "geometric": lambda: problems.generate_problem(400, 300, 1, kind="geometric")[0],
+    "flat": lambda: problems.generate_problem(400, 300, 1, kind="flat")[0],
+    # sigma_5 .. sigma_10 tie, so sigma_k = sigma_8 sits inside the cluster
+    "clustered_at_k": lambda: _planted(
+        400, 300, np.r_[np.linspace(3.0, 1.2, 4), [1.0] * 6, 0.5 ** np.arange(1, 291)], 2
+    ),
+    "rank_5": lambda: problems.generate_problem(400, 300, 1, kind="flat", rank=5, noise=0)[0],
+}
+
+
+def _exact_by_full_svd(monkeypatch, A, k, lam):
+    """solve_exact_shrink with the truncated path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(lowrank, "TRUNCATED_SVD_MAX_K_FRACTION", 0.0)
+        return lowrank.solve_exact_shrink(A, k, lam)
+
+
+class TestTruncatedSvd:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
+    def test_matches_full_svd(self, case, sparse, monkeypatch):
+        A = TRUNCATED_CASES[case]()
+        M = scipy.sparse.csr_matrix(A) if sparse else A
+        k = 8
+        assert k <= lowrank.TRUNCATED_SVD_MAX_K_FRACTION * min(A.shape)
+        sigma = np.linalg.svd(A, compute_uv=False)[:k]
+        _, got, _ = lowrank._truncated_svd(M, k)
+        assert np.all(np.abs(got - sigma) <= 1e-12 * sigma[0])
+        fro2 = float(np.sum(A * A))
+        for lam in (0.0, 0.5):
+            want = _exact_by_full_svd(monkeypatch, M, k, lam)
+            f = lowrank.solve_exact_shrink(M, k, lam)
+            assert abs(f.objective - want.objective) <= 1e-12 * max(want.objective, fro2 * 1e-12)
+            assert abs(f.sd_factor - want.sd_factor) <= 1e-12 * max(want.sd_factor, 1.0)
+
+    def test_fraction_picks_the_path(self, monkeypatch):
+        A, _ = problems.generate_problem(400, 300, 3, kind="power")
+        at_bound = int(lowrank.TRUNCATED_SVD_MAX_K_FRACTION * 300)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong SVD path")
+
+        with monkeypatch.context() as m:
+            m.setattr(lowrank, "svds", refuse)
+            above = lowrank.solve_exact_shrink(A, at_bound + 1, 0.1)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", refuse)
+            below = lowrank.solve_exact_shrink(A, at_bound, 0.1)
+        assert above.Y.shape == (400, at_bound + 1) and below.Y.shape == (400, at_bound)
+
+    @pytest.mark.parametrize("error", ["no_convergence", "arpack_error"])
+    def test_arpack_failure_falls_back_to_full_svd(self, error, monkeypatch):
+        A, _ = problems.generate_problem(400, 300, 4, kind="geometric")
+        want = _exact_by_full_svd(monkeypatch, A, 8, 0.5)
+
+        def fail(*args, **kwargs):
+            if error == "no_convergence":
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((300, 0)))
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(lowrank, "svds", fail)
+        got = lowrank.solve_exact_shrink(A, 8, 0.5)
+        assert np.array_equal(got.Y, want.Y) and np.array_equal(got.X, want.X)
+        assert got.objective == want.objective
+
+    def test_zero_input_gives_zero_factors(self):
+        # ARPACK cannot start on a zero operator; either path gives zero factors
+        f = lowrank.solve_exact_shrink(np.zeros((400, 300)), 8, 0.5)
+        assert np.all(f.Y == 0) and np.all(f.X == 0) and f.objective == 0.0
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_deterministic(self, sparse):
+        A, _ = problems.generate_problem(400, 300, 5, kind="geometric")
+        A = scipy.sparse.csr_matrix(A) if sparse else A
+        first, second = (lowrank.solve_exact_shrink(A, 8, 0.5) for _ in range(2))
+        assert np.array_equal(first.Y, second.Y) and np.array_equal(first.X, second.X)
 
 
 # sizes all four sketches past n and d, so each one is the identity
