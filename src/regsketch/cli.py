@@ -2,10 +2,11 @@
 
 Every subcommand runs a seeded family of trials and emits one record per
 trial (jsonl or csv), plus a summary line on stderr. The trial subcommands
-are registered from TRIAL_COMMANDS and share one loop, `run_trials`; each
-supplies only its per-seed trial. `calibrate` runs its own search. Objective ratios are
-floored at 1 - 1e-9 so tiny negative slack from finite arithmetic does not
-masquerade as beating the optimum.
+are registered from TRIAL_COMMANDS, each with only the flags its trial reads,
+and share one loop, `run_trials`; each supplies only its per-seed trial.
+`calibrate` runs its own search. Objective ratios are floored at 1 - 1e-9 so
+tiny negative slack from finite arithmetic does not masquerade as beating the
+optimum.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import math
 import sys
 
 import numpy as np
+import scipy.sparse
 
 from . import cca as cca_mod
 from . import genreg, lowrank, problems, ridge
 from . import sketch as sk
 from . import statdim
-from .la import MatrixMarketError, as_dense, read_matrix_market
+from .la import as_dense, read_matrix_market
 
 RATIO_FLOOR = 1.0 - 1e-9
 PASS_RATE = 0.8
@@ -102,7 +104,7 @@ def _matrix_file(path):
     """argparse type of --matrix: the matrix in a Matrix Market file."""
     try:
         return read_matrix_market(path)
-    except (OSError, ValueError, MatrixMarketError) as exc:
+    except (OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read a matrix from {path!r}: {exc}") from None
 
 
@@ -136,7 +138,7 @@ def _sketch_rows(spec, n):
     return next((part.m for part in parts if part.variant != "identity"), n)
 
 
-def _ridge_trial(args, policy, seed):
+def _ridge_trial(args, seed):
     A, b = _load_matrix(args, seed)
     responses = {}
     if "dprime" in args:
@@ -149,7 +151,7 @@ def _ridge_trial(args, policy, seed):
     p = ridge.RidgeProblem(A, b, lam)
     ex = ridge.solve_exact(p)
     sd = statdim.sd_estimate(A, lam, seed=seed).estimate
-    m = min(A.shape[0], sk.recommend_sizes(policy, sd, args.eps, "ridge_rows"))
+    m = min(A.shape[0], sk.recommend_sizes(args.policy, sd, args.eps, "ridge_rows"))
     spec = _sketch_spec(args, m, seed, limit=A.shape[0])
     sol = ridge.solve_sketched_rows(p, spec)
     return _record(
@@ -159,13 +161,14 @@ def _ridge_trial(args, policy, seed):
     )
 
 
-def _lowrank_trial(args, policy, seed):
+def _lowrank_trial(args, seed):
     A, _ = _load_matrix(args, seed)
     lam = args.lam if args.lam is not None else 0.25
     ex = lowrank.solve_exact_shrink(A, args.k, lam)
-    sol = lowrank.solve_sketched(A, args.k, lam, args.eps, policy=policy, seed=seed)
-    # pass criterion: additive eps ||A||_F^2 slack on the objective gap
-    fro2 = float(np.sum(as_dense(A) ** 2))
+    sol = lowrank.solve_sketched(A, args.k, lam, args.eps, policy=args.policy, seed=seed)
+    # pass criterion: additive eps ||A||_F^2 slack on the objective gap, with
+    # ||A||_F^2 read from the stored entries of a sparse A
+    fro2 = float(np.sum((A.data if scipy.sparse.issparse(A) else as_dense(A)) ** 2))
     gap = sol.objective - ex.objective
     return _record(
         args, seed, ex.objective, sol.objective,
@@ -175,7 +178,7 @@ def _lowrank_trial(args, policy, seed):
     )
 
 
-def _cca_trial(args, policy, seed):
+def _cca_trial(args, seed):
     A, _ = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum, density=args.density)
     B, _ = problems.generate_problem(
         args.n, args.dprime, seed + 10_000, kind=args.spectrum, density=args.density
@@ -183,7 +186,7 @@ def _cca_trial(args, policy, seed):
     lam = args.lam if args.lam is not None else 0.1
     ex = cca_mod.solve_exact_cca(A, B, lam, lam)
     sd_max = max(statdim.sd_exact(A, lam), statdim.sd_exact(B, lam))
-    m = min(args.n, cca_mod.cca_sketch_size(policy, sd_max, args.eps))
+    m = min(args.n, cca_mod.cca_sketch_size(args.policy, sd_max, args.eps))
     spec = _sketch_spec(args, m, seed, limit=args.n)
     sol = cca_mod.solve_sketched_cca(A, B, lam, lam, spec)
     val = cca_mod.validate_cca(A, B, lam, lam, sol, ex, eta=args.eps)
@@ -205,7 +208,7 @@ def _prox_measure(name):
     return name
 
 
-def _genreg_trial(args, policy, seed):
+def _genreg_trial(args, seed):
     f = genreg.scaled(genreg.builtin_measures()[args.measure], args.lam if args.lam is not None else 0.1)
     solver = genreg.prox_small_solver(f)
     A, _ = _load_matrix(args, seed)
@@ -213,16 +216,16 @@ def _genreg_trial(args, policy, seed):
     B = np.asarray(A @ rng.standard_normal((A.shape[1], args.dprime)))
     # the reference side is the same prox solver on (A, B) itself
     _, obj_exact = genreg.solve_general_regression(
-        A, B, f, solver, args.eps, policy=policy, seed=seed, identity_sketches=True,
+        A, B, f, solver, args.eps, policy=args.policy, seed=seed, identity_sketches=True,
         assume_inheritance=True,
     )
     _, obj = genreg.solve_general_regression(
-        A, B, f, solver, args.eps, policy=policy, seed=seed, assume_inheritance=True
+        A, B, f, solver, args.eps, policy=args.policy, seed=seed, assume_inheritance=True
     )
     return _record(args, seed, obj_exact, obj, {"measure": args.measure})
 
 
-def _statdim_trial(args, policy, seed):
+def _statdim_trial(args, seed):
     A, _ = _load_matrix(args, seed)
     lam = args.lam if args.lam is not None else 0.1
     exact = statdim.sd_exact(A, lam)
@@ -234,42 +237,41 @@ def _statdim_trial(args, policy, seed):
     )
 
 
-def _check_embedding_trial(args, policy, seed):
+def _check_embedding_trial(args, seed):
     A, _ = _load_matrix(args, seed)
     spec = _sketch_spec(args, args.m or A.shape[0] // 2, seed)
     rep = sk.check_subspace_embedding(spec, A, args.eps, trials=args.trials)
+    # no objective: the record holds the worst deviation against its threshold
     return _record(
-        args, seed, args.eps, max(rep.deviations),
+        args, seed, None, None,
         {"variant": spec.variant, "m": _sketch_rows(spec, A.shape[0]),
-         "pass_fraction": rep.pass_fraction},
+         "pass_fraction": rep.pass_fraction, "max_deviation": max(rep.deviations),
+         "threshold": rep.threshold},
         passed=rep.passed,
         ratio=max(rep.deviations) / rep.threshold,
     )
 
 
-# subcommand -> (help, per-seed trial, extra (flag, type, default)s)
+# subcommand -> (help, per-seed trial, the shared flags it reads, as named in
+# _add_shared, and its own (flag, type, default)s)
 TRIAL_COMMANDS = {
-    "ridge": ("row-sketched ridge regression trials", _ridge_trial, []),
-    "mr-ridge": ("multiple-response ridge trials", _ridge_trial, [("--dprime", int, 4)]),
-    "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, [("--k", int, 5)]),
-    "cca": ("regularized CCA trials", _cca_trial, [("--dprime", int, 20)]),
-    "genreg": (
-        "general-regularizer regression trials",
-        _genreg_trial,
-        [("--measure", _prox_measure, "vnorm_2"), ("--dprime", int, 3)],
-    ),
-    "statdim": ("statistical-dimension estimator trials", _statdim_trial, []),
-    "check-embedding": (
-        "empirical subspace-embedding check",
-        _check_embedding_trial,
-        [("--m", int, None), ("--trials", int, 5)],
-    ),
+    "ridge": ("row-sketched ridge regression trials", _ridge_trial, "eps lam density matrix sketch config", []),
+    "mr-ridge": ("multiple-response ridge trials", _ridge_trial, "eps lam density matrix sketch config",
+                 [("--dprime", int, 4)]),
+    "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, "eps lam density matrix config",
+                [("--k", int, 5)]),
+    "cca": ("regularized CCA trials", _cca_trial, "eps lam density sketch config", [("--dprime", int, 20)]),
+    "genreg": ("general-regularizer regression trials", _genreg_trial, "eps lam density matrix config",
+               [("--measure", _prox_measure, "vnorm_2"), ("--dprime", int, 3)]),
+    "statdim": ("statistical-dimension estimator trials", _statdim_trial, "lam density matrix", []),
+    "check-embedding": ("empirical subspace-embedding check", _check_embedding_trial, "eps density matrix sketch",
+                        [("--m", int, None), ("--trials", int, 5)]),
 }
 
 
 def run_trials(args):
     """One record per seed from the subcommand's trial, then the summary."""
-    rows = [args.trial(args, args.policy, seed) for seed in _seed_range(args.seeds)]
+    rows = [args.trial(args, seed) for seed in _seed_range(args.seeds)]
     return emit(rows, args.out, args.format)
 
 
@@ -278,7 +280,7 @@ def _pass_rate_for_constant(purpose, K, seeds, eps, args):
     is forced to K."""
     passes = 0
     for seed in seeds:
-        if purpose == "ridge_rows":
+        if purpose.startswith("ridge_rows"):
             A, b = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
         else:
             # tall and thin so the d^2/eps^2 sizes stay below n (no clamping,
@@ -358,39 +360,45 @@ def cmd_calibrate(args):
 def _add_family(p):
     """Flags of every subcommand: the seeded problem family and the output."""
     p.add_argument("--seeds", default="0..9", help="seed or inclusive range a..b")
-    p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=30)
     p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA)
     p.add_argument("--out", default=None)
 
 
-def _add_trial_flags(p):
-    """Flags only the trial subcommands read; calibrate rejects them."""
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--matrix", type=_matrix_file, default=None, help="Matrix Market file for A")
-    p.add_argument("--sketch", type=_sketch_json, default=None, help="sketch spec as JSON")
-    p.add_argument(
-        "--config", dest="policy", type=_policy_file, default=sk.SizePolicy(), help="size-policy JSON file"
-    )
-    p.add_argument("--format", default="jsonl", choices=("jsonl", "csv"))
+def _add_shared(p, names):
+    """The shared flags named in the space-separated names: a subcommand takes
+    only those its trial reads."""
+    flags = {
+        "eps": (("--eps",), {"type": float, "default": 0.5}),
+        "lam": (("--lam", "--lambda"), {"dest": "lam", "type": float, "default": None}),
+        "density": (("--density",), {"type": float, "default": None}),
+        "matrix": (("--matrix",), {"type": _matrix_file, "default": None, "help": "Matrix Market file for A"}),
+        "sketch": (("--sketch",), {"type": _sketch_json, "default": None, "help": "sketch spec as JSON"}),
+        "config": (("--config",), {"dest": "policy", "type": _policy_file, "default": sk.SizePolicy(),
+                                   "help": "size-policy JSON file"}),
+    }
+    for name in names.split():
+        option_strings, kwargs = flags[name]
+        p.add_argument(*option_strings, **kwargs)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="regsketch")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, (help_text, trial, extra) in TRIAL_COMMANDS.items():
+    for name, (help_text, trial, shared, extra) in TRIAL_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_family(p)
-        _add_trial_flags(p)
+        _add_shared(p, shared)
+        p.add_argument("--format", default="jsonl", choices=("jsonl", "csv"))
         for flag, type_, default in extra:
             p.add_argument(flag, type=type_, default=default)
         p.set_defaults(fn=run_trials, trial=trial)
 
     p = sub.add_parser("calibrate", help="fit size-policy constants on the seeded family")
     _add_family(p)
+    _add_shared(p, "eps")
     p.set_defaults(fn=cmd_calibrate)
 
     args = ap.parse_args(argv)

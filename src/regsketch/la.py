@@ -1,5 +1,6 @@
 """Dense/sparse linear-algebra substrate: SVD, lambda-QR, Gram products read
-in row blocks, Matrix Market I/O, and seeded randomness.
+in row blocks, Matrix Market input (scipy.io's reader, real general files
+only), and seeded randomness.
 
 Matrices are plain numpy arrays (row-major float64) or scipy CSR arrays.
 All factorizations are returned as small frozen dataclasses so downstream
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.io
 import scipy.linalg
 import scipy.sparse
 
@@ -19,8 +21,8 @@ class LinAlgFailure(Exception):
     """SVD/QR did not converge; message carries condition diagnostics."""
 
 
-class MatrixMarketError(Exception):
-    """Malformed Matrix Market file; message carries the offending line number."""
+class MatrixMarketError(ValueError):
+    """Malformed or unsupported Matrix Market file; scipy's message names the line."""
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -190,118 +192,22 @@ def lambda_qr(A, lam: float) -> LambdaQr:
     return LambdaQr(Q=Q, R=R, lam=float(lam), singular=singular)
 
 
-# ---------------------------------------------------------------------------
-# Matrix Market I/O ("real general" field, coordinate and array variants).
-#
-# Values are written with repr(), i.e. shortest round-trip decimals, so a
-# read of a write reproduces the matrix bit-exactly.
-# ---------------------------------------------------------------------------
-
-
-def write_matrix_market(M, path) -> None:
-    if scipy.sparse.issparse(M):
-        C = M.tocsr().tocoo()  # CSR order: row-major, sorted columns per row
-        lines = [
-            "%%MatrixMarket matrix coordinate real general",
-            f"{C.shape[0]} {C.shape[1]} {C.nnz}",
-        ]
-        for i, j, v in zip(C.row, C.col, C.data):
-            lines.append(f"{i + 1} {j + 1} {float(v)!r}")
-    else:
-        A = np.asarray(M, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        lines = [
-            "%%MatrixMarket matrix array real general",
-            f"{A.shape[0]} {A.shape[1]}",
-        ]
-        for j in range(A.shape[1]):  # array variant is column-major
-            for i in range(A.shape[0]):
-                lines.append(repr(float(A[i, j])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_matrix_market(path):
-    """Read a real general Matrix Market file.
+    """Read a real general Matrix Market file with `scipy.io.mmread`.
 
-    Returns a CSR array for the coordinate variant and a dense ndarray for
-    the array variant. Raises MatrixMarketError with a line number on any
-    malformed content.
+    Returns a CSR array for the coordinate format and a float64 ndarray for
+    the array format. Raises MatrixMarketError for any other field or
+    symmetry, for a body that mmread rejects, and for a non-finite entry.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise MatrixMarketError("line 1: empty file")
-    header = raw[0].split()
-    if (
-        len(header) != 5
-        or header[0] != "%%MatrixMarket"
-        or header[1].lower() != "matrix"
-        or header[3].lower() != "real"
-        or header[4].lower() != "general"
-    ):
-        raise MatrixMarketError(f"line 1: unsupported header {raw[0]!r}")
-    fmt = header[2].lower()
-    if fmt not in ("coordinate", "array"):
-        raise MatrixMarketError(f"line 1: unknown format {fmt!r}")
-
-    lineno = 1
-    body = []
-    for k, line in enumerate(raw[1:], start=2):
-        if line.startswith("%") or not line.strip():
-            continue
-        body.append((k, line))
-    if not body:
-        raise MatrixMarketError(f"line {len(raw)}: missing size line")
-
-    lineno, size_line = body[0]
-    parts = size_line.split()
     try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise MatrixMarketError(f"line {lineno}: bad size line {size_line!r}") from None
-
-    if fmt == "coordinate":
-        if len(dims) != 3:
-            raise MatrixMarketError(f"line {lineno}: coordinate size line needs 3 fields")
-        nr, nc, nz = dims
-        if len(body) - 1 != nz:
-            raise MatrixMarketError(
-                f"line {lineno}: declared nnz={nz} but found {len(body) - 1} entries"
-            )
-        rows = np.empty(nz, dtype=np.int64)
-        cols = np.empty(nz, dtype=np.int64)
-        vals = np.empty(nz, dtype=np.float64)
-        for idx, (ln, line) in enumerate(body[1:]):
-            fields = line.split()
-            if len(fields) != 3:
-                raise MatrixMarketError(f"line {ln}: expected 'i j value'")
-            try:
-                i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise MatrixMarketError(f"line {ln}: bad entry {line!r}") from None
-            if not (1 <= i <= nr and 1 <= j <= nc):
-                raise MatrixMarketError(f"line {ln}: index ({i},{j}) out of bounds")
-            rows[idx], cols[idx], vals[idx] = i - 1, j - 1, v
-        return scipy.sparse.csr_array(
-            scipy.sparse.coo_array((vals, (rows, cols)), shape=(nr, nc))
-        )
-
-    if len(dims) != 2:
-        raise MatrixMarketError(f"line {lineno}: array size line needs 2 fields")
-    nr, nc = dims
-    if len(body) - 1 != nr * nc:
-        raise MatrixMarketError(
-            f"line {lineno}: declared {nr * nc} values but found {len(body) - 1}"
-        )
-    A = np.empty((nr, nc), dtype=np.float64)
-    it = iter(body[1:])
-    for j in range(nc):
-        for i in range(nr):
-            ln, line = next(it)
-            try:
-                A[i, j] = float(line.strip())
-            except ValueError:
-                raise MatrixMarketError(f"line {ln}: bad value {line!r}") from None
-    return A
+        *_, field, symmetry = scipy.io.mminfo(path)
+        if (field, symmetry) != ("real", "general"):
+            raise ValueError(f"unsupported header: {field} {symmetry}, need real general")
+        M = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise MatrixMarketError(str(exc)) from None
+    if scipy.sparse.issparse(M):
+        M = scipy.sparse.csr_array(M)  # duplicate entries are summed
+    if not np.isfinite(M.data if scipy.sparse.issparse(M) else M).all():
+        raise MatrixMarketError("non-finite entry")
+    return M

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.sparse
 
 from regsketch import cli, la
 from regsketch import sketch as sk
@@ -85,7 +87,7 @@ def test_policy_sized_subcommands_pass(tmp_path):
         (["statdim", "--seeds", "0..9", "--n", "200", "--d", "30"], ["lam", "lower", "upper", "binding"]),
         (["genreg", "--seeds", "0..9", "--n", "600", "--d", "6", "--density", "0.5"], ["measure"]),
         (["check-embedding", "--seeds", "0..4", "--n", "500", "--d", "20", "--m", "200"],
-         ["variant", "m", "pass_fraction"]),
+         ["variant", "m", "pass_fraction", "max_deviation", "threshold"]),
     ]
     assert {argv[0] for argv, _ in cases} == set(cli.TRIAL_COMMANDS)
     for i, (argv, extras) in enumerate(cases):
@@ -98,12 +100,29 @@ def test_policy_sized_subcommands_pass(tmp_path):
             assert all(r["m"] < n for r in _read_jsonl(out)), argv[0]
 
 
-def test_readme_examples_name_every_subcommand():
+def _readme_command_line():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text().split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.read_text().split("## Command line", 1)[1]
+
+
+def test_readme_examples_name_every_subcommand():
+    block = _readme_command_line().split("```sh\n", 1)[1].split("```", 1)[0]
     named = set(re.findall(r"^regsketch ([\w-]+)", block, flags=re.MULTILINE))
     assert named == set(cli.TRIAL_COMMANDS) | {"calibrate"}
+
+
+@pytest.mark.parametrize("command", [*cli.TRIAL_COMMANDS, "calibrate"])
+def test_readme_lists_the_flags_each_subcommand_takes(command, capsys):
+    # README lists, one line each, the flags every trial subcommand takes and
+    # then each subcommand's own
+    section = _readme_command_line()
+    listed = set(re.findall(r"--[\w-]+", re.search(rf"^- `{command}`:(.*)$", section, re.M).group(1)))
+    if command != "calibrate":
+        listed |= set(re.findall(r"--[\w-]+", re.search(r"^- every trial subcommand:(.*)$", section, re.M).group(1)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"} == listed
 
 
 def test_genreg_reads_the_size_policy(tmp_path):
@@ -156,6 +175,17 @@ def test_matrix_market_override(tmp_path, monkeypatch):
         ("ridge", "--sketch", '{"m": 5}'),
         ("ridge", "--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n"),
         ("ridge", "--matrix", None),
+        ("ridge", "--matrix", "%%MatrixMarket matrix array real general\n2 1\nnan\n1.0\n"),
+        ("ridge", "--matrix", "%%MatrixMarket matrix coordinate real general\n2 1 1\n1 1 inf\n"),
+        # each trial subcommand takes only the shared flags its trial reads
+        ("lowrank", "--sketch", '{"variant": "gaussian", "m": 3}'),
+        ("genreg", "--sketch", '{"variant": "gaussian", "m": 3}'),
+        ("statdim", "--sketch", '{"variant": "gaussian", "m": 3}'),
+        ("statdim", "--config", '{"k_sparse": 2.0}'),
+        ("statdim", "--eps", "0.25"),
+        ("check-embedding", "--lam", "5"),
+        ("check-embedding", "--config", '{"k_sparse": 2.0}'),
+        ("cca", "--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n"),
         # calibrate fits its constants on its own family and reads none of
         # the trial flags, so even a well-formed one is a usage error
         ("calibrate", "--sketch", '{"variant": "gaussian", "m": 3}'),
@@ -168,7 +198,9 @@ def test_matrix_market_override(tmp_path, monkeypatch):
     ids=[
         "config-unknown-key", "config-missing-file", "config-not-json", "config-wrong-type",
         "sketch-bogus-variant", "sketch-not-json", "sketch-no-variant",
-        "matrix-short", "matrix-missing-file",
+        "matrix-short", "matrix-missing-file", "matrix-nan", "matrix-inf",
+        "lowrank-sketch", "genreg-sketch", "statdim-sketch", "statdim-config", "statdim-eps",
+        "check-embedding-lam", "check-embedding-config", "cca-matrix",
         "calibrate-sketch", "calibrate-config", "calibrate-lam", "calibrate-density", "calibrate-matrix",
         "calibrate-format",
     ],
@@ -226,6 +258,40 @@ def test_calibrated_policy_reads_as_config(tmp_path, monkeypatch):
     cli.main(["ridge", "--seeds", "0", "--n", "300", "--d", "10", "--config", str(policy), "--out", str(out)])
     [row] = _read_jsonl(out)
     assert row["m"] == sk.recommend_sizes(fitted, row["sd_hat"], 0.5, "ridge_rows")
+
+
+def test_calibrate_fits_each_constant_on_its_family(monkeypatch):
+    # the three ridge_rows constants on the --n x --d family the provenance
+    # names, subspace and affine on the tall 2000 x 8 one
+    shapes = {}
+    generate = cli.problems.generate_problem
+
+    def recorded(n, d, seed, **kw):
+        shapes.setdefault(purpose, set()).add((n, d))
+        return generate(n, d, seed, **kw)
+
+    monkeypatch.setattr(cli.problems, "generate_problem", recorded)
+    args = argparse.Namespace(n=120, d=10, spectrum="geometric")
+    for purpose in ("ridge_rows", "ridge_rows_srht", "ridge_rows_gauss", "subspace", "affine"):
+        cli._pass_rate_for_constant(purpose, 1.0, [0], 0.5, args)
+    assert shapes == {
+        "ridge_rows": {(120, 10)}, "ridge_rows_srht": {(120, 10)}, "ridge_rows_gauss": {(120, 10)},
+        "subspace": {(2000, 8)}, "affine": {(2000, 8)},
+    }
+
+
+def test_lowrank_keeps_a_sparse_a_sparse(tmp_path, monkeypatch):
+    densified = []
+
+    def recorded(A):
+        densified.append(scipy.sparse.issparse(A))
+        return la.as_dense(A)
+
+    monkeypatch.setattr(cli, "as_dense", recorded)
+    out = tmp_path / "lowrank.jsonl"
+    cli.main(["lowrank", "--seeds", "0..1", "--n", "300", "--d", "200", "--density", "0.05", "--out", str(out)])
+    assert len(_read_jsonl(out)) == 2
+    assert not any(densified)
 
 
 def test_cca_honours_density(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 
 from regsketch import la
@@ -141,7 +142,7 @@ class TestMatrixMarket:
         dense = rng.standard_normal((100, 50)) * (rng.random((100, 50)) < 0.05)
         M = scipy.sparse.csr_matrix(dense)
         path = tmp_path / "rt.mtx"
-        la.write_matrix_market(M, path)
+        scipy.io.mmwrite(path, M, precision=17)
         back = la.read_matrix_market(path)
         assert back.shape == M.shape
         assert (back != M).nnz == 0  # bit-identical values
@@ -150,7 +151,7 @@ class TestMatrixMarket:
         rng = la.make_rng(10)
         M = rng.standard_normal((7, 3))
         path = tmp_path / "dense.mtx"
-        la.write_matrix_market(M, path)
+        scipy.io.mmwrite(path, M, precision=17)
         back = la.read_matrix_market(path)
         assert np.array_equal(back, M)
 
@@ -159,6 +160,48 @@ class TestMatrixMarket:
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n")
         with pytest.raises(la.MatrixMarketError):
             la.read_matrix_market(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%%MatrixMarket matrix array real general\n2 1\n1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 3.5\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 3.5\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3.5\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.5\n2 2 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n",
+            "",
+            "2 2 1\n1 1 3.5\n",
+            "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 3\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 3 1\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 3\n",
+            # the format allows comments only before the size line
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n% late\n1 1 3.5\n",
+            "%%MatrixMarket matrix array real general\n2 1\nnan\n1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 -inf\n",
+        ],
+        ids=[
+            "short-array", "zero-index", "index-out-of-bounds", "fewer-entries", "more-entries",
+            "bad-value", "empty", "no-banner", "integer", "pattern", "complex", "symmetric",
+            "comment-after-size", "array-nan", "coordinate-inf",
+        ],
+    )
+    def test_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(la.MatrixMarketError):
+            la.read_matrix_market(path)
+
+    def test_blank_lines_duplicates_and_upper_case_header(self, tmp_path):
+        path = tmp_path / "loose.mtx"
+        path.write_text(
+            "%%MatrixMarket MATRIX COORDINATE REAL GENERAL\n% before the size line\n\n"
+            "2 2 2\n\n1 1 3.5\n1 1 1.0\n"
+        )
+        M = la.read_matrix_market(path)
+        assert isinstance(M, scipy.sparse.csr_array)
+        assert M.nnz == 1 and M[0, 0] == 4.5
 
 
 def test_rng_reproducibility():
