@@ -245,10 +245,10 @@ def _check_embedding_trial(args, seed):
     return _record(
         args, seed, None, None,
         {"variant": spec.variant, "m": _sketch_rows(spec, A.shape[0]),
-         "pass_fraction": rep.pass_fraction, "max_deviation": max(rep.deviations),
+         "pass_fraction": rep.pass_fraction, "max_deviation": rep.max_deviation,
          "threshold": rep.threshold},
         passed=rep.passed,
-        ratio=max(rep.deviations) / rep.threshold,
+        ratio=rep.max_deviation / rep.threshold,
     )
 
 
@@ -275,78 +275,62 @@ def run_trials(args):
     return emit(rows, args.out, args.format)
 
 
-def _pass_rate_for_constant(purpose, K, seeds, eps, args):
-    """Fraction of trials meeting the eps target when the purpose's constant
-    is forced to K."""
-    passes = 0
-    for seed in seeds:
-        if purpose.startswith("ridge_rows"):
-            A, b = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
-        else:
-            # tall and thin so the d^2/eps^2 sizes stay below n (no clamping,
-            # otherwise the pass rate is flat in K and the search degenerates)
-            A, b = problems.generate_problem(2000, 8, seed, kind=args.spectrum)
-        if purpose.startswith("ridge_rows"):
-            variant = {"ridge_rows": "countsketch", "ridge_rows_srht": "srht",
-                       "ridge_rows_gauss": "gaussian"}[purpose]
-            lam = problems.lambda_for_sd(A, 3.0, 8.0)
-            if variant == "srht":
-                policy = sk.SizePolicy(k_srht=K)
-            elif variant == "gaussian":
-                policy = sk.SizePolicy(k_gauss=K)
-            else:
-                policy = sk.SizePolicy(k_sparse=K)
-            p = ridge.RidgeProblem(A, b, lam)
-            ex = ridge.solve_exact(p)
-            sd = statdim.sd_exact(A, lam)
-            m = min(A.shape[0], sk.recommend_sizes(policy, sd, eps, "ridge_rows", variant=variant))
-            ctor = {"countsketch": sk.countsketch, "srht": sk.srht, "gaussian": sk.gaussian}[variant]
-            sol = ridge.solve_sketched_rows(p, ctor(m, seed=seed))
-            passes += sol.objective <= (1.0 + eps) * ex.objective + 1e-12
-        elif purpose == "subspace":
-            policy = sk.SizePolicy(k_subspace=K)
-            d = A.shape[1]
-            m = min(A.shape[0], sk.recommend_sizes(policy, float(d), eps, "subspace"))
-            rep = sk.check_subspace_embedding(sk.countsketch(m, seed=seed), A, eps, trials=1)
-            passes += rep.passed
-        elif purpose == "affine":
-            policy = sk.SizePolicy(k_affine=K)
-            rng = np.random.default_rng(seed)
-            B = np.asarray(A @ rng.standard_normal((A.shape[1], 3)))
-            m = min(A.shape[0], sk.recommend_sizes(policy, float(A.shape[1]), eps, "affine"))
-            rep = sk.check_affine_embedding(sk.countsketch(m, seed=seed), A, B, eps, trials=1)
-            passes += rep.passed
-        else:
-            raise ValueError(f"no calibration family for purpose {purpose!r}")
-    return passes / len(seeds)
+# constant -> the (purpose, variant) of the size rule it multiplies
+CALIBRATED = {
+    "k_sparse": ("ridge_rows", "countsketch"),
+    "k_srht": ("ridge_rows", "srht"),
+    "k_gauss": ("ridge_rows", "gaussian"),
+    "k_subspace": ("subspace", "countsketch"),
+    "k_affine": ("affine", "countsketch"),
+}
+
+
+def _calibration_trial(args, constant, K, seed):
+    """Whether the seeded problem meets the eps target under a sketch sized by
+    the constant's rule, with the constant forced to K. The ridge_rows ones run
+    on the --n x --d family; subspace and affine on a tall 2000 x 8 one, so
+    their d^2/eps^2 sizes stay below n (or the search meets a flat pass rate)."""
+    purpose, variant = CALIBRATED[constant]
+    if purpose == "ridge_rows":
+        A, b = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        sd = statdim.sd_exact(A, lam)
+    else:
+        A, b = problems.generate_problem(2000, 8, seed, kind=args.spectrum)
+        sd = float(A.shape[1])
+    m = min(A.shape[0], sk.recommend_sizes(sk.SizePolicy(**{constant: K}), sd, args.eps, purpose, variant))
+    spec = sk.SketchSpec(variant, m=m, seed=seed)
+    if purpose == "ridge_rows":
+        p = ridge.RidgeProblem(A, b, lam)
+        exact = ridge.solve_exact(p).objective
+        return ridge.solve_sketched_rows(p, spec).objective <= (1.0 + args.eps) * exact + 1e-12
+    if purpose == "subspace":
+        return sk.check_subspace_embedding(spec, A, args.eps, trials=1).passed
+    B = np.asarray(A @ np.random.default_rng(seed).standard_normal((A.shape[1], 3)))
+    return sk.check_affine_embedding(spec, A, B, args.eps, trials=1).passed
 
 
 def cmd_calibrate(args):
-    """Smallest constant per purpose with >= 0.9 pass rate: double up from
+    """Smallest constant per rule with >= 0.9 pass rate: double up from
     1/16, then bisect 12 steps. Prints the fitted SizePolicy as JSON, the
     format --config reads."""
     seeds = _seed_range(args.seeds)
-    eps = args.eps
     fitted = {}
-    for purpose, constant in (
-        ("ridge_rows", "k_sparse"), ("ridge_rows_srht", "k_srht"), ("ridge_rows_gauss", "k_gauss"),
-        ("subspace", "k_subspace"), ("affine", "k_affine"),
-    ):
+    for constant in CALIBRATED:
+        def passes(K):
+            return sum(_calibration_trial(args, constant, K, seed) for seed in seeds) / len(seeds) >= 0.9
+
         K = 1.0 / 16.0
-        while K < 4096 and _pass_rate_for_constant(purpose, K, seeds, eps, args) < 0.9:
+        while K < 4096 and not passes(K):
             K *= 2.0
         lo, hi = K / 2.0, K
         for _ in range(12):
             mid = 0.5 * (lo + hi)
-            if _pass_rate_for_constant(purpose, mid, seeds, eps, args) >= 0.9:
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
         fitted[constant] = hi
     policy = sk.SizePolicy(
         **fitted,
-        epsilon=eps,
-        provenance=f"regsketch calibrate --seeds {args.seeds} --eps {eps} "
+        provenance=f"regsketch calibrate --seeds {args.seeds} --eps {args.eps} "
         f"({args.n}x{args.d} {args.spectrum} family): minima at 0.9 pass rate",
     )
     text = json.dumps(dataclasses.asdict(policy), indent=2)
@@ -357,13 +341,22 @@ def cmd_calibrate(args):
     return True
 
 
+class _GeneratorFlag(argparse.Action):
+    """Stores a flag of the problem generator and notes it given, for `main` to refuse next to --matrix."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.generator_flags += (self.option_strings[0],)
+
+
 def _add_family(p):
     """Flags of every subcommand: the seeded problem family and the output."""
     p.add_argument("--seeds", default="0..9", help="seed or inclusive range a..b")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--d", type=int, default=30)
-    p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA)
+    p.add_argument("--n", type=int, default=200, action=_GeneratorFlag)
+    p.add_argument("--d", type=int, default=30, action=_GeneratorFlag)
+    p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA, action=_GeneratorFlag)
     p.add_argument("--out", default=None)
+    p.set_defaults(generator_flags=())
 
 
 def _add_shared(p, names):
@@ -372,7 +365,7 @@ def _add_shared(p, names):
     flags = {
         "eps": (("--eps",), {"type": float, "default": 0.5}),
         "lam": (("--lam", "--lambda"), {"dest": "lam", "type": float, "default": None}),
-        "density": (("--density",), {"type": float, "default": None}),
+        "density": (("--density",), {"type": float, "default": None, "action": _GeneratorFlag}),
         "matrix": (("--matrix",), {"type": _matrix_file, "default": None, "help": "Matrix Market file for A"}),
         "sketch": (("--sketch",), {"type": _sketch_json, "default": None, "help": "sketch spec as JSON"}),
         "config": (("--config",), {"dest": "policy", "type": _policy_file, "default": sk.SizePolicy(),
@@ -402,6 +395,9 @@ def main(argv=None):
     p.set_defaults(fn=cmd_calibrate)
 
     args = ap.parse_args(argv)
+    if getattr(args, "matrix", None) is not None and args.generator_flags:
+        given = ", ".join(dict.fromkeys(args.generator_flags))
+        sub.choices[args.command].error(f"argument --matrix: not allowed with {given}")
     ok = args.fn(args)
     return 0 if ok else 1
 

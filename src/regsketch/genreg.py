@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from . import lowrank
+from . import lowrank, ridge
 from . import sketch as sk
 from .la import RANK_RTOL, as_dense, derive_seeds, gram, make_rng
 from .statdim import singular_values as _sv
@@ -210,30 +210,7 @@ def nuclear_product_pair(lam: float) -> PairMeasure:
 # ---------------------------------------------------------------------------
 
 DIAG_VARIANTS = ("frob+trace", "frob+frobYX", "schattenp+trace")
-
-
-GOLDEN_ITERS = 200  # step cap of the golden-section search
-GOLDEN_TOL = 1e-10  # bracket width, relative to max(1, |hi|), at which it stops
-
-
-def _golden_section(fn, lo, hi):
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(GOLDEN_ITERS):
-        if b - a < GOLDEN_TOL * max(1.0, abs(hi)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+GOLDEN_TOL = 1e-10  # alpha tolerance of the search, times max(1, sigma_1), beside Brent's 1.5e-8 |alpha|
 
 
 def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatten_p: float = 2.0):
@@ -242,13 +219,13 @@ def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatte
     frob+trace:      ||WZ - S||_F^2 + 2 lam ||WZ||_(1)   -> sqrt((s - lam)_+)
     frob+frobYX:     ||WZ - S||_F^2 + lam ||WZ||_F^2     -> sqrt(s / (1 + lam))
     schattenp+trace: ||WZ - S||_(p) + lam ||WZ||_(1)     -> sqrt((s - a)_+),
-                     a found by golden-section search on the scalar objective.
+                     a found on [0, s_1] by scipy's bounded Brent search.
     """
     s = np.asarray(sigma_k, dtype=np.float64)
     if np.any(np.diff(s) > 1e-12) or np.any(s < 0):
         raise ValueError("sigma_k must be nonincreasing and nonnegative")
     if variant == "frob+trace":
-        w = np.sqrt(np.maximum(s - lam, 0.0))
+        w = lowrank._shrinkage(lam)(s)[0]
     elif variant == "frob+frobYX":
         w = np.sqrt(s / (1.0 + lam))
     elif variant == "schattenp+trace":
@@ -264,7 +241,10 @@ def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatte
                 fit_term = float(np.sum(fit**schatten_p) ** (1.0 / schatten_p))
             return fit_term + lam * float(np.sum(shrunk))
 
-        alpha, _ = _golden_section(scalar_obj, 0.0, float(s[0]))
+        from scipy.optimize import minimize_scalar  # here, so `import regsketch` skips scipy.optimize
+        alpha = minimize_scalar(
+            scalar_obj, bounds=(0.0, s[0]), method="bounded", options={"xatol": GOLDEN_TOL * max(1.0, s[0])}
+        ).x
         w = np.sqrt(np.maximum(s - alpha, 0.0))
     else:
         raise ValueError(f"unknown variant {variant!r}; expected one of {DIAG_VARIANTS}")
@@ -304,13 +284,8 @@ def solve_diag_reduction(A, k: int, pair_f: PairMeasure, diag_solver, schatten_p
 
 
 def ridge_small_solver(lam: float):
-    """Exact small solver for f = lam * ||.||_F^2."""
-
-    def solve(Ah, Bh):
-        d = Ah.shape[1]
-        return np.linalg.solve(gram(Ah) + lam * np.eye(d), gram(Ah, Bh))
-
-    return solve
+    """Exact small solver for f = lam * ||.||_F^2, by `ridge._solve_ridge`."""
+    return lambda Ah, Bh: ridge._solve_ridge(Ah, Bh, lam)[0]
 
 
 PROX_ITERS = 2000  # step cap of prox_small_solver

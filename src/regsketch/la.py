@@ -197,12 +197,19 @@ def read_matrix_market(path):
 
     Returns a CSR array for the coordinate format and a float64 ndarray for
     the array format. Raises MatrixMarketError for any other field or
-    symmetry, for a body that mmread rejects, and for a non-finite entry.
+    symmetry, for an entry line without exactly 3 (coordinate) or 1 (array)
+    fields, for a body that mmread rejects, and for a non-finite entry.
     """
     try:
-        *_, field, symmetry = scipy.io.mminfo(path)
+        *_, fmt, field, symmetry = scipy.io.mminfo(path)
         if (field, symmetry) != ("real", "general"):
             raise ValueError(f"unsupported header: {field} {symmetry}, need real general")
+        want = 3 if fmt == "coordinate" else 1
+        with open(path) as fh:
+            lines = (line.split() for line in fh if line.strip() and not line.startswith("%"))
+            next(lines, None)  # the size line
+            if any(len(fields) != want for fields in lines):
+                raise ValueError(f"{fmt} entry line without exactly {want} field(s)")
         M = scipy.io.mmread(path)
     except ValueError as exc:
         raise MatrixMarketError(str(exc)) from None

@@ -9,7 +9,7 @@ is returned instead, so the returned objective never exceeds ||b||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +40,6 @@ class RidgeProblem:
 class RidgeSolution:
     x: np.ndarray
     objective: float
-    sketches: tuple = field(default_factory=tuple)
     min_norm: bool = False  # lam = 0 with rank-deficient A: pseudo-inverse fallback
     guard_applied: bool = False  # large-lambda guard replaced the candidate by x = 0
 
@@ -76,7 +75,7 @@ def solve_exact(p: RidgeProblem) -> RidgeSolution:
     return RidgeSolution(x=X, objective=objective_value(p, X), min_norm=min_norm)
 
 
-def _guarded(p: RidgeProblem, x, spec) -> RidgeSolution:
+def _guarded(p: RidgeProblem, x) -> RidgeSolution:
     """Return x scored on the original problem, or x = 0 if that is no worse."""
     B = as_dense(p.rhs)
     obj, zero_obj = objective_value(p, x), float(np.sum(B * B))
@@ -84,7 +83,7 @@ def _guarded(p: RidgeProblem, x, spec) -> RidgeSolution:
     if guard:
         x = np.zeros((p.A.shape[1],) if B.ndim == 1 else (p.A.shape[1], B.shape[1]))
         obj = zero_obj
-    return RidgeSolution(x=x, objective=obj, sketches=(spec,), guard_applied=guard)
+    return RidgeSolution(x=x, objective=obj, guard_applied=guard)
 
 
 def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
@@ -101,4 +100,4 @@ def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
     SA = as_dense(sk.apply(spec, p.A))
     SB = as_dense(sk.apply(spec, B[:, None] if squeeze else B))
     X, _ = _solve_ridge(SA, SB, p.lam)
-    return _guarded(p, X[:, 0] if squeeze else X, spec)
+    return _guarded(p, X[:, 0] if squeeze else X)

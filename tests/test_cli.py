@@ -167,6 +167,8 @@ def test_matrix_market_override(tmp_path, monkeypatch):
     "command, flag, value",
     [
         ("ridge", "--config", '{"k_sparse": 2.0, "no_such_constant": 1.0}'),
+        # keys of the policy before epsilon and osnap_gamma were deleted
+        ("ridge", "--config", '{"k_sparse": 2.0, "epsilon": 0.5, "osnap_gamma": 0.25}'),
         ("ridge", "--config", None),
         ("ridge", "--config", "not json"),
         ("ridge", "--config", '{"k_sparse": "2.0"}'),
@@ -177,6 +179,11 @@ def test_matrix_market_override(tmp_path, monkeypatch):
         ("ridge", "--matrix", None),
         ("ridge", "--matrix", "%%MatrixMarket matrix array real general\n2 1\nnan\n1.0\n"),
         ("ridge", "--matrix", "%%MatrixMarket matrix coordinate real general\n2 1 1\n1 1 inf\n"),
+        ("ridge", "--matrix", "%%MatrixMarket matrix coordinate real general\n2 1 1\n1 1 3 1\n"),
+        # a --matrix file replaces the generator, so its flags are refused next to one
+        ("ridge", "--n", "100"),
+        ("statdim", "--density", "0.1"),
+        ("genreg", "--spectrum", "flat"),
         # each trial subcommand takes only the shared flags its trial reads
         ("lowrank", "--sketch", '{"variant": "gaussian", "m": 3}'),
         ("genreg", "--sketch", '{"variant": "gaussian", "m": 3}'),
@@ -196,27 +203,39 @@ def test_matrix_market_override(tmp_path, monkeypatch):
         ("calibrate", "--format", "csv"),
     ],
     ids=[
-        "config-unknown-key", "config-missing-file", "config-not-json", "config-wrong-type",
+        "config-unknown-key", "config-deleted-keys", "config-missing-file", "config-not-json", "config-wrong-type",
         "sketch-bogus-variant", "sketch-not-json", "sketch-no-variant",
-        "matrix-short", "matrix-missing-file", "matrix-nan", "matrix-inf",
+        "matrix-short", "matrix-missing-file", "matrix-nan", "matrix-inf", "matrix-extra-field",
+        "matrix-with-n", "matrix-with-density", "matrix-with-spectrum",
         "lowrank-sketch", "genreg-sketch", "statdim-sketch", "statdim-config", "statdim-eps",
         "check-embedding-lam", "check-embedding-config", "cca-matrix",
         "calibrate-sketch", "calibrate-config", "calibrate-lam", "calibrate-density", "calibrate-matrix",
         "calibrate-format",
     ],
 )
-def test_malformed_input_is_usage_error(tmp_path, capsys, command, flag, value):
+def test_malformed_input_is_usage_error(tmp_path, capsys, request, command, flag, value):
     # exit 2 with a usage message, distinct from exit 1 for a low pass rate
     if flag in ("--config", "--matrix"):
         path = tmp_path / "input"
         if value is not None:
             path.write_text(value)
         value = str(path)
+    argv = [command, "--seeds", "0", "--n", "100", "--d", "5", flag, value]
+    # the matrix-with-* cases add a well-formed --matrix file to the generator flag
+    with_matrix = request.node.callspec.id.startswith("matrix-with-")
+    if with_matrix:
+        matrix = tmp_path / "a.mtx"
+        matrix.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n")
+        argv += ["--matrix", str(matrix)]
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--seeds", "0", "--n", "100", "--d", "5", flag, value])
+        cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and flag in err
+    # the message names both flags, and a bad file fails in its reader first
+    assert ("argument --matrix: not allowed with" in err) == with_matrix
+    if with_matrix:
+        assert flag in err.split("not allowed with", 1)[1]
 
 
 COMPOSED = (
@@ -249,11 +268,11 @@ def test_records_report_the_applied_sketch(tmp_path, argv, sketch, rows):
 
 def test_calibrated_policy_reads_as_config(tmp_path, monkeypatch):
     # every constant passes, so the search ends fast; the output format is under test
-    monkeypatch.setattr(cli, "_pass_rate_for_constant", lambda *args: 1.0)
+    monkeypatch.setattr(cli, "_calibration_trial", lambda *args: True)
     policy = tmp_path / "policy.json"
     assert cli.main(["calibrate", "--seeds", "0..1", "--eps", "0.5", "--out", str(policy)]) == 0
     fitted = sk.SizePolicy.from_json(policy.read_text())
-    assert fitted.epsilon == 0.5 and "--seeds 0..1" in fitted.provenance
+    assert "--seeds 0..1 --eps 0.5" in fitted.provenance
     out = tmp_path / "ridge.jsonl"
     cli.main(["ridge", "--seeds", "0", "--n", "300", "--d", "10", "--config", str(policy), "--out", str(out)])
     [row] = _read_jsonl(out)
@@ -267,16 +286,29 @@ def test_calibrate_fits_each_constant_on_its_family(monkeypatch):
     generate = cli.problems.generate_problem
 
     def recorded(n, d, seed, **kw):
-        shapes.setdefault(purpose, set()).add((n, d))
+        shapes.setdefault(constant, set()).add((n, d))
         return generate(n, d, seed, **kw)
 
     monkeypatch.setattr(cli.problems, "generate_problem", recorded)
-    args = argparse.Namespace(n=120, d=10, spectrum="geometric")
-    for purpose in ("ridge_rows", "ridge_rows_srht", "ridge_rows_gauss", "subspace", "affine"):
-        cli._pass_rate_for_constant(purpose, 1.0, [0], 0.5, args)
+    args = argparse.Namespace(n=120, d=10, spectrum="geometric", eps=0.5)
+    for constant in cli.CALIBRATED:
+        cli._calibration_trial(args, constant, 1.0, 0)
     assert shapes == {
-        "ridge_rows": {(120, 10)}, "ridge_rows_srht": {(120, 10)}, "ridge_rows_gauss": {(120, 10)},
-        "subspace": {(2000, 8)}, "affine": {(2000, 8)},
+        "k_sparse": {(120, 10)}, "k_srht": {(120, 10)}, "k_gauss": {(120, 10)},
+        "k_subspace": {(2000, 8)}, "k_affine": {(2000, 8)},
+    }
+
+
+def test_calibrate_prints_the_fitted_constants(capsys):
+    assert cli.main(["calibrate", "--seeds", "0..1", "--n", "120", "--d", "10", "--eps", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "k_sparse": 0.21942138671875,
+        "k_srht": 0.32623291015625,
+        "k_gauss": 0.8209228515625,
+        "k_subspace": 0.0976715087890625,
+        "k_affine": 0.0976715087890625,
+        "provenance": "regsketch calibrate --seeds 0..1 --eps 0.5 (120x10 geometric family): "
+        "minima at 0.9 pass rate",
     }
 
 

@@ -180,11 +180,15 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n% late\n1 1 3.5\n",
             "%%MatrixMarket matrix array real general\n2 1\nnan\n1.0\n",
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 -inf\n",
+            # mmread would read the first value of each line and drop the rest
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3 1\n",
+            "%%MatrixMarket matrix array real general\n2 1\n1 5\n2\n",
         ],
         ids=[
             "short-array", "zero-index", "index-out-of-bounds", "fewer-entries", "more-entries",
             "bad-value", "empty", "no-banner", "integer", "pattern", "complex", "symmetric",
-            "comment-after-size", "array-nan", "coordinate-inf",
+            "comment-after-size", "array-nan", "coordinate-inf", "coordinate-extra-field",
+            "array-extra-field",
         ],
     )
     def test_rejected(self, tmp_path, text):

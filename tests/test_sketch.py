@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -319,6 +320,19 @@ class TestRecommendSizes:
             sizes = [sk.recommend_sizes(policy, 4, e, purpose) for e in (0.5, 0.25, 0.1)]
             assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(sk.SizePolicy) if isinstance(f.default, (int, float))]
+    )
+    def test_every_constant_is_read_by_a_rule(self, name):
+        # doubling a constant that no size rule reads would change no size
+        doubled = dataclasses.replace(sk.SizePolicy(), **{name: 2 * getattr(sk.SizePolicy(), name)})
+        assert any(
+            sk.recommend_sizes(doubled, 10.0, 0.5, purpose, variant)
+            != sk.recommend_sizes(sk.SizePolicy(), 10.0, 0.5, purpose, variant)
+            for purpose in sk.PURPOSES
+            for variant in VARIANTS
+        )
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             sk.recommend_sizes(sk.SizePolicy(), -1.0, 0.5, "ridge_rows")
@@ -326,6 +340,22 @@ class TestRecommendSizes:
             sk.recommend_sizes(sk.SizePolicy(), 1.0, 0.0, "ridge_rows")
         with pytest.raises(ValueError):
             sk.recommend_sizes(sk.SizePolicy(), 1.0, 0.5, "sorting")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda spec, A: sk.check_subspace_embedding(spec, A, 0.5, trials=0),
+        lambda spec, A: sk.check_affine_embedding(spec, A, A[:, :1], 0.5, trials=0),
+        lambda spec, A: sk.check_ridge_conditions(spec, A, A[:, 0], 1.0, 0.5, trials=0),
+    ],
+    ids=["subspace", "affine", "ridge"],
+)
+def test_check_without_trials_is_an_error(check):
+    # a check that ran no trial has no deviation to report, and must not pass
+    A = la.make_rng(0).standard_normal((40, 3))
+    with pytest.raises(ValueError, match="trials"):
+        check(sk.countsketch(20, seed=0), A)
 
 
 class TestSubspaceCheck:
