@@ -83,6 +83,17 @@ def _seed_range(text):
     return [int(text)]
 
 
+def _positive_int(text):
+    """argparse type of the size and count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _policy_file(path):
     """argparse type of --config: the SizePolicy in a JSON file."""
     try:
@@ -239,7 +250,7 @@ def _statdim_trial(args, seed):
 
 def _check_embedding_trial(args, seed):
     A, _ = _load_matrix(args, seed)
-    spec = _sketch_spec(args, args.m or A.shape[0] // 2, seed)
+    spec = _sketch_spec(args, A.shape[0] // 2 if args.m is None else args.m, seed)
     rep = sk.check_subspace_embedding(spec, A, args.eps, trials=args.trials)
     # no objective: the record holds the worst deviation against its threshold
     return _record(
@@ -257,15 +268,15 @@ def _check_embedding_trial(args, seed):
 TRIAL_COMMANDS = {
     "ridge": ("row-sketched ridge regression trials", _ridge_trial, "eps lam density matrix sketch config", []),
     "mr-ridge": ("multiple-response ridge trials", _ridge_trial, "eps lam density matrix sketch config",
-                 [("--dprime", int, 4)]),
+                 [("--dprime", _positive_int, 4)]),
     "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, "eps lam density matrix config",
-                [("--k", int, 5)]),
-    "cca": ("regularized CCA trials", _cca_trial, "eps lam density sketch config", [("--dprime", int, 20)]),
+                [("--k", _positive_int, 5)]),
+    "cca": ("regularized CCA trials", _cca_trial, "eps lam density sketch config", [("--dprime", _positive_int, 20)]),
     "genreg": ("general-regularizer regression trials", _genreg_trial, "eps lam density matrix config",
-               [("--measure", _prox_measure, "vnorm_2"), ("--dprime", int, 3)]),
+               [("--measure", _prox_measure, "vnorm_2"), ("--dprime", _positive_int, 3)]),
     "statdim": ("statistical-dimension estimator trials", _statdim_trial, "lam density matrix", []),
     "check-embedding": ("empirical subspace-embedding check", _check_embedding_trial, "eps density matrix sketch",
-                        [("--m", int, None), ("--trials", int, 5)]),
+                        [("--m", _positive_int, None), ("--trials", _positive_int, 5)]),
 }
 
 
@@ -285,40 +296,50 @@ CALIBRATED = {
 }
 
 
-def _calibration_trial(args, constant, K, seed):
-    """Whether the seeded problem meets the eps target under a sketch sized by
-    the constant's rule, with the constant forced to K. The ridge_rows ones run
-    on the --n x --d family; subspace and affine on a tall 2000 x 8 one, so
-    their d^2/eps^2 sizes stay below n (or the search meets a flat pass rate)."""
+def _calibration_inputs(args, seed):
+    """Each family's seeded inputs, which depend on the seed alone: the
+    ridge_rows constants run on the --n x --d family (its ridge problem,
+    sd_lambda and exact objective), subspace and affine on a tall 2000 x 8
+    one (A and B), so their d^2/eps^2 sizes stay below n (or the search meets
+    a flat pass rate)."""
+    A, b = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
+    lam = problems.lambda_for_sd(A, 3.0, 8.0)
+    p = ridge.RidgeProblem(A, b, lam)
+    T, _ = problems.generate_problem(2000, 8, seed, kind=args.spectrum)
+    B = np.asarray(T @ np.random.default_rng(seed).standard_normal((T.shape[1], 3)))
+    return {"ridge": (p, statdim.sd_exact(A, lam), ridge.solve_exact(p).objective), "tall": (T, B)}
+
+
+def _calibration_trial(args, constant, K, seed, inputs):
+    """Whether the seed's problem meets the eps target under a sketch sized by
+    the constant's rule, with the constant forced to K."""
     purpose, variant = CALIBRATED[constant]
     if purpose == "ridge_rows":
-        A, b = problems.generate_problem(args.n, args.d, seed, kind=args.spectrum)
-        lam = problems.lambda_for_sd(A, 3.0, 8.0)
-        sd = statdim.sd_exact(A, lam)
+        p, sd, exact = inputs["ridge"]
+        A = p.A
     else:
-        A, b = problems.generate_problem(2000, 8, seed, kind=args.spectrum)
+        A, B = inputs["tall"]
         sd = float(A.shape[1])
     m = min(A.shape[0], sk.recommend_sizes(sk.SizePolicy(**{constant: K}), sd, args.eps, purpose, variant))
     spec = sk.SketchSpec(variant, m=m, seed=seed)
     if purpose == "ridge_rows":
-        p = ridge.RidgeProblem(A, b, lam)
-        exact = ridge.solve_exact(p).objective
         return ridge.solve_sketched_rows(p, spec).objective <= (1.0 + args.eps) * exact + 1e-12
     if purpose == "subspace":
         return sk.check_subspace_embedding(spec, A, args.eps, trials=1).passed
-    B = np.asarray(A @ np.random.default_rng(seed).standard_normal((A.shape[1], 3)))
     return sk.check_affine_embedding(spec, A, B, args.eps, trials=1).passed
 
 
 def cmd_calibrate(args):
     """Smallest constant per rule with >= 0.9 pass rate: double up from
-    1/16, then bisect 12 steps. Prints the fitted SizePolicy as JSON, the
-    format --config reads."""
-    seeds = _seed_range(args.seeds)
+    1/16, then bisect 12 steps. Each seed's inputs are built once, for every
+    constant and step. Prints the fitted SizePolicy as JSON, the format
+    --config reads."""
+    inputs = {seed: _calibration_inputs(args, seed) for seed in _seed_range(args.seeds)}
     fitted = {}
     for constant in CALIBRATED:
         def passes(K):
-            return sum(_calibration_trial(args, constant, K, seed) for seed in seeds) / len(seeds) >= 0.9
+            hits = sum(_calibration_trial(args, constant, K, seed, inp) for seed, inp in inputs.items())
+            return hits / len(inputs) >= 0.9
 
         K = 1.0 / 16.0
         while K < 4096 and not passes(K):
@@ -352,8 +373,8 @@ class _GeneratorFlag(argparse.Action):
 def _add_family(p):
     """Flags of every subcommand: the seeded problem family and the output."""
     p.add_argument("--seeds", default="0..9", help="seed or inclusive range a..b")
-    p.add_argument("--n", type=int, default=200, action=_GeneratorFlag)
-    p.add_argument("--d", type=int, default=30, action=_GeneratorFlag)
+    p.add_argument("--n", type=_positive_int, default=200, action=_GeneratorFlag)
+    p.add_argument("--d", type=_positive_int, default=30, action=_GeneratorFlag)
     p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA, action=_GeneratorFlag)
     p.add_argument("--out", default=None)
     p.set_defaults(generator_flags=())

@@ -9,8 +9,9 @@ undecidable, so falsification is the honest contract). On top of them sit:
 * the sketched pipeline for general multiple-response regression
   (affine sketch, right sketch of the response, QR change of basis,
   small-problem solve, triangular back-solve, or the small solver on
-  (A, B) alone when every sketch is the identity), whose proximal-gradient
-  small solver iterates on the Gram of the sketched problem;
+  (A, B) alone when every sketch is the identity), whose accelerated
+  (monotone FISTA with restart) small solver iterates on the Gram of the
+  sketched problem;
 * general low-rank approximation, which runs `lowrank`'s two-sided
   sketched pipeline on A as given, with a diagonal solver in the core.
 """
@@ -289,21 +290,27 @@ def ridge_small_solver(lam: float):
 
 
 PROX_ITERS = 2000  # step cap of prox_small_solver
-PROX_TOL = 1e-10  # objective decrease, relative to the objective, at which it stops
+PROX_TOL = 1e-10  # objective decrease, relative to the objective, below which a step stalls
 
 
 def prox_small_solver(f: MatrixMeasure):
-    """Proximal-gradient reference solver for min ||A Z - B||_F^2 + f(Z).
+    """Accelerated (monotone FISTA with restart) solver for
+    min ||A Z - B||_F^2 + f(Z).
 
     Needs f.prox. The loop runs on the Gram of the problem: G = A'A,
     C = A'B and ||B||_F^2 are formed once, in O(m d (d + d')) for an m x d
-    A and d' responses; each step then costs O(d^2 d'), whatever m is.
-    Step size 1/L with L = 2 lambda_max(G); stops when the objective
-    decrease stalls. The stop rule and the best-iterate choice read
-    differences of the objective, <Z1 - Z0, G (Z1 + Z0) - 2 C> +
+    A and d' responses; each step then costs one product with G, O(d^2 d'),
+    whatever m is, since G Y = G Z1 + beta (G Z1 - G Z0) by linearity.
+    Step size 1/L with L = 2 lambda_max(G). A step from the extrapolated
+    point Y is accepted while it lowers the objective by PROX_TOL of it
+    (Beck and Teboulle's MFISTA); one that does not is kept only if it
+    lowers the objective at all, and momentum restarts from the last
+    accepted iterate (O'Donoghue and Candes). Only a stalled step without
+    momentum stops the loop, so accepted iterates never raise the objective
+    and the result is never worse than Z = 0, the first one. Every decision
+    reads differences of the objective, <Z1 - Z0, G (Z1 + Z0) - 2 C> +
     f(Z1) - f(Z0), which keep their precision when ||A Z - B||^2 is tiny
-    next to ||B||^2. Never returns something worse than Z = 0, the first
-    best iterate. A CSR A stays sparse: `la.gram` reads it in row blocks.
+    next to ||B||^2. A CSR A stays sparse: `la.gram` reads it in row blocks.
     """
     if f.prox is None:
         raise ValueError(f"measure {f.name} has no prox operator")
@@ -316,28 +323,32 @@ def prox_small_solver(f: MatrixMeasure):
         Z = np.zeros(C2.shape)
         GZ = np.zeros(C2.shape)
         fZ = f.evaluate(Z)
-        prev = float(np.sum(Bh * Bh)) + fZ
-        best, G_best, f_best = Z, GZ, fZ
-
-        def change(Zn, GZn, fZn, Zo, GZo, fZo):
-            # obj(Zn) - obj(Zo) without the terms ||B||^2 and <Z, C>, whose
-            # cancellation would cost eps * ||B||^2 of absolute precision
-            return float(np.sum((Zn - Zo) * (GZn + GZo - C2))) + fZn - fZo
-
+        obj = float(np.sum(Bh * Bh)) + fZ
+        Y, GY, t = Z, GZ, 1.0
         for _ in range(PROX_ITERS):
-            Zn = f.prox(Z - step * (2.0 * GZ - C2), step)
+            Zn = f.prox(Y - step * (2.0 * GY - C2), step)
             GZn = G @ Zn
             fZn = f.evaluate(Zn)
-            drop = -change(Zn, GZn, fZn, Z, GZ, fZ)
-            # a monotone descent keeps best is Z, and then the two changes agree
-            to_best = -drop if best is Z else change(Zn, GZn, fZn, best, G_best, f_best)
-            if to_best < 0:
-                best, G_best, f_best = Zn, GZn, fZn
-            if drop < PROX_TOL * max(abs(prev), 1.0):
+            # obj(Z) - obj(Zn) without the terms ||B||^2 and <Z, C>, whose
+            # cancellation would cost eps * ||B||^2 of absolute precision
+            moved = Zn - Z
+            drop = fZ - fZn - float(np.sum(moved * (GZn + GZ - C2)))
+            if drop >= PROX_TOL * max(abs(obj), 1.0):
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                beta = (t - 1.0) / t_next
+                # beta = 0 after a (re)start: the next step is a plain one, from Y = Z
+                Y, GY = (Zn, GZn) if beta == 0 else (Zn + beta * moved, GZn + beta * (GZn - GZ))
+                Z, GZ, fZ, t = Zn, GZn, fZn, t_next
+                obj -= drop
+                continue
+            plain = Y is Z
+            if drop > 0:
+                Z, GZ, fZ = Zn, GZn, fZn
+                obj -= drop
+            if plain:
                 break
-            prev -= drop
-            Z, GZ, fZ = Zn, GZn, fZn
-        return best
+            Y, GY, t = Z, GZ, 1.0
+        return Z
 
     return solve
 

@@ -282,21 +282,36 @@ def test_calibrated_policy_reads_as_config(tmp_path, monkeypatch):
 def test_calibrate_fits_each_constant_on_its_family(monkeypatch):
     # the three ridge_rows constants on the --n x --d family the provenance
     # names, subspace and affine on the tall 2000 x 8 one
-    shapes = {}
-    generate = cli.problems.generate_problem
+    read = {}
 
-    def recorded(n, d, seed, **kw):
-        shapes.setdefault(constant, set()).add((n, d))
-        return generate(n, d, seed, **kw)
+    class Recorded(dict):
+        def __getitem__(self, family):
+            read.setdefault(constant, set()).add(family)
+            return super().__getitem__(family)
 
-    monkeypatch.setattr(cli.problems, "generate_problem", recorded)
     args = argparse.Namespace(n=120, d=10, spectrum="geometric", eps=0.5)
+    inputs = cli._calibration_inputs(args, 0)
+    assert inputs["ridge"][0].A.shape == (120, 10) and inputs["tall"][0].shape == (2000, 8)
+    inputs = Recorded(inputs)
     for constant in cli.CALIBRATED:
-        cli._calibration_trial(args, constant, 1.0, 0)
-    assert shapes == {
-        "k_sparse": {(120, 10)}, "k_srht": {(120, 10)}, "k_gauss": {(120, 10)},
-        "k_subspace": {(2000, 8)}, "k_affine": {(2000, 8)},
+        cli._calibration_trial(args, constant, 1.0, 0, inputs)
+    assert read == {
+        "k_sparse": {"ridge"}, "k_srht": {"ridge"}, "k_gauss": {"ridge"},
+        "k_subspace": {"tall"}, "k_affine": {"tall"},
     }
+
+
+def test_calibrate_builds_each_problem_once(monkeypatch, capsys):
+    # the problems depend on the family and the seed alone, not on the
+    # constant or the step of the search
+    built = []
+    generate = cli.problems.generate_problem
+    monkeypatch.setattr(
+        cli.problems, "generate_problem", lambda *a, **kw: built.append(a) or generate(*a, **kw)
+    )
+    assert cli.main(["calibrate", "--seeds", "0..1", "--n", "120", "--d", "10", "--eps", "0.5"]) == 0
+    assert len(built) <= 2 * 2
+    assert json.loads(capsys.readouterr().out)["k_affine"] == 0.0976715087890625
 
 
 def test_calibrate_prints_the_fitted_constants(capsys):
@@ -310,6 +325,39 @@ def test_calibrate_prints_the_fitted_constants(capsys):
         "provenance": "regsketch calibrate --seeds 0..1 --eps 0.5 (120x10 geometric family): "
         "minima at 0.9 pass rate",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-embedding", "--m", "0"],
+        ["check-embedding", "--m", "-3"],
+        ["check-embedding", "--trials", "0"],
+        ["check-embedding", "--trials", "-1"],
+        ["lowrank", "--k", "0"],
+        ["mr-ridge", "--dprime", "0"],
+        ["genreg", "--dprime", "0"],
+        ["cca", "--dprime", "-1"],
+        ["ridge", "--n", "0"],
+        ["statdim", "--d", "-2"],
+        ["calibrate", "--n", "0"],
+    ],
+    ids=lambda argv: "".join(argv),
+)
+def test_nonpositive_size_or_count_is_usage_error(argv, capsys):
+    # a zero m or trial count used to run a default or raise, and a zero
+    # response count to pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + ["--seeds", "0"] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[1]}: must be at least 1" in err
+
+
+def test_check_embedding_m_defaults_to_half_n(tmp_path):
+    out = tmp_path / "e.jsonl"
+    cli.main(["check-embedding", "--seeds", "0", "--n", "100", "--d", "5", "--out", str(out)])
+    assert [r["m"] for r in _read_jsonl(out)] == [50]
 
 
 def test_lowrank_keeps_a_sparse_a_sparse(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ import scipy.sparse
 from regsketch import genreg, la, lowrank
 from regsketch import sketch as sk
 
+from oracles import fista_reference
+
 
 MEASURES = genreg.builtin_measures()
 
@@ -452,30 +454,68 @@ PROX_MEASURES = ["vnorm_1", "vnorm_2", "nuclear", "frobenius_sq"]
 
 
 def _prox_problem(seed):
-    # mildly ill-conditioned columns make the loop run 100-150 steps
+    # mildly ill-conditioned columns make the loop run 50-60 steps (the plain
+    # proximal-gradient loop 115-150)
     rng = la.make_rng(seed, 79)
     A = rng.standard_normal((300, 12)) * np.logspace(0, -0.5, 12)
     B = A @ rng.standard_normal((12, 5)) + 0.1 * rng.standard_normal((300, 5))
     return A, B
 
 
-def _direct_prox_solve(f, Ah, Bh, iters=2000, tol=1e-10):
-    """The proximal-gradient loop on (Ah, Bh) itself: three products per step."""
+def _near_consistent_problem(seed):
+    # B = A W at a large scale: with a tiny weight the objective is about
+    # 1e-9 of ||B||^2, below what <Z, G Z - 2 C> + ||B||^2 can resolve
+    rng = la.make_rng(seed, 83)
+    A = rng.standard_normal((300, 12)) * np.logspace(0, -0.5, 12)
+    return A, 1e4 * (A @ rng.standard_normal((12, 5)))
 
-    def objective(Z):
-        R = Ah @ Z - Bh
-        return float(np.sum(R * R)) + f.evaluate(Z)
 
+# kind -> (problem of a seed, weight of the measure)
+PROX_CASES = {"plain": (_prox_problem, 0.3), "near_consistent": (_near_consistent_problem, 1e-8)}
+
+
+def _objective(f, A, B, Z):
+    R = A @ Z - B
+    return float(np.sum(R * R)) + f.evaluate(Z)
+
+
+def _direct_prox_solve(f, Ah, Bh):
+    """prox_small_solver's loop on (Ah, Bh) itself: the same momentum,
+    restart and stop rule, with the objective computed directly."""
     step = 1.0 / max(2.0 * np.linalg.norm(Ah, 2) ** 2, 1e-12)
     Z = np.zeros((Ah.shape[1], Bh.shape[1]))
-    prev = objective(Z)
+    obj = _objective(f, Ah, Bh, Z)
+    Y, t = Z, 1.0
+    for _ in range(genreg.PROX_ITERS):
+        Zn = f.prox(Y - step * 2.0 * (Ah.T @ (Ah @ Y - Bh)), step)
+        obj_n = _objective(f, Ah, Bh, Zn)
+        plain = Y is Z
+        if obj - obj_n >= genreg.PROX_TOL * max(abs(obj), 1.0):
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            Y = Zn if t == 1.0 else Zn + ((t - 1.0) / t_next) * (Zn - Z)
+            Z, obj, t = Zn, obj_n, t_next
+            continue
+        if obj_n < obj:
+            Z, obj = Zn, obj_n
+        if plain:
+            break
+        Y, t = Z, 1.0
+    return Z
+
+
+def _plain_prox_solve(f, Ah, Bh):
+    """The plain proximal-gradient loop on (Ah, Bh), that prox_small_solver
+    ran before it was accelerated: the baseline of its step count and gap."""
+    step = 1.0 / max(2.0 * np.linalg.norm(Ah, 2) ** 2, 1e-12)
+    Z = np.zeros((Ah.shape[1], Bh.shape[1]))
+    prev = _objective(f, Ah, Bh, Z)
     best, best_obj = Z, prev
-    for _ in range(iters):
+    for _ in range(genreg.PROX_ITERS):
         Z = f.prox(Z - step * 2.0 * (Ah.T @ (Ah @ Z - Bh)), step)
-        obj = objective(Z)
+        obj = _objective(f, Ah, Bh, Z)
         if obj < best_obj:
             best, best_obj = Z, obj
-        if prev - obj < tol * max(abs(prev), 1.0):
+        if prev - obj < genreg.PROX_TOL * max(abs(prev), 1.0):
             break
         prev = obj
     return best
@@ -502,31 +542,50 @@ class TestProxSmallSolver:
         solve = genreg.prox_small_solver(f)
         for seed in range(3):
             A, B = _prox_problem(seed)
-
-            def objective(Z):
-                R = A @ Z - B
-                return float(np.sum(R * R)) + f.evaluate(Z)
-
-            ref = objective(_direct_prox_solve(f, A, B))
-            assert abs(objective(solve(A, B)) - ref) <= 1e-9 * ref
+            ref = _objective(f, A, B, _direct_prox_solve(f, A, B))
+            assert abs(_objective(f, A, B, solve(A, B)) - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("name", PROX_MEASURES)
     def test_gram_form_matches_direct_form_near_consistent(self, name):
-        # B = A W at a large scale with a tiny weight: the objective is about
-        # 1e-9 of ||B||^2, below what <Z, G Z - 2 C> + ||B||^2 can resolve
         f = genreg.scaled(MEASURES[name], 1e-8)
         solve = genreg.prox_small_solver(f)
         for seed in range(3):
-            rng = la.make_rng(seed, 83)
-            A = rng.standard_normal((300, 12)) * np.logspace(0, -0.5, 12)
-            B = 1e4 * (A @ rng.standard_normal((12, 5)))
+            A, B = _near_consistent_problem(seed)
+            ref = _objective(f, A, B, _direct_prox_solve(f, A, B))
+            assert abs(_objective(f, A, B, solve(A, B)) - ref) <= 1e-9 * ref
 
-            def objective(Z):
-                R = A @ Z - B
-                return float(np.sum(R * R)) + f.evaluate(Z)
+    @pytest.mark.parametrize("kind", sorted(PROX_CASES))
+    @pytest.mark.parametrize("name", PROX_MEASURES)
+    def test_closer_to_the_optimum_in_half_the_steps(self, name, kind):
+        # against a FISTA run to convergence, the accelerated loop ends no
+        # farther off than the plain loop, with at most half its prox calls
+        problem, weight = PROX_CASES[kind]
+        base = genreg.scaled(MEASURES[name], weight)
+        calls = []
+        f = dataclasses.replace(base, prox=lambda V, t: calls.append(t) or base.prox(V, t))
+        for seed in range(3):
+            A, B = problem(seed)
+            opt = _objective(base, A, B, fista_reference(A, B, base))
+            calls.clear()
+            gap = _objective(base, A, B, genreg.prox_small_solver(f)(A, B)) - opt
+            steps = len(calls)
+            calls.clear()
+            plain_gap = _objective(base, A, B, _plain_prox_solve(f, A, B)) - opt
+            assert gap <= plain_gap, seed
+            assert 2 * steps <= len(calls), seed
 
-            ref = objective(_direct_prox_solve(f, A, B))
-            assert abs(objective(solve(A, B)) - ref) <= 1e-9 * ref
+    @pytest.mark.parametrize("name", PROX_MEASURES)
+    def test_a_binding_cap_keeps_the_objective_monotone(self, name, monkeypatch):
+        # truncated after each cap, the returned objective never rises with
+        # the cap and never exceeds the objective of Z = 0
+        f = genreg.scaled(MEASURES[name], 0.3)
+        A, B = _prox_problem(0)
+        objectives = []
+        for cap in (1, 2, 3, 5, 8):
+            monkeypatch.setattr(genreg, "PROX_ITERS", cap)
+            objectives.append(_objective(f, A, B, genreg.prox_small_solver(f)(A, B)))
+        assert max(objectives) <= float(np.sum(B * B)) + f.evaluate(np.zeros((12, 5)))
+        assert all(later <= earlier for earlier, later in zip(objectives, objectives[1:]))
 
     def test_reads_the_sketch_a_bounded_number_of_times(self, monkeypatch):
         A, B = _prox_problem(0)
