@@ -6,10 +6,10 @@ undecidable, so falsification is the honest contract). On top of them sit:
 
 * the SVD reduction of regularized low-rank approximation to a k x k
   diagonal core problem, with closed-form diagonal solvers;
-* the sketched pipeline for general multiple-response regression
-  (affine sketch, right sketch of the response, QR change of basis,
-  small-problem solve, triangular back-solve, or the small solver on
-  (A, B) alone when every sketch is the identity), whose accelerated
+* the sketched pipeline for general multiple-response regression: the
+  small solver on the left-sketched problem when the right sketch of the
+  response is the identity, and otherwise an affine sketch, a QR change of
+  basis, the small solve and a triangular back-solve; its accelerated
   (monotone FISTA with restart) small solver iterates on the Gram of the
   sketched problem;
 * general low-rank approximation, which runs `lowrank`'s two-sided
@@ -211,7 +211,7 @@ def nuclear_product_pair(lam: float) -> PairMeasure:
 # ---------------------------------------------------------------------------
 
 DIAG_VARIANTS = ("frob+trace", "frob+frobYX", "schattenp+trace")
-GOLDEN_TOL = 1e-10  # alpha tolerance of the search, times max(1, sigma_1), beside Brent's 1.5e-8 |alpha|
+BRENT_XATOL = 1e-10  # alpha tolerance of the search, times max(1, sigma_1), beside Brent's 1.5e-8 |alpha|
 
 
 def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatten_p: float = 2.0):
@@ -244,7 +244,7 @@ def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatte
 
         from scipy.optimize import minimize_scalar  # here, so `import regsketch` skips scipy.optimize
         alpha = minimize_scalar(
-            scalar_obj, bounds=(0.0, s[0]), method="bounded", options={"xatol": GOLDEN_TOL * max(1.0, s[0])}
+            scalar_obj, bounds=(0.0, s[0]), method="bounded", options={"xatol": BRENT_XATOL * max(1.0, s[0])}
         ).x
         w = np.sqrt(np.maximum(s - alpha, 0.0))
     else:
@@ -424,11 +424,14 @@ def solve_general_regression(
 
     The sketches are sized from rank(A); the rank costs one short-side Gram
     of A, with an SVD of A only when that Gram cannot certify full rank
-    (`_numerical_rank`). When every sketch is the identity, because
-    identity_sketches asks for it or the sizes reach n and d', the reduced
-    problem is the problem itself: X is small_solver(A, B), with no change
-    of basis and no lift. A CSR A stays sparse: the sketches, the small
-    solvers and the final A @ X all take it as it is. B is densified.
+    (`_numerical_rank`). identity_sketches makes the left sketch Sh and the
+    right sketch Rh the identity and skips the rank. Whenever Rh is the
+    identity, the change of basis to the row space of S B would be a
+    rotation that the lift undoes (right orthogonal invariance), so X is
+    small_solver(Sh A, Sh B): no S is drawn and no basis changed. With Sh
+    the identity too, that is small_solver(A, B). A CSR A stays sparse: the
+    sketches, the small solvers and the final A @ X all take it as it is.
+    B is densified.
     """
     fl = f.flags
     if not assume_inheritance:
@@ -442,28 +445,23 @@ def solve_general_regression(
     if not scipy.sparse.issparse(A):
         A = as_dense(A)
     Bd = as_dense(B)
-    direct = identity_sketches
-    if not direct:
-        # the rank only sizes the sketches, so the identity path skips it
+    if identity_sketches:
+        Rh = Sh = sk.identity()
+    else:
         policy = policy or sk.SizePolicy()
         r = max(_numerical_rank(A), 1)
         seeds = derive_seeds(seed, 51, 3)
-        S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
         Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
-        direct = all(s.variant == "identity" for s in (S, Rh, Sh))
-    if direct:
-        # the reduced problem is (A, B) itself, and the change of basis by
-        # an orthogonal Q would return this same X by right invariance
-        X = small_solver(A, Bd)
+    if Rh.variant == "identity":
+        # the change of basis would be a rotation that the lift undoes
+        X = small_solver(sk.apply(Sh, A), sk.apply(Sh, Bd))
     else:
+        S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         SB = as_dense(sk.apply(S, Bd))
-        SBRh = as_dense(sk.apply(Rh, SB))
-        ShA = sk.apply(Sh, A)
         ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
-        Q, R1, piv, _ = lowrank._pivoted_col_basis(SBRh.T)
-        Z1 = small_solver(ShA, ShBRh @ Q)
-        X = _lift(Z1, R1, piv, SB)
+        Q, R1, piv, _ = lowrank._pivoted_col_basis(as_dense(sk.apply(Rh, SB)).T)
+        X = _lift(small_solver(sk.apply(Sh, A), ShBRh @ Q), R1, piv, SB)
     Rm = A @ X - Bd
     return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
 

@@ -18,8 +18,6 @@ import scipy.sparse
 from . import sketch as sk
 from .la import as_dense, gram
 
-_RIDGE_SOLVE_TOL = 1e-8  # relative normal-equation residual contract
-
 
 @dataclass(frozen=True)
 class RidgeProblem:
@@ -92,12 +90,13 @@ def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
     S is `spec`, which may be a composition (`sketch.compose`). The
     lam||x||^2 term is kept exact (only the data rows are sketched). A matrix
     rhs (several responses) shares the one sketch and the one factorization
-    of the small problem.
+    of the small problem. SA goes to the solve as `apply` returns it, so an
+    identity spec leaves a CSR A sparse, read through `la.gram`.
     """
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
     # the seed fixes S, so sketching A and B apart meets one draw
-    SA = as_dense(sk.apply(spec, p.A))
+    SA = sk.apply(spec, p.A)
     SB = as_dense(sk.apply(spec, B[:, None] if squeeze else B))
     X, _ = _solve_ridge(SA, SB, p.lam)
     return _guarded(p, X[:, 0] if squeeze else X)

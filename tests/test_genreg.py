@@ -183,6 +183,15 @@ def _exact_mr_ridge(A, B, lam):
     return X, float(np.sum(R * R)) + lam * float(np.sum(X * X))
 
 
+def _recorded_specs(monkeypatch):
+    """The specs solve_general_regression draws, in the order it draws them."""
+    specs, affine_spec = [], genreg._affine_spec
+    monkeypatch.setattr(
+        genreg, "_affine_spec", lambda *a, **k: specs.append(affine_spec(*a, **k)) or specs[-1]
+    )
+    return specs
+
+
 class TestGeneralRegression:
     def test_identity_collapse_matches_ridge(self):
         rng = la.make_rng(4, 73)
@@ -292,13 +301,14 @@ class TestGeneralRegression:
         assert np.array_equal(got[0], solver(A, B))
 
     def test_change_of_basis_is_exact_for_an_identity_right_sketch(self, monkeypatch):
-        # with Rh the identity, the basis change and the lift undo each other:
-        # X is the small solve on (Sh A, Sh B)
-        specs = []
-        affine_spec = genreg._affine_spec
-        monkeypatch.setattr(
-            genreg, "_affine_spec", lambda *a, **k: specs.append(affine_spec(*a, **k)) or specs[-1]
-        )
+        # with Rh the identity, the basis change and the lift would undo each
+        # other: X is the small solve on (Sh A, Sh B), and S is never drawn
+        def no_basis(*args, **kwargs):
+            raise AssertionError("an identity right sketch changed basis or lifted")
+
+        monkeypatch.setattr(lowrank, "_pivoted_col_basis", no_basis)
+        monkeypatch.setattr(genreg, "_lift", no_basis)
+        specs = _recorded_specs(monkeypatch)
         rng = la.make_rng(6, 73)
         A = rng.standard_normal((2000, 8))
         B = A @ rng.standard_normal((8, 3)) + 0.1 * rng.standard_normal((2000, 3))
@@ -306,10 +316,9 @@ class TestGeneralRegression:
         f = genreg.scaled(MEASURES["frobenius_sq"], lam)
         solver = genreg.ridge_small_solver(lam)
         X, _ = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=6, assume_inheritance=True)
-        S, Rh, Sh = specs
-        assert (S.variant, Rh.variant, Sh.variant) == ("countsketch", "identity", "countsketch")
-        want = solver(sk.apply(Sh, A), sk.apply(Sh, B))
-        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+        Rh, Sh = specs
+        assert (Rh.variant, Rh.side, Sh.variant) == ("identity", "right", "countsketch")
+        assert np.array_equal(X, solver(sk.apply(Sh, A), sk.apply(Sh, B)))
 
     def test_well_conditioned_sketched_path_skips_the_svd(self, monkeypatch):
         # a certified full rank sizes the sketches without an SVD of A
@@ -431,7 +440,8 @@ class TestLift:
 
     @pytest.mark.parametrize("csr", [True, False])
     def test_matches_the_zero_filled_lift(self, csr, monkeypatch):
-        A, B = TestSparseInput._problem(3000, 6, 4, 0.4, 9)
+        # 200 responses against an affine size of 6^2 / 0.5^2 = 144: Rh reduces
+        A, B = TestSparseInput._problem(3000, 6, 200, 0.4, 9)
         f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
         lift, seen = genreg._lift, []
 
@@ -441,10 +451,13 @@ class TestLift:
             return X
 
         monkeypatch.setattr(genreg, "_lift", recorded)
+        specs = _recorded_specs(monkeypatch)
         X, _ = genreg.solve_general_regression(
             A if csr else A.toarray(), B, f, genreg.prox_small_solver(f), 0.5, seed=9,
             assume_inheritance=True,
         )
+        Rh = specs[0]
+        assert (Rh.variant, Rh.side, Rh.m) == ("countsketch", "right", 144)
         [(got, want)] = seen
         assert got is X
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())

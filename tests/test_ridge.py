@@ -90,6 +90,22 @@ class TestSketchedRows:
         sol = ridge.solve_sketched_rows(p, sk.identity())
         assert abs(sol.objective - ex.objective) <= 1e-6 * ex.objective
 
+    def test_identity_spec_never_densifies_csr(self):
+        # the identity hands the CSR A to the solve, which reads it through
+        # its Gram, as solve_exact does: the same x and no dense copy of A
+        A, b, _ = _sparse_problem(40_000, 50, 5, 0.02)
+        p = ridge.RidgeProblem(A, b, 0.5)
+        # a small solve first, so imports fall outside the trace
+        ridge.solve_sketched_rows(ridge.RidgeProblem(A[:100], b[:100], 0.5), sk.identity())
+        tracemalloc.start()
+        try:
+            sol = ridge.solve_sketched_rows(p, sk.identity())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.shape[0] * A.shape[1] * 8 / 4
+        assert np.array_equal(sol.x, ridge.solve_exact(p).x)
+
     def test_large_lambda_guard(self):
         rng = la.make_rng(3)
         A = rng.standard_normal((60, 5))
