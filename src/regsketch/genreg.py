@@ -27,7 +27,7 @@ import scipy.sparse
 
 from . import lowrank, ridge
 from . import sketch as sk
-from .la import RANK_RTOL, as_dense, derive_seeds, gram, make_rng
+from .la import RANK_RTOL, as_dense, derive_seeds, gram, make_rng, short_gram_eigvalsh
 from .statdim import singular_values as _sv
 
 
@@ -220,7 +220,8 @@ def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatte
     frob+trace:      ||WZ - S||_F^2 + 2 lam ||WZ||_(1)   -> sqrt((s - lam)_+)
     frob+frobYX:     ||WZ - S||_F^2 + lam ||WZ||_F^2     -> sqrt(s / (1 + lam))
     schattenp+trace: ||WZ - S||_(p) + lam ||WZ||_(1)     -> sqrt((s - a)_+),
-                     a found on [0, s_1] by scipy's bounded Brent search.
+                     a found on [0, s_1] by scipy's bounded Brent search;
+                     where several a attain the minimum, the largest.
     """
     s = np.asarray(sigma_k, dtype=np.float64)
     if np.any(np.diff(s) > 1e-12) or np.any(s < 0):
@@ -243,9 +244,16 @@ def diag_solver_shrink(sigma_k, lam: float, variant: str = "frob+trace", schatte
             return fit_term + lam * float(np.sum(shrunk))
 
         from scipy.optimize import minimize_scalar  # here, so `import regsketch` skips scipy.optimize
-        alpha = minimize_scalar(
-            scalar_obj, bounds=(0.0, s[0]), method="bounded", options={"xatol": BRENT_XATOL * max(1.0, s[0])}
-        ).x
+        xatol = BRENT_XATOL * max(1.0, s[0])
+        alpha = minimize_scalar(scalar_obj, bounds=(0.0, s[0]), method="bounded", options={"xatol": xatol}).x
+        # Where the objective is flat in alpha, any alpha the search stops at
+        # is optimal. Keep the largest alpha, among the search's and the
+        # breakpoints s_i above it, whose objective lies within what an alpha
+        # error of xatol can move it ((1 + lam) n-Lipschitz): the result then
+        # does not depend on the search path, and has the fewest nonzeros.
+        cands = np.concatenate([[alpha], s[s > alpha]])
+        vals = np.array([scalar_obj(a) for a in cands])
+        alpha = cands[vals <= vals.min() + (1.0 + lam) * s.size * xatol].max()
         w = np.sqrt(np.maximum(s - alpha, 0.0))
     else:
         raise ValueError(f"unknown variant {variant!r}; expected one of {DIAG_VARIANTS}")
@@ -362,31 +370,18 @@ def _numerical_rank(A):
     """Number of singular values of A above RANK_RTOL * sigma_1, as an SVD
     counts them.
 
-    Costs one short-side Gram G (A'A when n >= d, AA' otherwise, r x r with
-    r = min(n, d); a CSR A is read in row blocks by `la.gram`) and its
-    eigvalsh.
-    The SVD of A runs only when G cannot certify full rank.
-
-    The certificate. The computed G is off by at most gamma_k |A|'|A|
-    entrywise, k = max(n, d) (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, section 3.5), a matrix of 2-norm at most k * eps * trace(G);
-    the bound holds for any order of summation, so for la.gram's row blocks.
-    eigvalsh adds a backward error of a modest multiple of eps * ||G||_2,
-    allowed r * eps * trace(G). By Weyl, each computed eigenvalue w_i then
-    lies within (n + d) * eps * trace(G) of sigma_i^2. delta is twice that
-    bound, which covers the rounding of trace(G) and leaves the eigensolver's
-    unstated constant a factor of two. So w_min - delta > RANK_RTOL^2 (w_max
-    + delta) proves sigma_r > RANK_RTOL * sigma_1 with room to spare:
-    sigma_r^2 > delta / 2 >= (n + d) * eps * sigma_1^2 puts sigma_r 200 times
-    or more above the cutoff, far beyond any rounding of the SVD, so the SVD
-    would count r too. The Gram squares the condition number, so it
-    certifies full rank but cannot resolve a smaller rank: rank-deficient or
-    near-threshold inputs, and A = 0, take the SVD count.
+    Costs one short-side Gram G of A and its eigvalsh
+    (`la.short_gram_eigvalsh`); the SVD of A runs only when G cannot
+    certify full rank. Each eigenvalue w_i lies within delta of sigma_i^2,
+    so w_min - delta > RANK_RTOL^2 (w_max + delta) proves
+    sigma_r > RANK_RTOL * sigma_1 with room to spare: sigma_r^2 > delta / 2
+    >= (n + d) * eps * sigma_1^2 puts sigma_r 200 times or more above the
+    cutoff, far beyond any rounding of the SVD, so the SVD would count r
+    too. The Gram squares the condition number, so it certifies full rank
+    but cannot resolve a smaller rank: rank-deficient or near-threshold
+    inputs, and A = 0, take the SVD count.
     """
-    n, d = A.shape
-    G = gram(A) if n >= d else gram(A.T)
-    w = np.linalg.eigvalsh(G)
-    delta = 2.0 * (n + d) * np.finfo(np.float64).eps * float(np.trace(G))
+    w, delta = short_gram_eigvalsh(A)
     if w.size and w[0] - delta > RANK_RTOL * RANK_RTOL * (w[-1] + delta):
         return w.size
     s = _sv(A)
@@ -422,10 +417,12 @@ def solve_general_regression(
     inheritance), unless assume_inheritance asserts those consequences
     directly. Returns (X_tilde, objective-on-the-original-problem).
 
-    The sketches are sized from rank(A); the rank costs one short-side Gram
-    of A, with an SVD of A only when that Gram cannot certify full rank
-    (`_numerical_rank`). identity_sketches makes the left sketch Sh and the
-    right sketch Rh the identity and skips the rank. Whenever Rh is the
+    The sketches are sized from rank(A), read off Sh A rather than A: Sh is
+    drawn at the affine size of min(n, d), an upper bound on the rank, and
+    `_numerical_rank(Sh A)` costs a Gram of Sh A's rows, not of A's. A full
+    rank there is rank(A); a smaller reading r redraws Sh at the affine size
+    of r, on the same seed. identity_sketches makes the left sketch Sh and
+    the right sketch Rh the identity and reads no rank. Whenever Rh is the
     identity, the change of basis to the row space of S B would be a
     rotation that the lift undoes (right orthogonal invariance), so X is
     small_solver(Sh A, Sh B): no S is drawn and no basis changed. With Sh
@@ -447,21 +444,30 @@ def solve_general_regression(
     Bd = as_dense(B)
     if identity_sketches:
         Rh = Sh = sk.identity()
+        ShA = A
     else:
         policy = policy or sk.SizePolicy()
-        r = max(_numerical_rank(A), 1)
         seeds = derive_seeds(seed, 51, 3)
+        # rank(Sh A) <= rank(A) <= min(n, d): a full rank read at that size
+        # is rank(A), and a smaller one redraws Sh at its own affine size
+        r_max = min(A.shape)
+        Sh = _affine_spec(policy, r_max, eps, A.shape[0], seeds[2])
+        ShA = sk.apply(Sh, A)
+        r = max(_numerical_rank(ShA), 1)
+        if r < r_max:
+            Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
+            ShA = sk.apply(Sh, A)
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
-        Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
     if Rh.variant == "identity":
         # the change of basis would be a rotation that the lift undoes
-        X = small_solver(sk.apply(Sh, A), sk.apply(Sh, Bd))
+        X = small_solver(ShA, sk.apply(Sh, Bd))
     else:
         S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         SB = as_dense(sk.apply(S, Bd))
         ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
         Q, R1, piv, _ = lowrank._pivoted_col_basis(as_dense(sk.apply(Rh, SB)).T)
-        X = _lift(small_solver(sk.apply(Sh, A), ShBRh @ Q), R1, piv, SB)
+        X = _lift(small_solver(ShA, ShBRh @ Q), R1, piv, SB)
+    del ShA  # the n x d' residual below sets the peak: do not hold Sh A across it
     Rm = A @ X - Bd
     return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
 
@@ -480,8 +486,9 @@ def solve_general_lowrank(
     Affine sketches S (left) and R (right) and inner sketches S-hat and
     R-hat feed the two-sided core of `lowrank`, whose reduced k x k problem
     is solved by the SVD reduction with diag_solver. A CSR A stays sparse:
-    it is only sketched, and the returned objective, recomputed on A, sums
-    the fit over row blocks (`lowrank.objective_value`).
+    it is only sketched on the left and multiplied by the d x k R Z_R in
+    the lift, and the returned objective, recomputed on A, sums the fit over
+    row blocks (`lowrank.objective_value`).
     """
     _require_pair_flags(pair_f)
     n, d = A.shape
@@ -497,8 +504,7 @@ def solve_general_lowrank(
     Z_R, Z_S, truncated = lowrank._solve_two_sided(
         pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, diag_solver
     )
-    Y = pieces.AR @ Z_R
-    X = Z_S @ pieces.SA
+    Y, X = lowrank._lift_factors(A, pieces, Z_R, Z_S)
     return lowrank.LowRankFactors(
         Y=Y,
         X=X,

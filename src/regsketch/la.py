@@ -116,6 +116,28 @@ def gram(A, B=None) -> np.ndarray:
     return out
 
 
+def short_gram_eigvalsh(A):
+    """(w, delta): the eigenvalues w, ascending, of the short-side Gram G of A
+    (A'A when n >= d, AA' otherwise; r x r for r = min(n, d), a CSR A read in
+    row blocks by `gram`), and a bound delta within which each w_i lies of
+    sigma_i(A)^2.
+
+    The certificate. The computed G is off by at most gamma_k |A|'|A|
+    entrywise, k = max(n, d) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.5), a matrix of 2-norm at most k * eps * trace(G);
+    the bound holds for any order of summation, so for the row blocks.
+    eigvalsh adds a backward error of a modest multiple of eps * ||G||_2,
+    allowed r * eps * trace(G). By Weyl, each computed eigenvalue then lies
+    within (n + d) * eps * trace(G) of sigma_i^2. delta is twice that bound,
+    which covers the rounding of trace(G) and leaves the eigensolver's
+    unstated constant a factor of two.
+    """
+    n, d = A.shape
+    G = gram(A) if n >= d else gram(A.T)
+    w = np.linalg.eigvalsh(G)
+    return w, 2.0 * (n + d) * np.finfo(np.float64).eps * float(np.trace(G))
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """A ~= U @ diag(sigma) @ V.T with orthonormal U, V columns."""

@@ -286,6 +286,21 @@ def apply(spec: SketchSpec, A):
     return np.ascontiguousarray(out.T) if right else out
 
 
+def right_product(spec: SketchSpec, Z, d: int) -> np.ndarray:
+    """R @ Z for the d x m operator R of a right sketch (apply(spec, A) is
+    A @ R), so A @ right_product(spec, Z, d) is A @ R @ Z without A @ R.
+
+    R is the transpose of `_operator(spec, d)`: one +-1 per row for a
+    CountSketch, so for a k-column Z this costs O(d k). The identity returns
+    Z; SRHT and composed specs have no operator here.
+    """
+    if spec.variant == "identity":
+        return np.asarray(Z, dtype=np.float64)
+    if spec.side != "right" or spec.variant not in ("countsketch", "osnap", "gaussian"):
+        raise ValueError(f"right_product needs a right CountSketch, OSNAP or Gaussian spec, not {spec}")
+    return np.asarray(_operator(spec, d).T @ Z)
+
+
 # ---------------------------------------------------------------------------
 # sketch-size policy
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ its subspace iterations never touch A again.
 
 `sd_from_sketch` reads sd_lam off a CountSketch SA instead, doubling its rows
 until a caller's size rule at that reading fits: each draw costs O(nnz(A))
-plus an m x d SVD, and the final SA is the sketch the caller solves with.
+plus the m x m Gram of SA's short side (m^2 d flops for m <= d) and its
+eigenvalues (`sd_by_gram`), and the final SA is the sketch the caller solves
+with. An SVD of SA runs only when the Gram's certificate is too loose to
+read sd_lam to SD_GRAM_RTOL.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ import numpy as np
 import scipy.sparse
 
 from . import sketch as sk
-from .la import RANK_RTOL, as_dense, gram, make_rng
+from .la import RANK_RTOL, as_dense, gram, make_rng, short_gram_eigvalsh
 
 POWER_ITERS = 8  # subspace iterations of the krylov residual estimate
+# error bound of a Gram reading of sd_lam, relative to max(1, reading), above
+# which sd_by_gram reads the SVD instead
+SD_GRAM_RTOL = 1e-6
 
 
 def singular_values(A) -> np.ndarray:
@@ -50,6 +56,25 @@ def sd_exact(A_or_sigma, lam: float) -> float:
             return 0.0
         return float(np.sum(s > RANK_RTOL * s.max()))
     return float(np.sum(s**2 / (s**2 + lam)))
+
+
+def sd_by_gram(M, lam: float) -> float:
+    """sd_lam(M) from the eigenvalues of M's short-side Gram, for lam > 0.
+
+    Each eigenvalue w_i lies within delta of sigma_i^2
+    (`la.short_gram_eigvalsh`), and each term x / (x + lam) of sd_lam is
+    1/lam-Lipschitz in x = sigma_i^2 >= 0 (w is clipped at 0, which only
+    moves it toward sigma_i^2), so the reading is within r * delta / lam of
+    sd_exact(M, lam), r = min(m, d). When that bound exceeds
+    SD_GRAM_RTOL * max(1, reading), which takes a lam tiny against
+    trace(G), the SVD reading sd_exact(M, lam) is returned instead.
+    """
+    w, delta = short_gram_eigvalsh(M)
+    w = np.maximum(w, 0.0)
+    reading = float(np.sum(w / (w + lam)))
+    if w.size * delta / lam > SD_GRAM_RTOL * max(1.0, reading):
+        return sd_exact(M, lam)
+    return reading
 
 
 def residual_norm_estimate(A, z: int, seed: int = 0, backend: str = "krylov") -> float:
@@ -146,17 +171,18 @@ class SketchedSd:
 
     spec: sk.SketchSpec  # the final draw; the identity once m reached n
     SA: np.ndarray  # spec applied to A, dense, m x d
-    sd_hat: float  # min(sd_lam(SA), cap)
+    sd_hat: float  # min(sd_by_gram(SA, lam), cap)
     draws: int  # sketches drawn, the final one included
 
 
 def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd:
     """Draw an m-row CountSketch S of A until size(sd_hat) <= m or m = n.
 
-    sd_hat = min(sd_lam(SA), cap). m starts at size(1) and, while the draw
-    asks for more, becomes max(2m, size(sd_hat)), every draw with the same
-    seed. `size` maps an sd estimate to a row count and must be nondecreasing,
-    so the loop ends once m >= size(cap). Ridge leverage scores sum to sd_lam
+    sd_hat = min(sd_lam(SA), cap), read by `sd_by_gram` from the Gram of
+    SA's short side rather than an SVD of SA. m starts at size(1) and, while
+    the draw asks for more, becomes max(2m, size(sd_hat)), every draw with
+    the same seed. `size` maps an sd estimate to a row count and must be
+    nondecreasing, so the loop ends once m >= size(cap). Ridge leverage scores sum to sd_lam
     (Cohen-Musco-Musco, SODA 2017) and an sd_lam-sized sketch preserves
     A'A + lam I (Avron et al., ICML 2017), so SA read at the size the caller
     needs for its solve also reads sd_lam to within a constant factor, with
@@ -172,7 +198,7 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd
         spec = sk.countsketch_or_identity(m, n, seed)
         SA = as_dense(sk.apply(spec, A))
         draws += 1
-        sd_hat = min(sd_exact(SA, lam), cap)
+        sd_hat = min(sd_by_gram(SA, lam), cap)
         need = size(sd_hat)
         if need <= m or m >= n:
             return SketchedSd(spec=spec, SA=SA, sd_hat=float(sd_hat), draws=draws)

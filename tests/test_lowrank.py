@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -69,6 +71,21 @@ class TestObjectiveValue:
             want = self.full_residual(A, Y, X, lam)
             assert abs(lowrank.objective_value(A, Y, X, lam) - want) <= 1e-12 * want
 
+    def test_blocks_allocate_only_their_residual(self):
+        # every block's residual is formed in place in one buffer: the peak is
+        # one block of la.BLOCK_ENTRIES entries, where Y X - A and R * R,
+        # allocated anew per block, took three
+        rng = la.make_rng(14)
+        A = rng.standard_normal((2000, 300))
+        Y, X = rng.standard_normal((2000, 4)), rng.standard_normal((4, 300))
+        tracemalloc.start()
+        try:
+            lowrank.objective_value(A, Y, X, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * la.BLOCK_ENTRIES
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_exactly_rank_k_input(self, sparse):
         # A has rank 4 and unit singular values, so the shrinkage factors at
@@ -88,6 +105,20 @@ class TestShrinkSd:
     def test_hand_value(self):
         # (1 - 1.5/3) + (1 - 1.5/2) = 0.75
         assert abs(lowrank.shrink_sd(np.array([3.0, 2.0, 1.0]), 1.5, 2) - 0.75) <= 1e-12
+
+    def test_factor_sd_can_exceed_the_sizing_reading(self):
+        # core_sizes reads min(sd_lam(A), k); the optimal factor's sd_lam is
+        # shrink_sd, whose term 1 - lam/sigma exceeds A's term
+        # sigma^2 / (sigma^2 + lam) wherever sigma (1 - sigma) > lam
+        A, _ = problems.generate_problem(400, 100, 1, kind="geometric")
+        A = 0.5 * A  # sigma_i about 0.5^(i + 1)
+        sigma = statdim.singular_values(A)
+        k, lam = 8, 1e-3
+        kept = sigma[:k][sigma[:k] > lam]
+        assert kept.size == k and np.all(kept * (1.0 - kept) > lam)
+        factor = lowrank.shrink_sd(sigma, lam, k)
+        assert abs(factor - statdim.sd_exact(lowrank.solve_exact_shrink(A, k, lam).Y, lam)) <= 1e-9
+        assert factor > min(statdim.sd_exact(sigma, lam), k) + 1.0
 
     def test_factor_sd_symmetry(self):
         rng = la.make_rng(2)
@@ -202,7 +233,7 @@ class TestBuildCore:
         rng = la.make_rng(3)
         A = rng.standard_normal((12, 9))
         pieces = _identity_pieces(A)
-        for name in ("SA", "AR", "S2AR", "SAR2", "S2AR2"):
+        for name in ("SA", "S2AR", "SAR2", "S2AR2"):
             np.testing.assert_array_equal(getattr(pieces, name), A)
 
     def test_dimensions_match_policy(self):
@@ -211,14 +242,14 @@ class TestBuildCore:
         sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, policy, seed=4)
         pieces = lowrank.build_core_sized(A, sizes, seed=4)
         assert pieces.SA.shape == (min(sizes["m"], 300), 200)
-        assert pieces.AR.shape == (300, min(sizes["m_prime"], 200))
         assert pieces.S2AR.shape == (min(sizes["p"], 300), min(sizes["m_prime"], 200))
         assert pieces.SAR2.shape == (min(sizes["m"], 300), min(sizes["p_prime"], 200))
 
     def test_countsketch_touches_each_entry_once_per_stage(self):
         # every stage is a real CountSketch (one entry per operator column, so
         # one multiply-add per input entry) and each piece is its operator
-        # product, associated in the order the stages run
+        # product, associated in the order the stages run: A meets only the
+        # left sketches, and the right ones meet SA and S2 A
         rng = la.make_rng(5)
         dense = rng.standard_normal((150, 80)) * (rng.random((150, 80)) < 0.1)
         A = scipy.sparse.csr_matrix(dense)
@@ -232,8 +263,7 @@ class TestBuildCore:
         S, R, S2, R2 = (ops[k] for k in ("S", "R", "S2", "R2"))
         expected = {
             "SA": S @ A,
-            "AR": A @ R.T,
-            "S2AR": S2 @ (A @ R.T),
+            "S2AR": (S2 @ A) @ R.T,
             "SAR2": (S @ A) @ R2.T,
             "S2AR2": (S2 @ A) @ R2.T,
         }
@@ -366,6 +396,31 @@ class TestSolveSketched:
         sol = lowrank.solve_sketched(A, 5, lam, 0.5, seed=15)
         direct = lowrank.solve_sketched(A.T.copy(), 5, lam, 0.5, seed=15)
         assert sol.sizes == direct.sizes and sol.sizes["m"] <= 800
+
+    def test_csr_input_lifts_through_r_without_densifying(self):
+        # Y = A (R Z_R): no n x m' A R is formed, so the whole solve on a CSR A
+        # peaks below a quarter of A's dense bytes (A R alone is m'/d of them)
+        rng = la.make_rng(16)
+        n, d, k = 20_000, 200, 5
+        A = scipy.sparse.random(
+            n, d, density=0.02, format="csr", random_state=rng, data_rvs=rng.standard_normal
+        )
+        A = A @ scipy.sparse.diags(0.7 ** np.arange(d) + 0.05)
+        lam = problems.lambda_for_sd(A, 6.0, 8.0)
+        tracemalloc.start()
+        try:
+            sol = lowrank.solve_sketched(A, k, lam, 0.5, seed=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
+        sizes = lowrank.core_sizes(A, k, 0.5, lam, sk.SizePolicy(), seed=16)
+        pieces = lowrank.build_core_sized(A, sizes, seed=16)
+        assert pieces.specs["R"].variant == "countsketch"
+        assert sizes["m_prime"] / d > 1 / 4
+        Z_R, _, _ = lowrank.solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
+        AR = sk.apply(pieces.specs["R"], A)
+        np.testing.assert_allclose(sol.Y, AR @ Z_R, rtol=0, atol=1e-12 * np.abs(sol.Y).max())
 
     def test_lambda_zero_sizes_from_k(self):
         A, _ = problems.generate_problem(300, 200, 4)

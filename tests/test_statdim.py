@@ -166,6 +166,41 @@ class TestGramFactorEstimator:
         assert abs(est.estimate - 8.0) <= 0.01 * 8.0
 
 
+class TestSdByGram:
+    """sd_lam of a sketch read off its short-side Gram."""
+
+    @pytest.mark.parametrize("kind", problems.SPECTRA)
+    @pytest.mark.parametrize("m", [60, 400])
+    def test_within_the_certificate_of_the_svd_reading(self, kind, m, monkeypatch):
+        # m = 60 < d reads S A A' S', m = 400 > d reads A' S' S A
+        A, _ = problems.generate_problem(3000, 200 if m == 60 else 50, 4, kind=kind)
+        SA = sk.apply(sk.countsketch(m, seed=4), A)
+        s = np.linalg.svd(SA, compute_uv=False)
+        w, delta = la.short_gram_eigvalsh(SA)
+        calls, exact = [], statdim.sd_exact
+        monkeypatch.setattr(statdim, "sd_exact", lambda M, l: calls.append(l) or exact(M, l))
+        for target in (1.0, 4.0, 16.0):
+            lam = problems.lambda_for_sd(A, 0.8 * target, 1.2 * target)
+            got = statdim.sd_by_gram(SA, lam)
+            assert abs(got - float(np.sum(s**2 / (s**2 + lam)))) <= w.size * delta / lam
+            # the SVD runs only where the bound is loose: at the geometric
+            # family's sd_lam = 16, lam is about 1e-7 ||A||_2^2
+            assert bool(calls) == (w.size * delta / lam > statdim.SD_GRAM_RTOL * max(1.0, got))
+            assert target == 16.0 or not calls
+            calls.clear()
+
+    def test_falls_back_to_the_svd_at_tiny_lambda(self, monkeypatch):
+        # lam = 1e-14 ||A||_2^2 leaves the Gram's certificate far above
+        # SD_GRAM_RTOL of the reading, so the SVD reads it
+        A, _ = problems.generate_problem(600, 40, 5, kind="geometric")
+        SA = sk.apply(sk.countsketch(100, seed=5), A)
+        lam = 1e-14 * np.linalg.norm(SA, 2) ** 2
+        calls, exact = [], statdim.sd_exact
+        monkeypatch.setattr(statdim, "sd_exact", lambda M, l: calls.append(M.shape) or exact(M, l))
+        got = statdim.sd_by_gram(SA, lam)
+        assert calls == [SA.shape] and got == exact(SA, lam)
+
+
 class TestSdFromSketch:
     """sd_lam read off a CountSketch sized by the lowrank_S rule at eps = 0.5."""
 
@@ -208,7 +243,7 @@ class TestSdFromSketch:
         )
         assert got.spec == sk.countsketch(got.SA.shape[0], seed=7)
         assert np.array_equal(got.SA, sk.apply(got.spec, A))
-        assert got.sd_hat == min(statdim.sd_exact(got.SA, lam), 50.0)
+        assert got.sd_hat == min(statdim.sd_by_gram(got.SA, lam), 50.0)
         assert got.draws > 1
 
     def test_cap_bounds_estimate_and_size(self):
