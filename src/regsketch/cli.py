@@ -201,11 +201,15 @@ def _cca_trial(args, seed):
     spec = _sketch_spec(args, m, seed, limit=args.n)
     sol = cca_mod.solve_sketched_cca(A, B, lam, lam, spec)
     val = cca_mod.validate_cca(A, B, lam, lam, sol, ex, eta=args.eps)
+    # ratio is the worst of the three conditions the gate reads, over eta, so
+    # that the trial passes exactly when ratio <= 1
+    worst = max(val.max_sigma_dev, val.max_constraint_dev, val.max_alignment_dev)
     return _record(
         args, seed, sum(ex.sigmas), sum(sol.sigmas),
         {"lam": lam, "m": _sketch_rows(spec, args.n), "max_sigma_dev": val.max_sigma_dev,
          "validated": val.passed},
         passed=val.passed,
+        ratio=worst / val.eta,
     )
 
 

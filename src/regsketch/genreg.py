@@ -9,9 +9,11 @@ undecidable, so falsification is the honest contract). On top of them sit:
 * the sketched pipeline for general multiple-response regression: the
   small solver on the left-sketched problem when the right sketch of the
   response is the identity, and otherwise an affine sketch, a QR change of
-  basis, the small solve and a triangular back-solve; its accelerated
-  (monotone FISTA with restart) small solver iterates on the Gram of the
-  sketched problem;
+  basis, the small solve and a triangular back-solve. Every small problem
+  reaches its solver as one `ReducedProblem`, its Gram form (G = A'A,
+  C = A'B, ||B||_F^2, eigvalsh(G)), and the Gram of the left sketch that
+  reads the rank is the one the solver iterates on; the accelerated
+  (monotone FISTA with restart) prox solver never reads the sketch itself;
 * general low-rank approximation, which runs `lowrank`'s two-sided
   sketched pipeline on A as given, with a diagonal solver in the core.
 """
@@ -27,7 +29,9 @@ import scipy.sparse
 
 from . import lowrank, ridge
 from . import sketch as sk
-from .la import RANK_RTOL, as_dense, derive_seeds, gram, make_rng, short_gram_eigvalsh
+from .la import (
+    RANK_RTOL, as_dense, derive_seeds, gram, gram_eigvalsh, make_rng, row_blocks, short_gram_eigvalsh,
+)
 from .statdim import singular_values as _sv
 
 
@@ -103,8 +107,17 @@ def _schatten(A, p):
     return float(np.sum(s**p) ** (1.0 / p))
 
 
+def _row_norms(V):
+    """The Euclidean norm of each row of a dense V, as np.linalg.norm(V,
+    axis=1) computes it, without that wrapper's checks."""
+    sq = np.add.reduce(V * V, axis=1)
+    return np.sqrt(sq, out=sq)
+
+
 def _vnorm(A, p):
-    rows = np.linalg.norm(as_dense(A), axis=1)
+    rows = _row_norms(as_dense(A))
+    if p == 1:
+        return float(np.add.reduce(rows))
     return float(np.sum(rows**p) ** (1.0 / p))
 
 
@@ -114,7 +127,7 @@ def _prox_fro_sq(V, t):
 
 
 def _prox_fro(V, t):
-    nrm = np.linalg.norm(V)
+    nrm = math.sqrt(np.vdot(V, V))
     if nrm <= t:
         return np.zeros_like(V)
     return (1.0 - t / nrm) * V
@@ -126,9 +139,11 @@ def _prox_nuclear(V, t):
 
 
 def _prox_vnorm1(V, t):
-    nrm = np.linalg.norm(V, axis=1, keepdims=True)
-    # rows with nrm <= t go to zero; the floor at t keeps t / nrm from overflowing
-    scale = np.maximum(1.0 - t / np.maximum(nrm, max(t, 1e-300)), 0.0)
+    # rows with norm <= t go to zero; the floor at t keeps t / norm from
+    # overflowing, and at most 1, so the scale 1 - t / norm is never negative
+    scale = np.maximum(_row_norms(V), max(t, 1e-300))[:, None]
+    np.divide(t, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
     return scale * V
 
 
@@ -288,13 +303,46 @@ def solve_diag_reduction(A, k: int, pair_f: PairMeasure, diag_solver, schatten_p
 
 
 # ---------------------------------------------------------------------------
-# small solvers for the reduced regression problem min ||A Z - B||_F^2 + f(Z)
+# small solvers for the reduced regression problem min ||Ah Z - Bh||_F^2 + f(Z)
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ReducedProblem:
+    """min ||Ah Z - Bh||_F^2 + f(Z) in its Gram form, which is all a small
+    solver reads: G = Ah'Ah (d x d), C = Ah'Bh (d x d'), b2 = ||Bh||_F^2,
+    and w = eigvalsh(G), ascending."""
+
+    G: np.ndarray
+    C: np.ndarray
+    b2: float
+    w: np.ndarray
+
+
+def _gram_eigs(Ah):
+    """(G, w, delta): the d x d Gram of Ah and `la.gram_eigvalsh` of it."""
+    G = gram(Ah)
+    return (G, *gram_eigvalsh(G, *Ah.shape))
+
+
+def reduced_problem(Ah, Bh, gram_eigs=None) -> ReducedProblem:
+    """The Gram form of min ||Ah Z - Bh||_F^2 + f(Z), for a dense Bh.
+
+    Two products with Ah, O(m d (d + d')) for an m x d Ah, and one eigvalsh of
+    the d x d G; gram_eigs, `_gram_eigs(Ah)` formed already, saves the
+    first product and the eigvalsh. A CSR Ah is read in row blocks by
+    `la.gram`, never densified.
+    """
+    G, w, _ = gram_eigs or _gram_eigs(Ah)
+    return ReducedProblem(G=G, C=gram(Ah, Bh), b2=float(np.vdot(Bh, Bh)), w=w)
+
+
 def ridge_small_solver(lam: float):
-    """Exact small solver for f = lam * ||.||_F^2, by `ridge._solve_ridge`."""
-    return lambda Ah, Bh: ridge._solve_ridge(Ah, Bh, lam)[0]
+    """Exact small solver for f = lam * ||.||_F^2, lam > 0: (G + lam I) Z = C,
+    by `ridge._solve_gram` as `ridge._solve_ridge` solves a tall problem."""
+    if not lam > 0:
+        raise ValueError("ridge_small_solver needs lam > 0")
+    return lambda prob: ridge._solve_gram(prob.G, prob.C, lam)
 
 
 PROX_ITERS = 2000  # step cap of prox_small_solver
@@ -303,49 +351,60 @@ PROX_TOL = 1e-10  # objective decrease, relative to the objective, below which a
 
 def prox_small_solver(f: MatrixMeasure):
     """Accelerated (monotone FISTA with restart) solver for
-    min ||A Z - B||_F^2 + f(Z).
+    min ||A Z - B||_F^2 + f(Z), called on its `ReducedProblem`.
 
-    Needs f.prox. The loop runs on the Gram of the problem: G = A'A,
-    C = A'B and ||B||_F^2 are formed once, in O(m d (d + d')) for an m x d
-    A and d' responses; each step then costs one product with G, O(d^2 d'),
-    whatever m is, since G Y = G Z1 + beta (G Z1 - G Z0) by linearity.
-    Step size 1/L with L = 2 lambda_max(G). A step from the extrapolated
-    point Y is accepted while it lowers the objective by PROX_TOL of it
-    (Beck and Teboulle's MFISTA); one that does not is kept only if it
-    lowers the objective at all, and momentum restarts from the last
-    accepted iterate (O'Donoghue and Candes). Only a stalled step without
-    momentum stops the loop, so accepted iterates never raise the objective
-    and the result is never worse than Z = 0, the first one. Every decision
-    reads differences of the objective, <Z1 - Z0, G (Z1 + Z0) - 2 C> +
-    f(Z1) - f(Z0), which keep their precision when ||A Z - B||^2 is tiny
-    next to ||B||^2. A CSR A stays sparse: `la.gram` reads it in row blocks.
+    Needs f.prox. The loop reads only the Gram form, never A: each step
+    costs one product with G, O(d^2 d'), and a few O(d d') updates made in
+    place, since G Y = G Z1 + beta (G Z1 - G Z0) by linearity. Step size
+    1/L with L = 2 lambda_max(G), the last of the problem's eigenvalues. A
+    step from the extrapolated point Y is accepted while it lowers the
+    objective by PROX_TOL of it (Beck and Teboulle's MFISTA); one that does
+    not is kept only if it lowers the objective at all, and momentum
+    restarts from the last accepted iterate (O'Donoghue and Candes). Only a
+    stalled step without momentum stops the loop, so accepted iterates never
+    raise the objective and the result is never worse than Z = 0, the first
+    one. Every decision reads differences of the objective,
+    <Z1 - Z0, G (Z1 + Z0) - 2 C> + f(Z1) - f(Z0), which keep their precision
+    when ||A Z - B||^2 is tiny next to ||B||^2.
     """
     if f.prox is None:
         raise ValueError(f"measure {f.name} has no prox operator")
+    prox, evaluate = f.prox, f.evaluate
 
-    def solve(Ah, Bh):
-        G = gram(Ah)
-        C2 = 2.0 * gram(Ah, Bh)
-        L = 2.0 * np.linalg.eigvalsh(G)[-1]
-        step = 1.0 / max(L, 1e-12)
+    def solve(prob: ReducedProblem):
+        G, C2 = prob.G, 2.0 * prob.C
+        step = 1.0 / max(2.0 * prob.w[-1], 1e-12)
         Z = np.zeros(C2.shape)
         GZ = np.zeros(C2.shape)
-        fZ = f.evaluate(Z)
-        obj = float(np.sum(Bh * Bh)) + fZ
+        fZ = evaluate(Z)
+        obj = prob.b2 + fZ
         Y, GY, t = Z, GZ, 1.0
         for _ in range(PROX_ITERS):
-            Zn = f.prox(Y - step * (2.0 * GY - C2), step)
+            V = np.multiply(GY, 2.0)
+            V -= C2
+            V *= step
+            np.subtract(Y, V, out=V)
+            Zn = prox(V, step)
             GZn = G @ Zn
-            fZn = f.evaluate(Zn)
+            fZn = evaluate(Zn)
             # obj(Z) - obj(Zn) without the terms ||B||^2 and <Z, C>, whose
             # cancellation would cost eps * ||B||^2 of absolute precision
             moved = Zn - Z
-            drop = fZ - fZn - float(np.sum(moved * (GZn + GZ - C2)))
+            GS = GZn + GZ
+            GS -= C2
+            drop = fZ - fZn - float(np.vdot(moved, GS))
             if drop >= PROX_TOL * max(abs(obj), 1.0):
                 t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
                 beta = (t - 1.0) / t_next
-                # beta = 0 after a (re)start: the next step is a plain one, from Y = Z
-                Y, GY = (Zn, GZn) if beta == 0 else (Zn + beta * moved, GZn + beta * (GZn - GZ))
+                if beta == 0:  # after a (re)start: the next step is a plain one, from Y = Z
+                    Y, GY = Zn, GZn
+                else:  # Y = Zn + beta (Zn - Z), GY = GZn + beta (GZn - GZ), in the spent buffers
+                    moved *= beta
+                    moved += Zn
+                    np.subtract(GZn, GZ, out=GS)
+                    GS *= beta
+                    GS += GZn
+                    Y, GY = moved, GS
                 Z, GZ, fZ, t = Zn, GZn, fZn, t_next
                 obj -= drop
                 continue
@@ -366,22 +425,24 @@ def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
     return sk.countsketch_or_identity(m, n_clamp, seed, side)
 
 
-def _numerical_rank(A):
+def _numerical_rank(A, gram_eigs=None):
     """Number of singular values of A above RANK_RTOL * sigma_1, as an SVD
     counts them.
 
-    Costs one short-side Gram G of A and its eigvalsh
-    (`la.short_gram_eigvalsh`); the SVD of A runs only when G cannot
-    certify full rank. Each eigenvalue w_i lies within delta of sigma_i^2,
-    so w_min - delta > RANK_RTOL^2 (w_max + delta) proves
-    sigma_r > RANK_RTOL * sigma_1 with room to spare: sigma_r^2 > delta / 2
-    >= (n + d) * eps * sigma_1^2 puts sigma_r 200 times or more above the
-    cutoff, far beyond any rounding of the SVD, so the SVD would count r
-    too. The Gram squares the condition number, so it certifies full rank
-    but cannot resolve a smaller rank: rank-deficient or near-threshold
-    inputs, and A = 0, take the SVD count.
+    Reads the eigenvalues w of a Gram of A and their bound delta: those of
+    gram_eigs (`_gram_eigs(A)`, formed already), or else of the short-side
+    Gram (`la.short_gram_eigvalsh`). The SVD of A runs only when they cannot
+    certify full rank. Each w_i lies within delta of sigma_i^2 (zero past
+    min(n, d)), so w_min - delta > RANK_RTOL^2 (w_max + delta) proves
+    sigma_r > RANK_RTOL * sigma_1 for r = len(w) with room to spare:
+    sigma_r^2 > delta / 2 >= (n + d) * eps * sigma_1^2 puts sigma_r 200
+    times or more above the cutoff, far beyond any rounding of the SVD, so
+    the SVD would count r too. The Gram squares the condition number, so it
+    certifies full rank but cannot resolve a smaller rank: rank-deficient or
+    near-threshold inputs, A = 0, and a d x d Gram of a wide A take the SVD
+    count.
     """
-    w, delta = short_gram_eigvalsh(A)
+    w, delta = short_gram_eigvalsh(A) if gram_eigs is None else gram_eigs[1:]
     if w.size and w[0] - delta > RANK_RTOL * RANK_RTOL * (w[-1] + delta):
         return w.size
     s = _sv(A)
@@ -397,6 +458,19 @@ def _lift(Z1, R1, piv, SB) -> np.ndarray:
     multiplied, and no Z as wide as SB is tall is formed.
     """
     return scipy.linalg.solve_triangular(R1, Z1.T).T @ SB[piv[: R1.shape[0]]]
+
+
+def _fit(A, X, B) -> float:
+    """||A X - B||_F^2, summed one row block at a time with np.vdot, as
+    `lowrank.objective_value` sums its fit: the n x d' residual is never
+    formed whole, and a CSR A is read block by block."""
+    fit = 0.0
+    for rows in row_blocks(*B.shape):
+        R = A[rows] @ X
+        R -= B[rows]
+        fit += float(np.vdot(R, R))
+        del R  # free this block's residual before the next one is formed
+    return fit
 
 
 def solve_general_regression(
@@ -415,19 +489,24 @@ def solve_general_regression(
     Requires f to be right orthogonally invariant, padding invariant, and
     subadditive (which together give contraction reduction and embedding
     inheritance), unless assume_inheritance asserts those consequences
-    directly. Returns (X_tilde, objective-on-the-original-problem).
+    directly. small_solver takes a `ReducedProblem` and returns its Z, as
+    `prox_small_solver` and `ridge_small_solver` do. Returns (X_tilde,
+    objective-on-the-original-problem).
 
     The sketches are sized from rank(A), read off Sh A rather than A: Sh is
     drawn at the affine size of min(n, d), an upper bound on the rank, and
-    `_numerical_rank(Sh A)` costs a Gram of Sh A's rows, not of A's. A full
-    rank there is rank(A); a smaller reading r redraws Sh at the affine size
-    of r, on the same seed. identity_sketches makes the left sketch Sh and
-    the right sketch Rh the identity and reads no rank. Whenever Rh is the
-    identity, the change of basis to the row space of S B would be a
-    rotation that the lift undoes (right orthogonal invariance), so X is
-    small_solver(Sh A, Sh B): no S is drawn and no basis changed. With Sh
-    the identity too, that is small_solver(A, B). A CSR A stays sparse: the
-    sketches, the small solvers and the final A @ X all take it as it is.
+    the rank is read off the eigenvalues of the d x d Gram of Sh A, the
+    Gram the small solver then iterates on, so it is formed once per draw.
+    A full rank there is rank(A); a smaller reading r redraws Sh at the
+    affine size of r, on the same seed. identity_sketches makes the left
+    sketch Sh and the right sketch Rh the identity and reads no rank.
+    Whenever Rh is the identity, the change of basis to the row space of
+    S B would be a rotation that the lift undoes (right orthogonal
+    invariance), so X is the small solve of reduced_problem(Sh A, Sh B): no
+    S is drawn and no basis changed. With Sh the identity too, that is the
+    problem of (A, B) itself. A reducing Rh keeps the Gram of Sh A and takes
+    C = (Sh A)'(Sh B Rh Q). A CSR A stays sparse: the sketches, the Grams
+    and the final residual, summed over row blocks, all take it as it is.
     B is densified.
     """
     fl = f.flags
@@ -445,6 +524,7 @@ def solve_general_regression(
     if identity_sketches:
         Rh = Sh = sk.identity()
         ShA = A
+        eigs = _gram_eigs(A)
     else:
         policy = policy or sk.SizePolicy()
         seeds = derive_seeds(seed, 51, 3)
@@ -453,23 +533,24 @@ def solve_general_regression(
         r_max = min(A.shape)
         Sh = _affine_spec(policy, r_max, eps, A.shape[0], seeds[2])
         ShA = sk.apply(Sh, A)
-        r = max(_numerical_rank(ShA), 1)
+        eigs = _gram_eigs(ShA)
+        r = max(_numerical_rank(ShA, eigs), 1)
         if r < r_max:
             Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
             ShA = sk.apply(Sh, A)
+            eigs = _gram_eigs(ShA)
         Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
     if Rh.variant == "identity":
         # the change of basis would be a rotation that the lift undoes
-        X = small_solver(ShA, sk.apply(Sh, Bd))
+        X = small_solver(reduced_problem(ShA, sk.apply(Sh, Bd), eigs))
     else:
         S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         SB = as_dense(sk.apply(S, Bd))
         ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
         Q, R1, piv, _ = lowrank._pivoted_col_basis(as_dense(sk.apply(Rh, SB)).T)
-        X = _lift(small_solver(ShA, ShBRh @ Q), R1, piv, SB)
-    del ShA  # the n x d' residual below sets the peak: do not hold Sh A across it
-    Rm = A @ X - Bd
-    return X, float(np.sum(Rm * Rm)) + f.evaluate(X)
+        X = _lift(small_solver(reduced_problem(ShA, ShBRh @ Q, eigs)), R1, piv, SB)
+    del ShA  # do not hold Sh A across the residual's pass over A
+    return X, _fit(A, X, Bd) + f.evaluate(X)
 
 
 def solve_general_lowrank(

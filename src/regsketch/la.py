@@ -116,26 +116,32 @@ def gram(A, B=None) -> np.ndarray:
     return out
 
 
-def short_gram_eigvalsh(A):
-    """(w, delta): the eigenvalues w, ascending, of the short-side Gram G of A
-    (A'A when n >= d, AA' otherwise; r x r for r = min(n, d), a CSR A read in
-    row blocks by `gram`), and a bound delta within which each w_i lies of
-    sigma_i(A)^2.
+def gram_eigvalsh(G, n: int, d: int):
+    """(w, delta): the eigenvalues w, ascending, of G, a computed Gram (A'A or
+    AA') of an n x d matrix A, and a bound delta within which each w_i lies
+    of the matching eigenvalue of the exact Gram: sigma_i(A)^2, or zero past
+    min(n, d).
 
-    The certificate. The computed G is off by at most gamma_k |A|'|A|
-    entrywise, k = max(n, d) (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, section 3.5), a matrix of 2-norm at most k * eps * trace(G);
-    the bound holds for any order of summation, so for the row blocks.
-    eigvalsh adds a backward error of a modest multiple of eps * ||G||_2,
-    allowed r * eps * trace(G). By Weyl, each computed eigenvalue then lies
-    within (n + d) * eps * trace(G) of sigma_i^2. delta is twice that bound,
+    The certificate. For G of order r, summed over the other dimension k of
+    A (r + k = n + d), the computed G is off by at most gamma_k |A|'|A|
+    entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.5), a matrix of 2-norm at most k * eps * trace(G); the bound
+    holds for any order of summation, so for the row blocks. eigvalsh adds a
+    backward error of a modest multiple of eps * ||G||_2, allowed
+    r * eps * trace(G). By Weyl, each computed eigenvalue then lies within
+    (n + d) * eps * trace(G) of its exact one. delta is twice that bound,
     which covers the rounding of trace(G) and leaves the eigensolver's
     unstated constant a factor of two.
     """
-    n, d = A.shape
-    G = gram(A) if n >= d else gram(A.T)
     w = np.linalg.eigvalsh(G)
     return w, 2.0 * (n + d) * np.finfo(np.float64).eps * float(np.trace(G))
+
+
+def short_gram_eigvalsh(A):
+    """`gram_eigvalsh` of the short-side Gram G of A: A'A when n >= d, AA'
+    otherwise, r x r for r = min(n, d), a CSR A read in row blocks by `gram`."""
+    n, d = A.shape
+    return gram_eigvalsh(gram(A) if n >= d else gram(A.T), n, d)
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,13 @@ def _solve_ridge(A, B, lam: float):
         X, _, rank, _ = np.linalg.lstsq(as_dense(A), B, rcond=None)
         return X, rank < d
     if n >= d:
-        G = gram(A) + lam * np.eye(d)
-        return scipy.linalg.solve(G, gram(A, B), assume_a="pos"), False
-    G = gram(A.T) + lam * np.eye(n)
-    return A.T @ scipy.linalg.solve(G, B, assume_a="pos"), False
+        return _solve_gram(gram(A), gram(A, B), lam), False
+    return A.T @ _solve_gram(gram(A.T), B, lam), False
+
+
+def _solve_gram(G, C, lam: float):
+    """X with (G + lam I) X = C, for a Gram G and lam > 0, by Cholesky."""
+    return scipy.linalg.solve(G + lam * np.eye(G.shape[0]), C, assume_a="pos")
 
 
 def solve_exact(p: RidgeProblem) -> RidgeSolution:

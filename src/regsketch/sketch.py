@@ -212,6 +212,32 @@ def _apply_srht(A, m: int, seed: int) -> np.ndarray:
     return math.sqrt(N / m) * X[rows]
 
 
+# entries of S per row block of _apply_gaussian: 8 MiB, since each block
+# re-reads A, and blocks of a few rows would make that pass the cost
+GAUSSIAN_BLOCK_ENTRIES = 1 << 20
+
+
+def _apply_gaussian(A, m: int, seed: int) -> np.ndarray:
+    """S @ A for the m x n Gaussian S of `_operator`, drawn one row block at a
+    time from the same stream: the same entries, without the whole S.
+
+    Blocks hold about GAUSSIAN_BLOCK_ENTRIES entries and at least two rows,
+    or all m: numpy multiplies a single row by gemv, which may round unlike
+    the gemm of the whole S, while a gemm of some rows of S gives those rows
+    of the whole product as the BLAS in use forms them.
+    """
+    n = A.shape[0]
+    rng = make_rng(seed)
+    out = np.empty((m, A.shape[1]))
+    count = max(1, m // max(2, GAUSSIAN_BLOCK_ENTRIES // max(n, 1)))
+    bounds = [m * i // count for i in range(count + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        S = rng.standard_normal((hi - lo, n))
+        S /= math.sqrt(m)
+        out[lo:hi] = S @ A
+    return out
+
+
 SCATTER_ENTRIES = 1 << 14  # products per block of _scatter_csr: ~0.5 MB of temporaries
 
 
@@ -276,6 +302,8 @@ def apply(spec: SketchSpec, A):
         A = A.T.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=np.float64).T
     if spec.variant == "srht":
         out = _apply_srht(A, spec.m, spec.seed)
+    elif spec.variant == "gaussian":
+        out = _apply_gaussian(A, spec.m, spec.seed)
     else:
         S = _operator(spec, A.shape[0])
         if scipy.sparse.issparse(S) and scipy.sparse.issparse(A):

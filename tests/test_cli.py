@@ -384,6 +384,18 @@ def test_cca_honours_density(tmp_path):
     assert reports[0] != reports[1]
 
 
+def test_cca_ratio_is_what_the_gate_reads(tmp_path):
+    # the README's borderline example: ratio is the worst eta condition over
+    # eta, so a record passes exactly when its ratio is at most 1
+    out = tmp_path / "cca.jsonl"
+    cli.main(["cca", "--seeds", "0..9", "--n", "3000", "--d", "10", "--dprime", "8", "--eps", "0.25",
+              "--out", str(out)])
+    rows = _read_jsonl(out)
+    assert len(rows) == 10
+    assert all(r["passed"] == (r["ratio"] <= 1) for r in rows)
+    assert all(r["ratio"] >= r["max_sigma_dev"] / 0.25 for r in rows)
+
+
 def test_seed_range_parsing():
     assert cli._seed_range("3..5") == [3, 4, 5]
     assert cli._seed_range("7") == [7]

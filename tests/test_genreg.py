@@ -250,7 +250,7 @@ class TestGeneralRegression:
             f = genreg.scaled(MEASURES["vnorm_2"], lam)
             solver = genreg.prox_small_solver(f)
             _, obj = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=seed)
-            Z_full = solver(A, B)
+            Z_full = solver(genreg.reduced_problem(A, B))
             R = A @ Z_full - B
             obj_full = float(np.sum(R * R)) + f.evaluate(Z_full)
             hits += obj <= 1.5 * obj_full + 1e-12
@@ -299,10 +299,12 @@ class TestGeneralRegression:
         X, obj = genreg.solve_general_regression(
             A, B, f, solver, 0.5, identity_sketches=True, assume_inheritance=True,
         )
-        want = solver(A, B)
+        want = solver(genreg.reduced_problem(A, B))
         assert np.array_equal(X, want)
-        R = A @ want - B
-        assert obj == float(np.sum(R * R)) + f.evaluate(want)
+        # the fit is summed one row block at a time
+        blocks = la.row_blocks(*B.shape)
+        fit = sum(float(np.vdot(R, R)) for R in (A[rows] @ want - B[rows] for rows in blocks))
+        assert obj == fit + f.evaluate(want)
 
     def test_collapsing_policy_is_the_identity_path(self):
         # k_affine this large sizes every sketch past n and d': all identities
@@ -315,7 +317,7 @@ class TestGeneralRegression:
         got = genreg.solve_general_regression(A, B, f, solver, 0.5, policy=policy, seed=7)
         want = genreg.solve_general_regression(A, B, f, solver, 0.5, identity_sketches=True)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        assert np.array_equal(got[0], solver(A, B))
+        assert np.array_equal(got[0], solver(genreg.reduced_problem(A, B)))
 
     def test_change_of_basis_is_exact_for_an_identity_right_sketch(self, monkeypatch):
         # with Rh the identity, the basis change and the lift would undo each
@@ -335,7 +337,7 @@ class TestGeneralRegression:
         X, _ = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=6, assume_inheritance=True)
         Sh, Rh = specs
         assert (Rh.variant, Rh.side, Sh.variant) == ("identity", "right", "countsketch")
-        assert np.array_equal(X, solver(sk.apply(Sh, A), sk.apply(Sh, B)))
+        assert np.array_equal(X, solver(genreg.reduced_problem(sk.apply(Sh, A), sk.apply(Sh, B))))
 
     def test_well_conditioned_sketched_path_skips_the_svd(self, monkeypatch):
         # a certified full rank sizes the sketches without an SVD of A
@@ -368,6 +370,50 @@ class TestGeneralRegression:
         genreg.solve_general_regression(A, B, f, genreg.prox_small_solver(f), 0.5, seed=6)
         assert rows and max(rows) == sk.recommend_sizes(sk.SizePolicy(), 8, 0.5, "affine") < 2000
 
+    def test_one_gram_and_one_eigvalsh_of_the_sketch(self, monkeypatch):
+        # the rank read, the step size and the small solve share one Gram of
+        # Sh A and its one eigvalsh: Sh A's rows are read once for G, once for C
+        grams, eigs = [], []
+        for owner in (la, genreg):
+            monkeypatch.setattr(
+                owner, "gram",
+                lambda M, B=None, _g=owner.gram: grams.append((M.shape[0], B is None)) or _g(M, B),
+            )
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda G, _e=np.linalg.eigvalsh: eigs.append(G.shape) or _e(G)
+        )
+        rng = la.make_rng(6, 73)
+        A = rng.standard_normal((2000, 8))
+        B = A @ rng.standard_normal((8, 3)) + 0.1 * rng.standard_normal((2000, 3))
+        f = genreg.scaled(MEASURES["vnorm_2"], 0.5)
+        genreg.solve_general_regression(A, B, f, genreg.prox_small_solver(f), 0.5, seed=6)
+        m = sk.recommend_sizes(sk.SizePolicy(), 8, 0.5, "affine")
+        assert sorted(grams) == [(m, False), (m, True)]
+        assert eigs == [(8, 8)]
+
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_residual_is_never_formed_whole(self, identity):
+        # 20000 x 40 with 16 responses: past Sh A and Sh B, which the reduced
+        # problem is built from, the peak stays below half an n x d' array,
+        # so no whole residual (or its square) is formed
+        n, d, dprime = 20_000, 40, 16
+        rng = la.make_rng(9, 73)
+        A = rng.standard_normal((n, d))
+        B = A @ rng.standard_normal((d, dprime)) + 0.01 * rng.standard_normal((n, dprime))
+        f = genreg.scaled(MEASURES["vnorm_1"], 0.1)
+        solver = genreg.prox_small_solver(f)
+        m = sk.recommend_sizes(sk.SizePolicy(), d, 0.5, "affine")
+        sketches = 0 if identity else m * (d + dprime) * 8
+        tracemalloc.start()
+        try:
+            genreg.solve_general_regression(
+                A, B, f, solver, 0.5, seed=9, identity_sketches=identity, assume_inheritance=True,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sketches < n * dprime * 8 / 2
+
     @pytest.mark.parametrize("csr", [False, True])
     def test_rank_deficient_input_ends_on_the_rank_sized_sketch(self, csr, monkeypatch):
         # rank 3 of d = 8: the first Sh, at the affine size of 8, reads rank 3,
@@ -387,7 +433,7 @@ class TestGeneralRegression:
         assert first == sk.countsketch(sk.recommend_sizes(policy, 8, 0.5, "affine"), seed=seed_h)
         assert Sh == sk.countsketch(sk.recommend_sizes(policy, 3, 0.5, "affine"), seed=seed_h)
         assert Rh.variant == "identity"
-        assert np.array_equal(X, solver(sk.apply(Sh, A), sk.apply(Sh, B)))
+        assert np.array_equal(X, solver(genreg.reduced_problem(sk.apply(Sh, A), sk.apply(Sh, B))))
 
 
 def _with_spectrum(n, d, s, seed):
@@ -526,7 +572,7 @@ class TestLift:
         A, B = TestSparseInput._problem(3000, 6, 200, 0.4, 9)
         f = genreg.scaled(MEASURES["vnorm_2"], 0.3)
         solver = genreg.prox_small_solver(f)
-        Z = solver(A, B)
+        Z = solver(genreg.reduced_problem(A, B))
         R = A @ Z - B
         direct = float(np.sum(R * R)) + f.evaluate(Z)
         hits = 0
@@ -629,7 +675,7 @@ class TestProxSmallSolver:
         for seed in range(3):
             A, B = _prox_problem(seed)
             ref = _objective(f, A, B, _direct_prox_solve(f, A, B))
-            assert abs(_objective(f, A, B, solve(A, B)) - ref) <= 1e-9 * ref
+            assert abs(_objective(f, A, B, solve(genreg.reduced_problem(A, B))) - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("name", PROX_MEASURES)
     def test_gram_form_matches_direct_form_near_consistent(self, name):
@@ -638,7 +684,7 @@ class TestProxSmallSolver:
         for seed in range(3):
             A, B = _near_consistent_problem(seed)
             ref = _objective(f, A, B, _direct_prox_solve(f, A, B))
-            assert abs(_objective(f, A, B, solve(A, B)) - ref) <= 1e-9 * ref
+            assert abs(_objective(f, A, B, solve(genreg.reduced_problem(A, B))) - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("kind", sorted(PROX_CASES))
     @pytest.mark.parametrize("name", PROX_MEASURES)
@@ -653,7 +699,7 @@ class TestProxSmallSolver:
             A, B = problem(seed)
             opt = _objective(base, A, B, fista_reference(A, B, base))
             calls.clear()
-            gap = _objective(base, A, B, genreg.prox_small_solver(f)(A, B)) - opt
+            gap = _objective(base, A, B, genreg.prox_small_solver(f)(genreg.reduced_problem(A, B))) - opt
             steps = len(calls)
             calls.clear()
             plain_gap = _objective(base, A, B, _plain_prox_solve(f, A, B)) - opt
@@ -669,7 +715,7 @@ class TestProxSmallSolver:
         objectives = []
         for cap in (1, 2, 3, 5, 8):
             monkeypatch.setattr(genreg, "PROX_ITERS", cap)
-            objectives.append(_objective(f, A, B, genreg.prox_small_solver(f)(A, B)))
+            objectives.append(_objective(f, A, B, genreg.prox_small_solver(f)(genreg.reduced_problem(A, B))))
         assert max(objectives) <= float(np.sum(B * B)) + f.evaluate(np.zeros((12, 5)))
         assert all(later <= earlier for earlier, later in zip(objectives, objectives[1:]))
 
@@ -684,9 +730,13 @@ class TestProxSmallSolver:
 
         f = dataclasses.replace(base, prox=counted_prox)
         monkeypatch.setattr(_CountedMatmul, "products", 0)
-        genreg.prox_small_solver(f)(A.view(_CountedMatmul), B)
-        assert len(calls) >= 50
+        prob = genreg.reduced_problem(A.view(_CountedMatmul), B)
+        # the record reads the sketch at most twice, the solver never
         assert 1 <= _CountedMatmul.products <= 2
+        monkeypatch.setattr(_CountedMatmul, "products", 0)
+        genreg.prox_small_solver(f)(prob)
+        assert len(calls) >= 50
+        assert _CountedMatmul.products == 0
 
     @pytest.mark.parametrize("name", PROX_MEASURES)
     def test_zero_sketch_gives_zero(self, name):
@@ -694,7 +744,7 @@ class TestProxSmallSolver:
         B = la.make_rng(0, 81).standard_normal((30, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Z = genreg.prox_small_solver(f)(np.zeros((30, 4)), B)
+            Z = genreg.prox_small_solver(f)(genreg.reduced_problem(np.zeros((30, 4)), B))
         assert np.array_equal(Z, np.zeros((4, 3)))
 
 

@@ -109,6 +109,34 @@ class TestApply:
         assert np.array_equal(sk.apply(spec, A), ref)
         assert np.array_equal(sk.apply(spec, scipy.sparse.csr_matrix(A)), ref)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gaussian_blocks_equal_the_whole_matrix_product(self, side):
+        # a 629 x 5000 S is drawn in three uneven row blocks, each from the
+        # same stream as the whole S
+        A = la.make_rng(23).standard_normal((5000, 40))
+        spec = sk.gaussian(629, seed=7, side=side)
+        assert 629 // (sk.GAUSSIAN_BLOCK_ENTRIES // 5000) == 3
+        S = la.make_rng(7).standard_normal((629, 5000)) / np.sqrt(629)
+        if side == "left":
+            assert np.array_equal(sk.apply(spec, A), S @ A)
+        else:
+            AT = np.ascontiguousarray(A.T)
+            assert np.array_equal(sk.apply(spec, AT), np.ascontiguousarray((S @ A).T))
+
+    def test_gaussian_never_forms_the_whole_matrix(self):
+        # a 256 x 65536 S is 134 MB; the blocked apply holds a block of it
+        m, n = 256, 65536
+        A = la.make_rng(24).standard_normal((n, 4))
+        spec = sk.gaussian(m, seed=2)
+        tracemalloc.start()
+        try:
+            out = sk.apply(spec, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (m, 4)
+        assert peak < m * n * 8 / 4
+
     def test_osnap_column_count(self):
         spec = sk.osnap(32, seed=1)
         assert spec.osnap_s() == 5

@@ -20,3 +20,28 @@ def test_every_traced_binding_exists(monkeypatch):
     finally:
         tracer.unwrap_all()
     assert not any(hasattr(getattr(owner, attr), "__wrapped__") for owner, attr in bindings)
+
+
+def test_traced_genreg_run_counts_prox_steps(monkeypatch):
+    # the traced benchmark wraps the small solver genreg_mr builds and counts
+    # the prox calls of its measure: both must still see the solve
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    import workloads
+    from spans import Tracer
+
+    w = workloads.GenregMr()
+    monkeypatch.setattr(w, "n", 4000)
+    inp = w.setup(1)
+    tracer = Tracer()
+    try:
+        layers.install(tracer, {})
+        traced = w.instrument(inp, tracer)
+        mark = tracer.mark()
+        w.sketched(traced, 1)
+        summary = tracer.summary(mark)
+    finally:
+        tracer.unwrap_all()
+    assert summary["counts"].get("genreg.prox.calls", 0) > 0
+    assert summary["spans"]["genreg.small_solver"]["calls"] == 1
+    assert not hasattr(workloads.genreg.solve_general_regression, "__wrapped__")
