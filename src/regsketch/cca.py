@@ -95,12 +95,13 @@ def solve_exact_cca(A, B, lambda1: float, lambda2: float) -> CcaResult:
 def solve_sketched_cca(A, B, lambda1: float, lambda2: float, spec: sk.SketchSpec) -> CcaResult:
     """Exact CCA of the pair (SA, SB) with one shared sketch S.
 
-    The one spec is applied to both views, so the same draw of S hits both;
-    sketching them with different seeds breaks the guarantee.
+    The one spec is applied to both views in one `apply` call, so the same
+    draw of S, constructed once, hits both; sketching them with different
+    seeds breaks the guarantee.
     """
     if A.shape[0] != B.shape[0]:
         raise ValueError("views must share the row count")
-    return solve_exact_cca(sk.apply(spec, A), sk.apply(spec, B), lambda1, lambda2)
+    return solve_exact_cca(*sk.apply(spec, A, B), lambda1, lambda2)
 
 
 def cca_sketch_size(policy: sk.SizePolicy, sd_max: float, eps: float) -> int:

@@ -425,6 +425,18 @@ def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
     return sk.countsketch_or_identity(m, n_clamp, seed, side)
 
 
+def _left_sketches(policy, rank_hint, eps, A, Bd, seeds):
+    """(Rh, Sh A, Sh B Rh) for Sh and Rh at the affine sizes of rank_hint.
+
+    One `apply` call sketches A and B Rh, so Sh's operator is drawn once for
+    both; B Rh is B itself when Rh is the identity.
+    """
+    Sh = _affine_spec(policy, rank_hint, eps, A.shape[0], seeds[2])
+    Rh = _affine_spec(policy, rank_hint, eps, Bd.shape[1], seeds[1], side="right")
+    ShA, ShBRh = sk.apply(Sh, A, as_dense(sk.apply(Rh, Bd)))
+    return Rh, ShA, as_dense(ShBRh)
+
+
 def _numerical_rank(A, gram_eigs=None):
     """Number of singular values of A above RANK_RTOL * sigma_1, as an SVD
     counts them.
@@ -493,12 +505,14 @@ def solve_general_regression(
     `prox_small_solver` and `ridge_small_solver` do. Returns (X_tilde,
     objective-on-the-original-problem).
 
-    The sketches are sized from rank(A), read off Sh A rather than A: Sh is
-    drawn at the affine size of min(n, d), an upper bound on the rank, and
-    the rank is read off the eigenvalues of the d x d Gram of Sh A, the
-    Gram the small solver then iterates on, so it is formed once per draw.
-    A full rank there is rank(A); a smaller reading r redraws Sh at the
-    affine size of r, on the same seed. identity_sketches makes the left
+    The sketches are sized from rank(A), read off Sh A rather than A: Sh and
+    Rh are drawn at the affine sizes of min(n, d), an upper bound on the
+    rank, and the rank is read off the eigenvalues of the d x d Gram of
+    Sh A, the Gram the small solver then iterates on, so it is formed once
+    per draw. Sh B Rh is sketched in the call that sketches A, so Sh is
+    drawn once for both. A full rank there is rank(A); a smaller reading r
+    redraws Sh and Rh at the affine sizes of r, on the same seeds, and
+    sketches A and B Rh again. identity_sketches makes the left
     sketch Sh and the right sketch Rh the identity and reads no rank.
     Whenever Rh is the identity, the change of basis to the row space of
     S B would be a rotation that the lift undoes (right orthogonal
@@ -522,34 +536,30 @@ def solve_general_regression(
         A = as_dense(A)
     Bd = as_dense(B)
     if identity_sketches:
-        Rh = Sh = sk.identity()
-        ShA = A
+        Rh = sk.identity()
+        ShA, ShBRh = A, Bd
         eigs = _gram_eigs(A)
     else:
         policy = policy or sk.SizePolicy()
         seeds = derive_seeds(seed, 51, 3)
         # rank(Sh A) <= rank(A) <= min(n, d): a full rank read at that size
-        # is rank(A), and a smaller one redraws Sh at its own affine size
+        # is rank(A), and a smaller one redraws Sh and Rh at its affine sizes
         r_max = min(A.shape)
-        Sh = _affine_spec(policy, r_max, eps, A.shape[0], seeds[2])
-        ShA = sk.apply(Sh, A)
+        Rh, ShA, ShBRh = _left_sketches(policy, r_max, eps, A, Bd, seeds)
         eigs = _gram_eigs(ShA)
         r = max(_numerical_rank(ShA, eigs), 1)
         if r < r_max:
-            Sh = _affine_spec(policy, r, eps, A.shape[0], seeds[2])
-            ShA = sk.apply(Sh, A)
+            Rh, ShA, ShBRh = _left_sketches(policy, r, eps, A, Bd, seeds)
             eigs = _gram_eigs(ShA)
-        Rh = _affine_spec(policy, r, eps, Bd.shape[1], seeds[1], side="right")
     if Rh.variant == "identity":
         # the change of basis would be a rotation that the lift undoes
-        X = small_solver(reduced_problem(ShA, sk.apply(Sh, Bd), eigs))
+        X = small_solver(reduced_problem(ShA, ShBRh, eigs))
     else:
         S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
         SB = as_dense(sk.apply(S, Bd))
-        ShBRh = as_dense(sk.apply(Sh, as_dense(sk.apply(Rh, Bd))))
         Q, R1, piv, _ = lowrank._pivoted_col_basis(as_dense(sk.apply(Rh, SB)).T)
         X = _lift(small_solver(reduced_problem(ShA, ShBRh @ Q, eigs)), R1, piv, SB)
-    del ShA  # do not hold Sh A across the residual's pass over A
+    del ShA, ShBRh  # do not hold the sketches across the residual's pass over A
     return X, _fit(A, X, Bd) + f.evaluate(X)
 
 

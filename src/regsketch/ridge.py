@@ -98,8 +98,8 @@ def solve_sketched_rows(p: RidgeProblem, spec: sk.SketchSpec) -> RidgeSolution:
     """
     B = as_dense(p.rhs)
     squeeze = B.ndim == 1
-    # the seed fixes S, so sketching A and B apart meets one draw
-    SA = sk.apply(spec, p.A)
-    SB = as_dense(sk.apply(spec, B[:, None] if squeeze else B))
+    # one apply call draws S once for A and B
+    SA, SB = sk.apply(spec, p.A, B[:, None] if squeeze else B)
+    SB = as_dense(SB)
     X, _ = _solve_ridge(SA, SB, p.lam)
     return _guarded(p, X[:, 0] if squeeze else X)

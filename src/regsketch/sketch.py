@@ -9,6 +9,8 @@ scattered from S's arrays into one dense m x d result, with the sums of
 scipy's sparse x sparse product but without it. A Gaussian sketch is a dense
 m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
 transform in O(n d log n) without forming S.
+apply(spec, A, B, ...) sketches several inputs with one construction of
+that draw.
 
 A right sketch is the left sketch of the transpose: A @ R = (S A')'. On a
 dense input a sparse operator meets A' one row block of A at a time, so no
@@ -275,23 +277,41 @@ def _scatter_csr(S, A) -> np.ndarray:
     return out
 
 
-def apply(spec: SketchSpec, A):
+def apply(spec: SketchSpec, A, *more):
     """Apply the sketching operator described by spec to A.
 
     Left side returns S @ A (m rows); right side returns A @ R (m columns),
-    computed as (S A')'. Identity returns the input unchanged.
+    computed as (S A')'. Identity returns the input unchanged. With more
+    inputs, returns the tuple (apply(spec, A), apply(spec, more[0]), ...),
+    each equal to its own call, but a CountSketch or OSNAP operator is drawn
+    once for all of them rather than once per input.
     """
+    operators = {}
+    outs = tuple(_apply(spec, M, operators) for M in (A, *more))
+    return outs if more else outs[0]
+
+
+def _shared_operator(spec: SketchSpec, n: int, operators: dict):
+    """`_operator(spec, n)`, drawn once per (spec, n) in the dict operators
+    shared by the inputs of one `apply` call."""
+    key = (spec, n)
+    if key not in operators:
+        operators[key] = _operator(spec, n)
+    return operators[key]
+
+
+def _apply(spec: SketchSpec, A, operators):
     if spec.variant == "identity":
         return A
     if spec.variant == "composed":
         out = A
         for part in reversed(spec.inner):
-            out = apply(part, out)
+            out = _apply(part, out, operators)
         return out
     right = spec.side == "right"
     if right and spec.variant in ("countsketch", "osnap") and not scipy.sparse.issparse(A):
         A = np.asarray(A, dtype=np.float64)
-        S = _operator(spec, A.shape[1])
+        S = _shared_operator(spec, A.shape[1], operators)
         out = np.empty((A.shape[0], spec.m))
         # (S A')' by row blocks of A: each output entry is the same sum, in the
         # same order, and only one block of A' is copied to row-major order
@@ -305,8 +325,8 @@ def apply(spec: SketchSpec, A):
     elif spec.variant == "gaussian":
         out = _apply_gaussian(A, spec.m, spec.seed)
     else:
-        S = _operator(spec, A.shape[0])
-        if scipy.sparse.issparse(S) and scipy.sparse.issparse(A):
+        S = _shared_operator(spec, A.shape[0], operators)
+        if scipy.sparse.issparse(A):
             out = _scatter_csr(S, A.tocsr())
         else:
             out = as_dense(S @ A)

@@ -1,15 +1,21 @@
 """Statistical dimension: exact computation, the constant-factor estimator
-built on a doubling search over residual-energy estimates, and sizing a
+built on a doubling search over exact tail energies, and sizing a
 CountSketch from sd_lam of its own output.
 
 The estimator's certificate is the inequality chain
-(3/8) min{z', gamma/lam} <= sd_lam(A) <= (3/2)(z' + gamma/lam),
-which is deterministic when exact residuals are substituted for gamma.
+(3/8) min{z', gamma/lam} <= sd_lam(M) <= (3/2)(z' + gamma/lam),
+deterministic for the matrix M whose Gram eigenvalues give the tails gamma.
+The "exact" backend takes M = A. The default "sketch" backend takes M = SA
+for a CountSketch S of A's long side, so the chain is exact for SA; for A it
+was checked empirically at this sketch size (the constant-probability result
+it rests on needs O(sd_lam^2) rows, see `sd_estimate`).
 
-Cost: the estimator reads A once, to form the Gram of its short side
-(n*d*r flops dense, nnz(A)*r sparse, by row blocks; r = min(n, d)), and
-then works on an r x r factor of that Gram in O(r^3). The doubling search and
-its subspace iterations never touch A again.
+Cost: the default estimator reads A once, to sketch it in O(nnz(A)) to
+SD_SKETCH_ROWS_PER_RANK * r rows (r = min(n, d)), and then forms the r x r
+Gram of SA (m r^2 flops) and its eigenvalues in O(r^3). The doubling search
+reads its tails off one cumulative sum of them and never touches A again.
+The "exact" backend forms the Gram of A itself (n*d*r flops dense,
+nnz(A)*r sparse, by row blocks).
 
 `sd_from_sketch` reads sd_lam off a CountSketch SA instead, doubling its rows
 until a caller's size rule at that reading fits: each draw costs O(nnz(A))
@@ -27,9 +33,9 @@ import numpy as np
 import scipy.sparse
 
 from . import sketch as sk
-from .la import RANK_RTOL, as_dense, gram, make_rng, short_gram_eigvalsh
+from .la import RANK_RTOL, as_dense, derive_seed, make_rng, short_gram_eigvalsh
 
-POWER_ITERS = 8  # subspace iterations of the krylov residual estimate
+POWER_ITERS = 8  # subspace iterations of residual_norm_estimate's krylov backend
 # error bound of a Gram reading of sd_lam, relative to max(1, reading), above
 # which sd_by_gram reads the SVD instead
 SD_GRAM_RTOL = 1e-6
@@ -84,6 +90,8 @@ def residual_norm_estimate(A, z: int, seed: int = 0, backend: str = "krylov") ->
     block subspace iteration (block 2z, POWER_ITERS power iterations); meets the
     1/3-relative-error contract with constant probability on our test spectra.
     backend "exact": dense SVD, for deterministic certificate tests.
+    `sd_estimate` does not call it: it reads exact tails off a Gram's
+    eigenvalues.
     """
     n, d = A.shape
     r = min(n, d)
@@ -118,46 +126,87 @@ class StatDimEstimate:
     binding: bool  # False when the doubling search reached min(n, d)
 
 
-def _gram_factor(A) -> np.ndarray:
-    """r x r factor F = diag(sqrt(w)) V' of the short-side Gram G = V diag(w) V'.
+# Rows of the estimator's CountSketch per unit of r = min(n, d). At 4r the
+# estimate kept est/16 <= sd_lam <= 1.5 est and lower <= sd_lam <= upper on
+# every draw of tall inputs up to 65536 x 64 (three spectra, heavy-row inputs,
+# sd_lam 2 to 30), and SA adds 0.13 MB on a 65536 x 64 input. At m = r^2 it
+# adds 2.1 MB there; re-measure the peak before going above about 8r.
+SD_SKETCH_ROWS_PER_RANK = 4
+# derive_seed stream of the estimator's CountSketch: past every stream the
+# other draws take (composed parts and trial specs count up from 0 and 1;
+# lowrank and genreg use 31 to 64), so its hash is independent of theirs
+SD_SKETCH_STREAM = 1 << 20
+SD_BACKENDS = ("sketch", "exact")
 
-    G is A'A when n >= d and AA' otherwise, so F has A's singular values, and
-    F'F = G; a CSR input is read in row blocks by `la.gram`. Eigenvalues
-    below G's rounding level, max(n, d) * eps * max(w), are set to zero: they
-    are rounding noise, some of it negative, and their square roots would be
-    NaN or pose as singular values near sqrt(eps) * ||A||_2.
+
+def _gram_eigenvalues(M) -> np.ndarray:
+    """Eigenvalues of M's short-side Gram, ascending, with rounding noise zeroed.
+
+    The Gram (`la.short_gram_eigvalsh`) has M's squared singular values.
+    Eigenvalues at or below its rounding level, max(m, d) * eps * max(w), are
+    set to zero: they are rounding noise, some of it negative, and would pose
+    as a tail of energy that M does not have.
     """
+    w, _ = short_gram_eigvalsh(M)
+    return np.where(w > max(M.shape) * np.finfo(np.float64).eps * w.max(initial=0.0), w, 0.0)
+
+
+def _estimator_sketch(A, seed: int):
+    """A CountSketch of A's long side to SD_SKETCH_ROWS_PER_RANK * min(n, d)
+    rows, on the left of a tall A and the right of a wide one, or A itself
+    when that many rows would not reduce the long side."""
     n, d = A.shape
-    G = gram(A) if n >= d else gram(A.T)
-    w, V = np.linalg.eigh(G)
-    w = np.where(w > max(n, d) * np.finfo(np.float64).eps * w.max(initial=0.0), w, 0.0)
-    return np.sqrt(w)[:, None] * V.T
+    m = SD_SKETCH_ROWS_PER_RANK * min(n, d)
+    side = "left" if n >= d else "right"
+    return sk.apply(sk.countsketch_or_identity(m, max(n, d), derive_seed(seed, SD_SKETCH_STREAM), side), A)
 
 
-def sd_estimate(A, lam: float, seed: int = 0, backend: str = "krylov") -> StatDimEstimate:
+def sd_estimate(A, lam: float, seed: int = 0, backend: str = "sketch") -> StatDimEstimate:
     """Constant-factor estimate of sd_lam(A) by doubling z until z >= gamma_z/lam.
 
-    The residual estimates run on `_gram_factor(A)`, which has A's singular
-    values; subspace iteration depends on nothing else of A, so for n >= d the
-    result is the estimator run on A itself, for n < d the estimator run on
-    A', and sd_estimate(A) == sd_estimate(A') whenever n != d.
+    gamma_z = sum_{i > z} w_i is the exact tail of the eigenvalues w of a
+    short-side Gram, read off one cumulative sum of them. backend "exact"
+    takes the Gram of A itself, so the certificate
+    (3/8) min{z', gamma/lam} <= sd_lam(A) <= (3/2)(z' + gamma/lam) holds
+    deterministically. backend "sketch" takes the Gram of SA for a CountSketch
+    S of A's long side to m = SD_SKETCH_ROWS_PER_RANK * r rows (r = min(n, d);
+    the right side of a wide A, so the short side is never sketched), seeded
+    from the stream SD_SKETCH_STREAM of `seed`: the certificate is exact for
+    SA. For A it is an empirical bound at this size: it held on every draw of
+    the tested inputs (see SD_SKETCH_ROWS_PER_RANK). The cited guarantee, that
+    a CountSketch approximating A'A + lam I keeps sd_lam within a constant
+    factor with constant probability (Avron et al., ICML 2017), needs
+    O(sd_lam^2) rows, which 4r need not be. When m is not below A's long
+    side, SA is A.
 
-    z stops at r = min(n, d), where the tail energy is zero, so the estimate
-    never exceeds the rank; that result is marked non-binding. Rejects lam = 0 (the stop rule divides by lam; use sd_exact or the rank).
+    Cost: one O(nnz(A)) pass to sketch A, the r x r Gram of SA (m r^2 flops)
+    and its eigenvalues in O(r^3); A is never read again. The "exact" backend
+    pays the Gram of A instead, n d r flops dense or nnz(A) r sparse.
+
+    z stops at r, where the tail is zero, so the estimate never exceeds the
+    rank; that result is marked non-binding. Both orientations of A share
+    one short-side Gram and one sketch, so sd_estimate(A) == sd_estimate(A')
+    whenever n != d. Rejects lam = 0 (the stop rule divides by lam; use
+    sd_exact or the rank).
     """
     if lam <= 0:
         raise ValueError("sd_estimate requires lam > 0; use sd_exact for lam = 0")
-    F = _gram_factor(A)
+    if backend not in SD_BACKENDS:
+        raise ValueError(f"unknown sd_estimate backend {backend!r}; choose from {SD_BACKENDS}")
+    w = _gram_eigenvalues(A if backend == "exact" else _estimator_sketch(A, seed))
     r = min(A.shape)
+    # w ascends, so its cumulative sum from the start is a tail sum: the
+    # energy below the top z directions is tails[r - z]
+    tails = np.concatenate([[0.0], np.cumsum(w)])
     z = 1
     while True:
-        gamma = residual_norm_estimate(F, z, seed=seed + z, backend=backend)
+        gamma = float(tails[r - z])
         if z >= gamma / lam:
             est = z + gamma / lam
             return StatDimEstimate(
                 estimate=float(est),
                 z_prime=z,
-                gamma_hat=float(gamma),
+                gamma_hat=gamma,
                 lower=float(0.375 * min(z, gamma / lam)),
                 upper=float(1.5 * est),
                 binding=z < r,

@@ -122,7 +122,7 @@ def test_acceptance_statdim():
     for run in range(100):
         A, _ = problems.generate_problem(150, 30, run % 10, kind="geometric")
         lam = 0.05
-        est = statdim.sd_estimate(A, lam, seed=run, backend="krylov")
+        est = statdim.sd_estimate(A, lam, seed=run, backend="sketch")
         exact = statdim.sd_exact(A, lam)
         rand_ok += est.estimate / 16.0 <= exact <= 1.5 * est.estimate
     _verdict(

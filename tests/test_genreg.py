@@ -416,9 +416,9 @@ class TestGeneralRegression:
 
     @pytest.mark.parametrize("csr", [False, True])
     def test_rank_deficient_input_ends_on_the_rank_sized_sketch(self, csr, monkeypatch):
-        # rank 3 of d = 8: the first Sh, at the affine size of 8, reads rank 3,
-        # and Sh is redrawn at the affine size of 3 on the same seed, which is
-        # the Sh a rank read off A itself gives
+        # rank 3 of d = 8: the first Sh and Rh, at the affine size of 8, read
+        # rank 3, and both are redrawn at the affine size of 3 on the same
+        # seeds, which is the Sh a rank read off A itself gives
         specs = _recorded_specs(monkeypatch)
         rng = la.make_rng(8, 73)
         A = rng.standard_normal((2000, 3)) @ rng.standard_normal((3, 8))
@@ -428,9 +428,10 @@ class TestGeneralRegression:
         solver = genreg.prox_small_solver(f)
         X, _ = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=8)
         assert genreg._numerical_rank(A) == 3
-        first, Sh, Rh = specs
+        first, first_Rh, Sh, Rh = specs
         policy, seed_h = sk.SizePolicy(), la.derive_seeds(8, 51, 3)[2]
         assert first == sk.countsketch(sk.recommend_sizes(policy, 8, 0.5, "affine"), seed=seed_h)
+        assert first_Rh.variant == "identity"
         assert Sh == sk.countsketch(sk.recommend_sizes(policy, 3, 0.5, "affine"), seed=seed_h)
         assert Rh.variant == "identity"
         assert np.array_equal(X, solver(genreg.reduced_problem(sk.apply(Sh, A), sk.apply(Sh, B))))

@@ -153,6 +153,40 @@ class TestApply:
         with pytest.raises(ValueError):
             sk.apply(sk.srht(64, seed=0), np.zeros((32, 2)))  # m > n
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("variant", VARIANTS + ["identity", "composed"])
+    def test_several_inputs_equal_their_own_calls(self, variant, side):
+        # a dense matrix, a CSR matrix and a single column, one call
+        rng = la.make_rng(5)
+        n = 300
+        inputs = [
+            rng.standard_normal((n, 7)),
+            scipy.sparse.random(n, 5, density=0.2, format="csr", random_state=1),
+            rng.standard_normal((n, 1)),
+        ]
+        if side == "right":
+            inputs = [M.T.tocsr() if scipy.sparse.issparse(M) else M.T for M in inputs]
+        if variant == "composed":
+            spec = sk.compose(sk.countsketch(40, seed=2, side=side), sk.osnap(120, seed=3, side=side))
+        elif variant == "identity":
+            spec = sk.identity(side=side)
+        else:
+            spec = sk.SketchSpec(variant, m=64, seed=4, side=side)
+        outs = sk.apply(spec, *inputs)
+        assert len(outs) == len(inputs)
+        for M, out in zip(inputs, outs):
+            alone = sk.apply(spec, M)
+            assert np.array_equal(la.as_dense(out), la.as_dense(alone))
+
+    @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
+    def test_several_inputs_draw_the_operator_once(self, variant, monkeypatch):
+        calls, operator = [], sk._operator
+        monkeypatch.setattr(sk, "_operator", lambda spec, n: calls.append(n) or operator(spec, n))
+        rng = la.make_rng(6)
+        spec = sk.SketchSpec(variant, m=32, seed=1)
+        sk.apply(spec, rng.standard_normal((500, 4)), rng.standard_normal((500, 2)))
+        assert calls == [500]
+
 
 class TestFwht:
     def test_matches_direct_hadamard(self):

@@ -117,14 +117,15 @@ class TestSdEstimate:
 
 
 class TestGramFactorEstimator:
-    """sd_estimate reads A once, through the Gram of its short side."""
+    """sd_estimate reads A once, through the short-side Gram of a CountSketch
+    of A (or of A itself when the sketch would not reduce its long side)."""
 
     @pytest.mark.parametrize("shape", [(300, 40), (40, 300)])
     def test_transpose_gives_the_same_estimate(self, shape):
         # both orientations share one short-side Gram (square A has two)
         A, _ = problems.generate_problem(*shape, 0, kind="power")
         lam = 0.05
-        for backend in ("krylov", "exact"):
+        for backend in ("sketch", "exact"):
             est = statdim.sd_estimate(A, lam, seed=3, backend=backend)
             assert est == statdim.sd_estimate(A.T, lam, seed=3, backend=backend)
 
@@ -138,15 +139,18 @@ class TestGramFactorEstimator:
             assert abs(sparse_est.estimate - dense_est.estimate) <= 1e-12 * dense_est.estimate
 
     @pytest.mark.parametrize("kind", problems.SPECTRA)
-    def test_tall_matches_doubling_on_full_matrix(self, kind):
-        # the doubling loop run by hand on A itself: on a tall input the Gram
-        # factor has A's singular values and takes the same Gaussian draws
+    def test_tall_matches_doubling_on_the_sketch(self, kind):
+        # the exact-tail doubling run by hand on the eigenvalues of the
+        # 4r-row CountSketch of A, drawn at the derived seed
         A, _ = problems.generate_problem(4096, 64, 5, kind=kind)
         lam = problems.lambda_for_sd(A, 3.0, 8.0)
         seed = 11
+        spec = sk.countsketch(4 * 64, seed=la.derive_seed(seed, statdim.SD_SKETCH_STREAM))
+        SA = sk.apply(spec, A)
+        w = np.linalg.eigvalsh(SA.T @ SA)[::-1]
         z = 1
         while True:
-            gamma = statdim.residual_norm_estimate(A, z, seed=seed + z)
+            gamma = float(np.sum(w[z:]))
             if z >= gamma / lam:
                 break
             z = min(2 * z, 64)
@@ -164,6 +168,73 @@ class TestGramFactorEstimator:
         exact = statdim.sd_exact(A, lam)
         assert est.lower <= exact <= est.upper
         assert abs(est.estimate - 8.0) <= 0.01 * 8.0
+
+
+def _lam_for(sigma, target):
+    """A ridge weight at which sd_lam of singular values sigma is target."""
+    lo, hi = 1e-14, 1e14
+    for _ in range(200):
+        lam = np.sqrt(lo * hi)
+        lo, hi = (lam, hi) if statdim.sd_exact(sigma, lam) > target else (lo, lam)
+    return lam
+
+
+def _heavy_rows(n, d, seed):
+    """Coherent input: d rows, one per direction, carry nearly all the energy
+    (sigma from 1 down to 0.01), over a faint Gaussian background."""
+    rng = la.make_rng(seed, 3)
+    A = rng.standard_normal((n, d)) * 1e-3 / np.sqrt(n)
+    A[rng.choice(n, size=d, replace=False), np.arange(d)] = 10.0 ** -np.linspace(0, 2, d)
+    return A
+
+
+class TestSketchedEstimator:
+    """The default backend reads a 4r-row CountSketch of A, drawn once."""
+
+    @pytest.mark.parametrize(
+        "n, d, kind",
+        [(20000, 40, kind) for kind in problems.SPECTRA]
+        + [(65536, 64, kind) for kind in problems.SPECTRA]
+        + [(20000, 40, "heavy")],
+    )
+    def test_every_draw_within_the_certificate(self, n, d, kind):
+        A = _heavy_rows(n, d, 0) if kind == "heavy" else problems.generate_problem(n, d, 1, kind=kind)[0]
+        assert statdim.SD_SKETCH_ROWS_PER_RANK * d < n  # the sketch reduces
+        sigma = statdim.singular_values(A)
+        for target in (2.0, 8.0, 30.0):
+            lam = _lam_for(sigma, target)
+            sd = statdim.sd_exact(sigma, lam)
+            for seed in range(6):
+                est = statdim.sd_estimate(A, lam, seed=seed)
+                assert est.lower <= sd <= est.upper, (target, seed, est)
+                assert est.estimate / 16.0 <= sd <= 1.5 * est.estimate, (target, seed, est)
+
+    @pytest.mark.parametrize("shape", [(20000, 40), (40, 20000)])
+    def test_reads_no_long_side_gram_and_sketches_once(self, shape, monkeypatch):
+        A, _ = problems.generate_problem(*shape, 3, kind="power")
+        grams, applies = [], []
+        gram, apply = la.gram, sk.apply
+        monkeypatch.setattr(la, "gram", lambda M, *a: grams.append(M.shape) or gram(M, *a))
+        monkeypatch.setattr(sk, "apply", lambda *a: applies.append(a[0]) or apply(*a))
+        statdim.sd_estimate(A, 0.01, seed=4)
+        assert len(applies) == 1 and applies[0].m == 4 * 40
+        assert grams and all(max(g) < max(shape) for g in grams)
+
+    def test_hash_is_independent_of_the_solve_sketch(self, monkeypatch):
+        # the solve sketches with countsketch(m, seed): the estimator's draw
+        # at the same seed and size must not repeat its hash
+        A, _ = problems.generate_problem(2000, 30, 6, kind="geometric")
+        seed, specs, apply = 9, [], sk.apply
+        monkeypatch.setattr(sk, "apply", lambda *a: specs.append(a[0]) or apply(*a))
+        statdim.sd_estimate(A, 0.01, seed=seed)
+        [spec] = specs
+        assert spec.seed != seed
+        eye = np.eye(2000)
+        assert not np.array_equal(apply(spec, eye), apply(sk.countsketch(spec.m, seed=seed), eye))
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="krylov"):
+            statdim.sd_estimate(np.eye(3), 1.0, backend="krylov")
 
 
 class TestSdByGram:
