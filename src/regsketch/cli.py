@@ -184,7 +184,8 @@ def _lowrank_trial(args, seed):
     return _record(
         args, seed, ex.objective, sol.objective,
         {"lam": lam, "k": args.k, "gap_over_fro2": gap / fro2 if fro2 else 0.0,
-         "m": sol.sizes["m"], "sd_hat": sol.sizes["sd_hat"]},
+         "m": sol.sizes["m"], "m_drawn": sol.sizes["m_drawn"],
+         "levels_read": sol.sizes["levels_read"], "sd_hat": sol.sizes["sd_hat"]},
         passed=gap <= args.eps * fro2 + 1e-9,
     )
 

@@ -15,11 +15,13 @@ right sketches meet the small SA and S2A, and the left factor is lifted as
 Y = A (R Z_R), so no n x m' matrix A R is formed.
 
 The sketch sizes come from sd_lam of the left sketch SA itself
-(`statdim.sd_from_sketch`): S is redrawn at twice the rows until the size rule
-at sd_lam(SA) fits, each draw costing O(nnz(A)) plus the Gram of SA's short
-side and its eigenvalues, and the final SA is the one the core is built from,
-so A is sketched for S once. That reading estimates min(sd_lam(A), k), which
-is not the paper's sd_lam(Y*) and does not bound it (see `core_sizes`).
+(`statdim.sd_from_sketch`): one CountSketch of A is drawn at M rows and
+folded in half, level by level, and the smallest level at which the size rule
+at sd_lam(SA) fits is S. That costs one O(nnz(A)) pass plus the Gram of each
+level's short side and its eigenvalues, and the level read is the SA the core
+is built from, so A is sketched for S once. That reading estimates
+min(sd_lam(A), k), which is not the paper's sd_lam(Y*) and does not bound it
+(see `core_sizes`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class LowRankFactors:
     lam: float
     sd_factor: float = 0.0  # sd_lam of the shrinkage factor, when known
     rank_truncated: bool = False
-    # of a sketched solve: m, m_prime, p, p_prime, sd_hat and the sizing draws
+    # of a sketched solve: m, m_prime, p, p_prime, sd_hat, and the rows
+    # m_drawn of S's one draw with the count levels_read of its levels read
     sizes: dict = field(default_factory=dict)
 
 
@@ -152,7 +155,7 @@ class CorePieces:
 
 
 def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: int = 0) -> dict:
-    """Sketch dimensions (m, m', p, p'), sd_hat, the sizing draws, and SA.
+    """Sketch dimensions (m, m', p, p'), sd_hat, S's draw, and SA.
 
     sd_hat estimates min(sd_lam(A), k), with sd_lam(A) = sum of
     sigma^2 / (sigma^2 + lam) over A's singular values. It is not the
@@ -165,12 +168,15 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
     acceptance runs, not a bound, show its sizes suffice.
 
     For lam > 0, sd_lam(A) is read off the S sketch itself
-    (`statdim.sd_from_sketch`): S is drawn at the lowrank_S size for
-    sd_hat = 1 and redrawn larger until the size at sd_lam(SA) fits, at
-    O(nnz(A)) plus the Gram of SA's short side per draw. The final SA is
-    returned under "SA" and build_core_sized solves with it, so A is
-    sketched for S once. At lam = 0, sd_hat = k and nothing is drawn. m', p
-    and p' follow from sd_hat and the final m.
+    (`statdim.sd_from_sketch`): one CountSketch of A is drawn at m_drawn =
+    m0 2^j rows, the first at or above the lowrank_S size for sd_hat = k
+    (m0 is the size for sd_hat = 1), and folded in half down to m0; m is the
+    smallest level whose sd_lam reading fits the size rule, and levels_read
+    counts the levels read. That costs one O(nnz(A)) pass plus the Gram of
+    each level's short side. The level's SA is returned under "SA" and
+    build_core_sized solves with it, with S = countsketch(m, fold=m_drawn),
+    so A is sketched for S once. At lam = 0, sd_hat = k and nothing is drawn.
+    m', p and p' follow from sd_hat and m.
     """
     n, d = A.shape
     if lam > 0:
@@ -178,23 +184,25 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
             A, lam, lambda s: sk.recommend_sizes(policy, s, eps, "lowrank_S"), float(k),
             seed=derive_seeds(seed, 31, 1)[0],
         )
-        sd_hat, m, draws, drawn = left.sd_hat, left.SA.shape[0], left.draws, {"SA": left.SA}
+        sd_hat, m = left.sd_hat, left.SA.shape[0]
+        draw = {"m_drawn": left.drawn, "levels_read": left.levels, "SA": left.SA}
     else:
-        sd_hat, draws, drawn = float(k), 0, {}
+        sd_hat, draw = float(k), {"m_drawn": 0, "levels_read": 0}
         m = min(n, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_S"))
     m_p = min(d, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_R"))
     p = min(n, max(1, int(np.ceil(policy.k_affine * m_p / eps**2))))
     p_p = min(d, max(1, int(np.ceil(policy.k_affine * m / eps**2))))
-    return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat, "draws": draws, **drawn}
+    return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat, **draw}
 
 
 def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
-    """The core pieces at `sizes`; an "SA" that core_sizes drew is reused."""
+    """The core pieces at `sizes`; an "SA" that core_sizes drew is reused.
+    S is the CountSketch folded from m_drawn rows when sizes carry it."""
     n, d = A.shape
     sizes = dict(sizes)
     SA = sizes.pop("SA", None)
     rs = derive_seeds(seed, 31, 4)  # S, R, S2, R2
-    S = sk.countsketch_or_identity(sizes["m"], n, rs[0], "left")
+    S = sk.countsketch_or_identity(sizes["m"], n, rs[0], "left", fold=sizes.get("m_drawn", 0))
     R = sk.countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
     S2 = sk.countsketch_or_identity(sizes["p"], n, rs[2], "left")
     R2 = sk.countsketch_or_identity(sizes["p_prime"], d, rs[3], "right")

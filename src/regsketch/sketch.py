@@ -12,6 +12,12 @@ transform in O(n d log n) without forming S.
 apply(spec, A, B, ...) sketches several inputs with one construction of
 that draw.
 
+A folded CountSketch, countsketch(m, seed, fold=M), is the M-row CountSketch
+of that seed with its rows halved down to m (`halve`): the bottom half added
+onto the top half, which is the CountSketch with hash h mod M/2. So one pass
+over A at M rows gives every size M / 2^j, each bit for bit the apply of its
+own folded spec.
+
 A right sketch is the left sketch of the transpose: A @ R = (S A')'. On a
 dense input a sparse operator meets A' one row block of A at a time, so no
 transposed copy of all of A is made.
@@ -38,7 +44,8 @@ class SketchSpec:
 
     For a left sketch the operator is S in R^{m x n} and apply() returns S @ A;
     a right sketch R in R^{d x m} is represented as the left sketch of the
-    transpose, so apply() returns A @ R with m columns.
+    transpose, so apply() returns A @ R with m columns. A CountSketch with
+    fold = M > 0 is drawn at M rows and halved to m (see `halve`).
     """
 
     variant: str
@@ -47,6 +54,7 @@ class SketchSpec:
     seed: int = 0
     side: str = "left"
     inner: tuple = field(default_factory=tuple)  # composed parts, applied right-to-left
+    fold: int = 0  # CountSketch rows drawn before halving to m; 0: drawn at m
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -59,6 +67,11 @@ class SketchSpec:
             raise ValueError("OSNAP sparsity must satisfy 1 <= s <= m")
         if self.variant == "composed" and not self.inner:
             raise ValueError("composed spec needs a nonempty inner list")
+        if self.fold and not (
+            self.variant == "countsketch" and self.fold > self.m and self.fold % self.m == 0
+            and (self.fold // self.m) & (self.fold // self.m - 1) == 0
+        ):
+            raise ValueError("fold must be a CountSketch's m times a power of two above 1")
 
     def osnap_s(self) -> int:
         if self.s:
@@ -81,6 +94,8 @@ class SketchSpec:
             obj["s"] = self.osnap_s()
         if self.variant == "composed":
             obj["inner"] = [p._to_obj() for p in self.inner]
+        if self.fold:
+            obj["fold"] = self.fold
         return obj
 
     @staticmethod
@@ -96,6 +111,7 @@ class SketchSpec:
             seed=int(obj.get("seed", 0)),
             side=obj.get("side", "left"),
             inner=tuple(SketchSpec._from_obj(o) for o in obj.get("inner", ())),
+            fold=int(obj.get("fold", 0)),
         )
 
 
@@ -103,14 +119,18 @@ def identity(side: str = "left") -> SketchSpec:
     return SketchSpec("identity", m=0, side=side)
 
 
-def countsketch(m: int, seed: int = 0, side: str = "left") -> SketchSpec:
-    return SketchSpec("countsketch", m=m, seed=seed, side=side)
+def countsketch(m: int, seed: int = 0, side: str = "left", fold: int = 0) -> SketchSpec:
+    """An m-row CountSketch, or with fold = M the M-row one halved to m; a
+    fold of m itself is no fold."""
+    return SketchSpec("countsketch", m=m, seed=seed, side=side, fold=0 if fold == m else fold)
 
 
-def countsketch_or_identity(m: int, n: int, seed: int = 0, side: str = "left") -> SketchSpec:
+def countsketch_or_identity(
+    m: int, n: int, seed: int = 0, side: str = "left", fold: int = 0
+) -> SketchSpec:
     """A CountSketch taking n rows (or columns) to m, or the identity when
     m >= n: such a sketch reduces nothing and only adds collisions."""
-    return identity(side=side) if m >= n else countsketch(m, seed=seed, side=side)
+    return identity(side=side) if m >= n else countsketch(m, seed=seed, side=side, fold=fold)
 
 
 def osnap(m: int, s: int = 0, seed: int = 0, side: str = "left") -> SketchSpec:
@@ -300,9 +320,31 @@ def _shared_operator(spec: SketchSpec, n: int, operators: dict):
     return operators[key]
 
 
+def halve(SA: np.ndarray, side: str = "left") -> np.ndarray:
+    """The bottom half of SA's rows (columns for a right sketch) added onto
+    its top half.
+
+    For SA the apply of an M-row CountSketch with hash h (M even) this is the
+    apply of the CountSketch with hash h mod M/2 and the same signs: each row
+    i < M/2 gathers the input rows hashed to i or i + M/2. It sums them in
+    another order than a direct apply of that hash, so the two agree to
+    rounding; `apply` of a folded spec halves, so it gives these bits.
+    """
+    if side == "right":
+        h = SA.shape[1] // 2
+        return SA[:, :h] + SA[:, h:]
+    h = SA.shape[0] // 2
+    return SA[:h] + SA[h:]
+
+
 def _apply(spec: SketchSpec, A, operators):
     if spec.variant == "identity":
         return A
+    if spec.fold:
+        out = _apply(dataclasses.replace(spec, m=spec.fold, fold=0), A, operators)
+        while (out.shape[1] if spec.side == "right" else out.shape[0]) > spec.m:
+            out = halve(out, spec.side)
+        return out
     if spec.variant == "composed":
         out = A
         for part in reversed(spec.inner):
@@ -340,11 +382,11 @@ def right_product(spec: SketchSpec, Z, d: int) -> np.ndarray:
 
     R is the transpose of `_operator(spec, d)`: one +-1 per row for a
     CountSketch, so for a k-column Z this costs O(d k). The identity returns
-    Z; SRHT and composed specs have no operator here.
+    Z; SRHT, composed and folded specs have no operator here.
     """
     if spec.variant == "identity":
         return np.asarray(Z, dtype=np.float64)
-    if spec.side != "right" or spec.variant not in ("countsketch", "osnap", "gaussian"):
+    if spec.side != "right" or spec.fold or spec.variant not in ("countsketch", "osnap", "gaussian"):
         raise ValueError(f"right_product needs a right CountSketch, OSNAP or Gaussian spec, not {spec}")
     return np.asarray(_operator(spec, d).T @ Z)
 

@@ -17,12 +17,14 @@ reads its tails off one cumulative sum of them and never touches A again.
 The "exact" backend forms the Gram of A itself (n*d*r flops dense,
 nnz(A)*r sparse, by row blocks).
 
-`sd_from_sketch` reads sd_lam off a CountSketch SA instead, doubling its rows
-until a caller's size rule at that reading fits: each draw costs O(nnz(A))
-plus the m x m Gram of SA's short side (m^2 d flops for m <= d) and its
-eigenvalues (`sd_by_gram`), and the final SA is the sketch the caller solves
-with. An SVD of SA runs only when the Gram's certificate is too loose to
-read sd_lam to SD_GRAM_RTOL.
+`sd_from_sketch` reads sd_lam off a CountSketch SA instead: it draws one
+CountSketch of A at M rows, folds it in half down to the smallest size
+(`sketch.halve`), and reads the levels from the smallest up until a caller's
+size rule at that reading fits. A is read once, in O(nnz(A)); each level read
+costs the m x m Gram of its short side (m^2 d flops for m <= d) and its
+eigenvalues (`sd_by_gram`), and the level that fits is the sketch the caller
+solves with. An SVD of SA runs only when the Gram's certificate is too loose
+to read sd_lam to SD_GRAM_RTOL.
 """
 
 from __future__ import annotations
@@ -218,37 +220,64 @@ def sd_estimate(A, lam: float, seed: int = 0, backend: str = "sketch") -> StatDi
 class SketchedSd:
     """A CountSketch of A sized from sd_lam of its own output."""
 
-    spec: sk.SketchSpec  # the final draw; the identity once m reached n
+    spec: sk.SketchSpec  # the folded level returned; the identity when none fit
     SA: np.ndarray  # spec applied to A, dense, m x d
     sd_hat: float  # min(sd_by_gram(SA, lam), cap)
-    draws: int  # sketches drawn, the final one included
+    drawn: int  # rows M of the one CountSketch drawn; 0 when none was
+    levels: int  # levels of that draw whose sd_lam was read
 
 
 def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd:
-    """Draw an m-row CountSketch S of A until size(sd_hat) <= m or m = n.
+    """One M-row CountSketch of A, folded down to the first level m with
+    size(sd_hat) <= m, or the identity when no level below n fits.
 
-    sd_hat = min(sd_lam(SA), cap), read by `sd_by_gram` from the Gram of
-    SA's short side rather than an SVD of SA. m starts at size(1) and, while
-    the draw asks for more, becomes max(2m, size(sd_hat)), every draw with
-    the same seed. `size` maps an sd estimate to a row count and must be
-    nondecreasing, so the loop ends once m >= size(cap). Ridge leverage scores sum to sd_lam
-    (Cohen-Musco-Musco, SODA 2017) and an sd_lam-sized sketch preserves
-    A'A + lam I (Avron et al., ICML 2017), so SA read at the size the caller
-    needs for its solve also reads sd_lam to within a constant factor, with
-    constant probability: at sd_lam <= 1 the reading comes from the first,
-    size(1)-row draw.
+    `size` maps an sd estimate to a row count and must be nondecreasing. M is
+    the smallest m0 2^j at or above size(cap), m0 = size(1), kept below n, so
+    M < 2 size(cap) unless M = m0. Halving SA (`sketch.halve`) gives the
+    CountSketch of the same draw at M/2, M/4, ..., m0 rows, so A is read once
+    for every size. sd_hat = min(sd_lam(level), cap), read by `sd_by_gram`
+    from the Gram of the level's short side, is read from m0 up, and the first
+    level that fits is returned as the folded spec countsketch(m, seed,
+    fold=M). The m0-row level reads loosest, so it is taken only when the
+    next level's reading fits m0 rows too. Ridge leverage scores sum to
+    sd_lam (Cohen-Musco-Musco, SODA 2017) and an sd_lam-sized sketch
+    preserves A'A + lam I (Avron et al., ICML 2017), so SA read at the size
+    the caller needs for its solve also reads sd_lam to within a constant
+    factor, with constant probability: at sd_lam <= 1 the reading comes from
+    the two smallest levels.
+
+    Cost: one O(nnz(A)) apply at M rows, O(M d) to fold, and per level read
+    the Gram of its short side and its eigenvalues. The levels above the one
+    returned are freed on return.
     """
     if lam <= 0:
         raise ValueError("sd_from_sketch requires lam > 0")
     n = A.shape[0]
-    m = min(n, size(1.0))
-    draws = 0
-    while True:
-        spec = sk.countsketch_or_identity(m, n, seed)
-        SA = as_dense(sk.apply(spec, A))
-        draws += 1
-        sd_hat = min(sd_by_gram(SA, lam), cap)
-        need = size(sd_hat)
-        if need <= m or m >= n:
-            return SketchedSd(spec=spec, SA=SA, sd_hat=float(sd_hat), draws=draws)
-        m = min(n, max(2 * m, need))
+    m0 = size(1.0)
+    if m0 < 1:
+        raise ValueError("sd_from_sketch needs size(1) >= 1 row")
+    M, top = m0, size(float(cap))
+    while M < top and 2 * M < n:
+        M *= 2
+    sds = []  # the readings, m0-row level first
+    if M < n:
+        levels = [as_dense(sk.apply(sk.countsketch(M, seed), A))]
+        while levels[-1].shape[0] > m0:
+            levels.append(sk.halve(levels[-1]))
+        levels.reverse()
+        for i, SA in enumerate(levels):
+            sds.append(float(min(sd_by_gram(SA, lam), cap)))
+            # the m0-row level reads loosest: it is taken only when the
+            # next level's reading fits m0 rows too
+            if i == 1 and size(max(sds)) <= m0:
+                i, SA = 0, levels[0]
+            elif size(sds[i]) > SA.shape[0] or (i == 0 and len(levels) > 1):
+                continue
+            spec = sk.countsketch(SA.shape[0], seed, fold=M)
+            return SketchedSd(spec=spec, SA=SA, sd_hat=sds[i], drawn=M, levels=len(sds))
+        del levels, SA
+    SA = as_dense(A)
+    sd_hat = min(sd_by_gram(SA, lam), cap)
+    return SketchedSd(
+        spec=sk.identity(), SA=SA, sd_hat=float(sd_hat), drawn=M if M < n else 0, levels=len(sds)
+    )

@@ -81,7 +81,7 @@ def test_policy_sized_subcommands_pass(tmp_path):
         (["mr-ridge", "--seeds", "0..9", "--n", "800", "--d", "15"],
          ["lam", "m", "sd_hat", "guard", "dprime"]),
         (["lowrank", "--seeds", "0..9", "--n", "300", "--d", "200", "--k", "5"],
-         ["lam", "k", "gap_over_fro2", "m", "sd_hat"]),
+         ["lam", "k", "gap_over_fro2", "m", "m_drawn", "levels_read", "sd_hat"]),
         (["cca", "--seeds", "0..9", "--n", "3000", "--d", "10", "--dprime", "8"],
          ["lam", "m", "max_sigma_dev", "validated"]),
         (["statdim", "--seeds", "0..9", "--n", "200", "--d", "30"], ["lam", "lower", "upper", "binding"]),

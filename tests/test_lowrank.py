@@ -385,10 +385,20 @@ class TestSolveSketched:
         assert sizes["m"] == pieces.SA.shape[0] < 2000
         assert sizes["m"] >= sk.recommend_sizes(policy, sizes["sd_hat"], 0.5, "lowrank_S")
         assert 0.5 <= sizes["sd_hat"] / statdim.sd_exact(A, lam) <= 2.0
-        assert sizes["draws"] >= 1 and "SA" not in pieces.sizes
+        assert pieces.specs["S"] == sk.countsketch(sizes["m"], pieces.specs["S"].seed, fold=sizes["m_drawn"])
+        assert sizes["m_drawn"] > sizes["m"] and sizes["levels_read"] > 1 and "SA" not in pieces.sizes
         sol = lowrank.solve_sketched(A, 10, lam, 0.5, policy=policy, seed=14)
         assert sol.sizes == pieces.sizes
-        assert set(sol.sizes) == {"m", "m_prime", "p", "p_prime", "sd_hat", "draws"}
+        assert set(sol.sizes) == {"m", "m_prime", "p", "p_prime", "sd_hat", "m_drawn", "levels_read"}
+
+    def test_sizing_sketches_a_once(self, monkeypatch):
+        A, _ = problems.generate_problem(2000, 400, 14, kind="geometric")
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        on_a = []
+        apply = sk.apply
+        monkeypatch.setattr(sk, "apply", lambda spec, M, *more: on_a.append(M is A) or apply(spec, M, *more))
+        sizes = lowrank.core_sizes(A, 10, 0.5, lam, sk.SizePolicy(), seed=14)
+        assert sum(on_a) == 1 and sizes["levels_read"] > 1
 
     def test_sizes_survive_transpose_dispatch(self):
         A, _ = problems.generate_problem(300, 800, 15, kind="power")
@@ -425,7 +435,7 @@ class TestSolveSketched:
     def test_lambda_zero_sizes_from_k(self):
         A, _ = problems.generate_problem(300, 200, 4)
         sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, sk.SizePolicy(), seed=4)
-        assert sizes["sd_hat"] == 5.0 and sizes["draws"] == 0 and "SA" not in sizes
+        assert sizes["sd_hat"] == 5.0 and sizes["m_drawn"] == sizes["levels_read"] == 0 and "SA" not in sizes
 
 
 def test_invalid_k_rejected():

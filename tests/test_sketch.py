@@ -341,6 +341,61 @@ class TestCsrScatter:
         assert np.array_equal(got, (A @ sk._operator(left, d).T).toarray())
 
 
+class TestFold:
+    """countsketch(m, seed, fold=M): the M-row CountSketch halved down to m."""
+
+    n, m, M = 300, 5, 40
+
+    def inputs(self):
+        rng = la.make_rng(23)
+        A = rng.standard_normal((self.n, 7)) * (rng.random((self.n, 7)) < 0.4)
+        return A, scipy.sparse.csr_matrix(A)
+
+    def test_equals_the_countsketch_with_hash_mod_m(self):
+        A, A_csr = self.inputs()
+        h, sgn = sk._countsketch_tables(self.M, self.n, 6)
+        ref = np.zeros((self.m, A.shape[1]))
+        for i in range(self.n):
+            ref[h[i] % self.m] += sgn[i] * A[i]
+        atol = 1e-13 * np.abs(A).sum(axis=0).max()
+        for M in (A, A_csr):
+            got = sk.apply(sk.countsketch(self.m, seed=6, fold=self.M), M)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+            right = sk.apply(sk.countsketch(self.m, seed=6, side="right", fold=self.M), M.T)
+            np.testing.assert_allclose(right, ref.T, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_bit_identical_to_halving_the_drawn_sketch(self, side):
+        for M in self.inputs():
+            M = M if side == "left" else M.T
+            drawn = sk.apply(sk.countsketch(self.M, seed=6, side=side), M)
+            for m in (self.M // 2, self.M // 4, self.m):
+                drawn = sk.halve(drawn, side)
+                assert np.array_equal(sk.apply(sk.countsketch(m, seed=6, side=side, fold=self.M), M), drawn)
+
+    def test_json_round_trip(self):
+        spec = sk.countsketch(12, seed=3, fold=96)
+        assert json.loads(spec.to_json())["fold"] == 96
+        assert sk.SketchSpec.from_json(spec.to_json()) == spec
+
+    def test_no_fold_serializes_as_before(self):
+        assert sk.countsketch(8, seed=3).to_json() == '{"variant": "countsketch", "m": 8, "seed": 3, "side": "left"}'
+        assert sk.countsketch(8, seed=3, fold=8) == sk.countsketch(8, seed=3)
+
+    @pytest.mark.parametrize("spec", [
+        dict(variant="countsketch", m=8, fold=24),
+        dict(variant="countsketch", m=8, fold=4),
+        dict(variant="osnap", m=8, fold=16),
+    ])
+    def test_fold_must_halve_a_countsketch_to_m(self, spec):
+        with pytest.raises(ValueError):
+            sk.SketchSpec(**spec)
+
+    def test_right_product_rejects_a_fold(self):
+        with pytest.raises(ValueError):
+            sk.right_product(sk.countsketch(4, side="right", fold=16), np.eye(4), 20)
+
+
 class TestSpecSerialization:
     def test_json_round_trip(self):
         spec = sk.compose(sk.srht(64, seed=5), sk.osnap(256, s=4, seed=9))

@@ -306,21 +306,27 @@ class TestSdFromSketch:
             # a randomized reading: at sd_lam <= 1 it comes from a 6-row sketch
             assert inside >= 18, (kind, sd, inside)
 
-    def test_final_draw_is_the_returned_sketch(self):
+    def test_final_draw_is_the_returned_sketch(self, monkeypatch):
         A, _ = problems.generate_problem(3000, 50, 1, kind="power")
         lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        applies = []
+        apply = sk.apply
+        monkeypatch.setattr(sk, "apply", lambda spec, *M: applies.append(spec) or apply(spec, *M))
         got = statdim.sd_from_sketch(
             A, lam, lambda s: sk.recommend_sizes(sk.SizePolicy(), s, 0.5, "lowrank_S"), 50.0, seed=7
         )
-        assert got.spec == sk.countsketch(got.SA.shape[0], seed=7)
+        monkeypatch.undo()
+        assert got.spec == sk.countsketch(got.SA.shape[0], seed=7, fold=got.drawn)
         assert np.array_equal(got.SA, sk.apply(got.spec, A))
         assert got.sd_hat == min(statdim.sd_by_gram(got.SA, lam), 50.0)
-        assert got.draws > 1
+        # one draw, read at several of its folds
+        assert applies == [sk.countsketch(got.drawn, seed=7)] and got.levels > 1
 
     def test_cap_bounds_estimate_and_size(self):
         A, _ = problems.generate_problem(3000, 50, 2, kind="flat")
         got = statdim.sd_from_sketch(A, 1e-6, lambda s: 4 * int(np.ceil(s)), 3.0, seed=1)
-        assert got.sd_hat == 3.0 and got.SA.shape[0] == 12
+        # size(3) = 12 rows, and the fold's levels are 4, 8, 16
+        assert got.sd_hat == 3.0 and got.SA.shape[0] == 16
 
     def test_reaching_n_gives_exact_value(self):
         A, _ = problems.generate_problem(60, 20, 3, kind="flat")
@@ -331,3 +337,8 @@ class TestSdFromSketch:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             statdim.sd_from_sketch(np.eye(3), 0.0, lambda s: 1, 3.0)
+
+    def test_rejects_a_size_rule_of_no_rows(self):
+        # the fold doubles size(1) up to size(cap): from 0 rows it never would
+        with pytest.raises(ValueError):
+            statdim.sd_from_sketch(np.eye(3), 1.0, lambda s: 0 if s <= 1 else 2, 3.0)
