@@ -6,9 +6,13 @@ input sketched with one spec meets the same draw. CountSketch and OSNAP are
 sparse m x n CSC matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per
 column, so S @ A costs O(nnz(A)) or O(s nnz(A)); on a CSR input it is
 scattered from S's arrays into one dense m x d result, with the sums of
-scipy's sparse x sparse product but without it. A Gaussian sketch is a dense
+scipy's sparse x sparse product but without it. Their hashes and index
+arrays are int32 wherever the sizes fit, drawn as the very values of the
+int64 draws: a CountSketch holds 16 bytes per input row (int32 hash and
+indptr, float64 sign), an OSNAP about 12 s + 4. A Gaussian sketch is a dense
 m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
-transform in O(n d log n) without forming S.
+transform in O(n d log n) without forming S, in one zero-padded copy of A
+and a temporary of half its rows.
 apply(spec, A, B, ...) sketches several inputs with one construction of
 that draw.
 
@@ -163,11 +167,31 @@ def compose(outer: SketchSpec, inner: SketchSpec) -> SketchSpec:
 # ---------------------------------------------------------------------------
 
 
+def _index_dtype(*maxima):
+    """int32 for index arrays whose values and counts stay within the given
+    maxima, when those fit in it; int64 otherwise."""
+    return np.int32 if max(maxima) <= np.iinfo(np.int32).max else np.int64
+
+
+def _signs(rng, n: int) -> np.ndarray:
+    """n random +-1.0 from int32 bits: the values of
+    `rng.integers(0, 2, size=n) * 2.0 - 1.0`."""
+    sgn = rng.integers(0, 2, size=n, dtype=np.int32) * 2.0
+    sgn -= 1.0
+    return sgn
+
+
 def _countsketch_tables(m: int, n: int, seed: int):
+    """The hash h (n row indices below m) and the +-1 signs of a CountSketch.
+
+    numpy draws integers in a range that fits 32 bits by the same path for
+    int32 and int64 output, so these are the values, and leave the stream
+    state, of the int64 draws `rng.integers(0, m, size=n)` and
+    `rng.integers(0, 2, size=n) * 2.0 - 1.0`; h is int32 wherever m and n
+    fit in it.
+    """
     rng = make_rng(seed)
-    h = rng.integers(0, m, size=n)
-    sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return h, sgn
+    return rng.integers(0, m, size=n, dtype=_index_dtype(m, n)), _signs(rng, n)
 
 
 def _operator(spec: SketchSpec, n: int):
@@ -175,28 +199,50 @@ def _operator(spec: SketchSpec, n: int):
 
     CountSketch and OSNAP are CSC matrices with one +-1, or s entries
     +-1/sqrt(s), per column, so S @ A does O(nnz(A)) or O(s nnz(A)) work and
-    adds each input row into its output rows in row order.
+    adds each input row into its output rows in row order. Their index arrays
+    are int32 whenever m and the s n entries fit in it, and scipy keeps them
+    without a copy: a CountSketch holds 16 bytes per input row (int32 hash
+    and indptr, float64 sign), an OSNAP about 12 s + 4.
     """
     m = spec.m
     if spec.variant == "gaussian":
         return make_rng(spec.seed).standard_normal((m, n)) / math.sqrt(m)
     if spec.variant == "countsketch":
         h, sgn = _countsketch_tables(m, n, spec.seed)
-        return scipy.sparse.csc_array((sgn, h, np.arange(n + 1)), shape=(m, n))
+        return scipy.sparse.csc_array((sgn, h, np.arange(n + 1, dtype=h.dtype)), shape=(m, n))
     # OSNAP block construction (Kane-Nelson): hash j picks a row of block j,
     # whose m // s rows no other hash uses, so each column has s distinct
     # nonzeros, already in ascending row order
     s = spec.osnap_s()
     rng = make_rng(spec.seed)
     block = m // s
-    rows = np.empty((n, s), dtype=np.int64)
+    index = _index_dtype(m, s * n)
+    rows = np.empty((n, s), dtype=index)
     vals = np.empty((n, s))
     for j in range(s):
-        rows[:, j] = j * block + rng.integers(0, block, size=n)
-        vals[:, j] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        rows[:, j] = j * block + rng.integers(0, block, size=n, dtype=index)
+        vals[:, j] = _signs(rng, n)
     vals *= 1.0 / math.sqrt(s)
-    indptr = np.arange(0, s * n + 1, s)
+    indptr = np.arange(0, s * n + 1, s, dtype=index)
     return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
+
+
+def _fwht_in_place(x: np.ndarray) -> np.ndarray:
+    """The butterflies of `fwht` on a C-ordered x itself, each level's sums
+    formed in one reused temporary of half x's rows."""
+    n = x.shape[0]
+    if n & (n - 1):
+        raise ValueError("FWHT length must be a power of two")
+    tmp = np.empty((n // 2,) + x.shape[1:], dtype=x.dtype)
+    h = 1
+    while h < n:
+        v = x.reshape(-1, 2, h, *x.shape[1:])
+        a = tmp.reshape(-1, h, *x.shape[1:])
+        np.add(v[:, 0], v[:, 1], out=a)
+        np.subtract(v[:, 0], v[:, 1], out=v[:, 1])
+        v[:, 0] = a
+        h *= 2
+    return x
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -205,33 +251,29 @@ def fwht(x: np.ndarray) -> np.ndarray:
     Row count must be a power of two. x is left unchanged: the butterflies
     run in place on one C-ordered copy of it, which is returned.
     """
-    n = x.shape[0]
-    if n & (n - 1):
-        raise ValueError("FWHT length must be a power of two")
-    x = np.array(x, order="C")
-    h = 1
-    while h < n:
-        v = x.reshape(-1, 2, h, *x.shape[1:])
-        a = v[:, 0] + v[:, 1]
-        np.subtract(v[:, 0], v[:, 1], out=v[:, 1])
-        v[:, 0] = a
-        h *= 2
-    return x
+    return _fwht_in_place(np.array(x, order="C"))
 
 
 def _apply_srht(A, m: int, seed: int) -> np.ndarray:
-    Ad = as_dense(A)
-    n = Ad.shape[0]
+    """S @ A for the SRHT: signs, zero-padding to N = 2^k rows, the
+    Walsh-Hadamard transform and m sampled rows scaled by sqrt(N / m) /
+    sqrt(N). One N-row copy of A and an N/2-row temporary are all it holds,
+    and only the sampled rows are scaled."""
+    n = A.shape[0]
     N = 1 << (n - 1).bit_length() if n > 1 else 1
-    rng = make_rng(seed)
-    sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    X = np.zeros((N,) + Ad.shape[1:])
-    X[:n] = sgn[:, None] * Ad  # padding rows are zeros
-    X = fwht(X) / math.sqrt(N)
     if m > N:
         raise ValueError(f"SRHT size m={m} exceeds padded input rows N={N}")
+    rng = make_rng(seed)
+    sgn = _signs(rng, n)
+    X = np.zeros((N,) + A.shape[1:])  # padding rows are zeros
+    if scipy.sparse.issparse(A):
+        A.astype(np.float64, copy=False).toarray(out=X[:n])
+        X[:n] *= sgn[:, None]
+    else:
+        np.multiply(sgn[:, None], A, out=X[:n])
+    _fwht_in_place(X)
     rows = rng.choice(N, size=m, replace=False)
-    return math.sqrt(N / m) * X[rows]
+    return (X[rows] / math.sqrt(N)) * math.sqrt(N / m)
 
 
 # entries of S per row block of _apply_gaussian: 8 MiB, since each block
@@ -280,15 +322,17 @@ def _scatter_csr(S, A) -> np.ndarray:
     S_rows, S_vals = S.indices.reshape(n, s), S.data.reshape(n, s)
     out = np.zeros((m, d))
     flat = out.reshape(-1)
+    # int32 hashes stay int32 as flat indices wherever m d fits in it
+    flat_index = _index_dtype(m * d)
     step = max(1, SCATTER_ENTRIES // s)
-    starts = np.arange(0, A.nnz, step)
-    # first row of each block: one search for all blocks, which keeps the
-    # int32 indptr from being cast anew per block
+    # first row of each block: one search for all blocks, in indptr's own
+    # dtype, so indptr is never cast
+    starts = np.arange(0, A.nnz, step, dtype=A.indptr.dtype)
     for lo, r0 in zip(starts.tolist(), (np.searchsorted(A.indptr, starts, "right") - 1).tolist()):
         hi = min(lo + step, A.nnz)
         r1 = int(np.searchsorted(A.indptr, A.indptr.dtype.type(hi)))
         j = np.repeat(np.arange(r0, r1), np.diff(np.clip(A.indptr[r0 : r1 + 1], lo, hi)))
-        idx = np.take(S_rows, j, axis=0).astype(np.int64, copy=False)
+        idx = np.take(S_rows, j, axis=0).astype(flat_index, copy=False)
         idx *= d
         idx += A.indices[lo:hi, None]
         vals = np.take(S_vals, j, axis=0)

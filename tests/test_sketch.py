@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,54 @@ class TestFwht:
         np.testing.assert_allclose(sk.fwht(x), scipy.linalg.hadamard(n) @ x, rtol=0, atol=1e-12)
 
 
+def _srht_padded_formula(A, m, seed):
+    """The SRHT apply as three padded copies of A: the signed copy, its
+    transform and its scaled transform."""
+    Ad = la.as_dense(A)
+    n = Ad.shape[0]
+    N = 1 << (n - 1).bit_length() if n > 1 else 1
+    rng = la.make_rng(seed)
+    sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    X = np.zeros((N,) + Ad.shape[1:])
+    X[:n] = sgn[:, None] * Ad
+    X = sk.fwht(X) / math.sqrt(N)
+    rows = rng.choice(N, size=m, replace=False)
+    return math.sqrt(N / m) * X[rows]
+
+
+class TestSrht:
+    @pytest.mark.parametrize("n", [1, 2, 300, 512, 1000])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bit_identical_to_the_padded_formula(self, n, sparse):
+        rng = la.make_rng(9)
+        A = rng.standard_normal((n, 6)) * (rng.random((n, 6)) < 0.4)
+        X = scipy.sparse.csr_matrix(A) if sparse else A
+        m = min(n, 40)
+        assert np.array_equal(sk.apply(sk.srht(m, seed=4), X), _srht_padded_formula(A, m, 4))
+        right = sk.apply(sk.srht(m, seed=4, side="right"), X.T)
+        assert np.array_equal(right, _srht_padded_formula(A, m, 4).T)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_holds_one_padded_copy(self, sparse):
+        # the signed input is written into the N x d buffer, the butterflies
+        # run in it with one N/2-row temporary, and only the m sampled rows
+        # are scaled: about 1.5 N d doubles, where the padded formula took
+        # 3.0 N d (dense) and 4.0 N d (CSR, densified first)
+        n, d, m = 60_000, 32, 256
+        N = 65_536
+        A = la.make_rng(10).standard_normal((n, d))
+        X = scipy.sparse.csr_matrix(A) if sparse else A
+        spec = sk.srht(m, seed=2)
+        sk.apply(sk.srht(2, seed=2), X[:4])  # warm up imports outside the trace
+        tracemalloc.start()
+        try:
+            sk.apply(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * N * d * 8
+
+
 def test_srht_isometry_monte_carlo():
     # ||SA||_F^2 / ||A||_F^2 within 1 +- 0.5 in >= 90% of 50 seeded trials
     rng = la.make_rng(7)
@@ -303,6 +352,85 @@ def test_osnap_operator_has_one_entry_per_block():
     assert np.all(np.abs(S.data) == 1.0 / np.sqrt(s))
 
 
+def _int64_operator(spec, n):
+    """`sk._operator` of a CountSketch or OSNAP spec as drawn and built in
+    int64: the draws `rng.integers(0, m, size=n)` and
+    `rng.integers(0, 2, size=n) * 2.0 - 1.0`, and int64 index arrays."""
+    rng = la.make_rng(spec.seed)
+    m = spec.m
+    if spec.variant == "countsketch":
+        h = rng.integers(0, m, size=n)
+        sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        return scipy.sparse.csc_array((sgn, h, np.arange(n + 1)), shape=(m, n))
+    s = spec.osnap_s()
+    block = m // s
+    rows = np.empty((n, s), dtype=np.int64)
+    vals = np.empty((n, s))
+    for j in range(s):
+        rows[:, j] = j * block + rng.integers(0, block, size=n)
+        vals[:, j] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    vals *= 1.0 / math.sqrt(s)
+    indptr = np.arange(0, s * n + 1, s)
+    return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
+
+
+class TestThirtyTwoBitDraws:
+    """The operators hold int32 hashes and index arrays drawn from the same
+    stream as the int64 draws: the same values, so the same sketch."""
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 654, 1 << 20])
+    @pytest.mark.parametrize("n", [999, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_tables_equal_the_int64_draws(self, m, n, seed):
+        h, sgn = sk._countsketch_tables(m, n, seed)
+        S = _int64_operator(sk.countsketch(m, seed=seed), n)
+        assert h.dtype == np.int32 and sgn.dtype == np.float64
+        assert np.array_equal(h, S.indices) and np.array_equal(sgn, S.data)
+
+    @pytest.mark.parametrize("m,s", [(64, 0), (100, 3), (7, 7)])
+    def test_osnap_operator_equals_its_int64_twin(self, m, s):
+        spec = sk.osnap(m, s=s, seed=8)
+        S, S64 = sk._operator(spec, 999), _int64_operator(spec, 999)
+        assert S.indices.dtype == S.indptr.dtype == np.int32
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(S, name), getattr(S64, name))
+
+    def test_index_dtype_widens_past_int32(self):
+        assert sk._index_dtype(2**31 - 1, 5) == np.int32
+        assert sk._index_dtype(5, 2**31) == np.int64
+
+    @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
+    def test_int64_indices_give_the_same_sketch(self, variant, monkeypatch):
+        # past int32 the operator and the scatter's flat indices are int64
+        rng = la.make_rng(13)
+        A = rng.standard_normal((500, 6)) * (rng.random((500, 6)) < 0.3)
+        spec = getattr(sk, variant)(32, seed=2)
+        want = [sk.apply(spec, X) for X in (A, scipy.sparse.csr_matrix(A))]
+        monkeypatch.setattr(sk, "_index_dtype", lambda *maxima: np.int64)
+        assert sk._operator(spec, 500).indices.dtype == np.int64
+        for X, w in zip((A, scipy.sparse.csr_matrix(A)), want):
+            assert np.array_equal(sk.apply(spec, X), w)
+
+    @pytest.mark.parametrize("spec", [
+        sk.countsketch(48, seed=3),
+        sk.countsketch(12, seed=3, fold=96),
+        sk.osnap(48, seed=3),
+    ], ids=["countsketch", "folded", "osnap"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_apply_equals_the_int64_operator_product(self, spec, sparse):
+        rng = la.make_rng(12)
+        n, d = 3000, 9
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
+        A[100:300] = 0.0
+        X = scipy.sparse.csr_matrix(A) if sparse else A
+        drawn = dataclasses.replace(spec, m=spec.fold or spec.m, fold=0)
+        want = la.as_dense(_int64_operator(drawn, n) @ X)
+        while want.shape[0] > spec.m:
+            want = sk.halve(want)
+        assert np.array_equal(sk.apply(spec, X), want)
+        assert np.array_equal(sk.apply(dataclasses.replace(spec, side="right"), X.T), want.T)
+
+
 def _csr_cases():
     rng = la.make_rng(31)
     A = rng.standard_normal((300, 7)) * (rng.random((300, 7)) < 0.3)
@@ -339,6 +467,28 @@ class TestCsrScatter:
         got = sk.apply(right, A)
         assert got.shape == (n, m)
         assert np.array_equal(got, (A @ sk._operator(left, d).T).toarray())
+
+    def test_countsketch_peak_below_24_bytes_per_input_row(self):
+        # int32 hash and indptr and a float64 sign are 16 bytes per input
+        # row, and A's int32 indptr is searched without an int64 copy: about
+        # 19 bytes per row in all, where int64 tables, an int64 indptr and
+        # that copy took about 32
+        n, d, m, per_row = 200_000, 40, 500, 4
+        rng = la.make_rng(41)
+        A = scipy.sparse.csr_array((
+            rng.standard_normal(per_row * n),
+            rng.integers(0, d, size=per_row * n, dtype=np.int32),
+            np.arange(0, per_row * n + 1, per_row, dtype=np.int32),
+        ), shape=(n, d))
+        spec = sk.countsketch(m, seed=3)
+        sk.apply(spec, A[:100])  # warm up imports outside the trace
+        tracemalloc.start()
+        try:
+            sk.apply(spec, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n + 8 * m * d + (1 << 20)
 
 
 class TestFold:
