@@ -576,10 +576,11 @@ def solve_general_lowrank(
 
     Affine sketches S (left) and R (right) and inner sketches S-hat and
     R-hat feed the two-sided core of `lowrank`, whose reduced k x k problem
-    is solved by the SVD reduction with diag_solver. A CSR A stays sparse:
-    it is only sketched on the left and multiplied by the d x k R Z_R in
-    the lift, and the returned objective, recomputed on A, sums the fit over
-    row blocks (`lowrank.objective_value`).
+    is solved by the SVD reduction with diag_solver. A is read twice: by
+    the left sketches S and S-hat, and by one product A [R Z_R | X'] that
+    lifts Y and gives the fit on A (`lowrank._lift_and_fit`), which falls
+    back to the row-blocked residual (`lowrank.objective_value`) where its
+    expansion would cancel. A CSR A stays sparse throughout.
     """
     _require_pair_flags(pair_f)
     n, d = A.shape
@@ -595,11 +596,11 @@ def solve_general_lowrank(
     Z_R, Z_S, truncated = lowrank._solve_two_sided(
         pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, diag_solver
     )
-    Y, X = lowrank._lift_factors(A, pieces, Z_R, Z_S)
+    Y, X, objective = lowrank._lift_and_fit(A, pieces, Z_R, Z_S, pair_f.evaluate)
     return lowrank.LowRankFactors(
         Y=Y,
         X=X,
-        objective=lowrank.objective_value(A, Y, X, 0.0) + pair_f.evaluate(Y, X),
+        objective=objective,
         k=k,
         lam=0.0,
         rank_truncated=truncated,

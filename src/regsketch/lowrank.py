@@ -10,9 +10,8 @@ CSR A is never densified; larger k, or an ARPACK failure, takes the full SVD.
 The sketched route reduces A two-sidedly to a small core, solves it by that
 reduction with the caller's diagonal solver (`genreg` passes its own), then
 lifts the factors through triangular back-solves against the QR factors of
-the sketched operands. A is read by the left sketches S and S2 only: both
-right sketches meet the small SA and S2A, and the left factor is lifted as
-Y = A (R Z_R), so no n x m' matrix A R is formed.
+the sketched operands. Both right sketches meet the small SA and S2A, so no
+n x m' matrix A R is formed.
 
 The sketch sizes come from sd_lam of the left sketch SA itself
 (`statdim.sd_from_sketch`): one CountSketch of A is drawn at M rows and
@@ -21,7 +20,13 @@ at sd_lam(SA) fits is S. That costs one O(nnz(A)) pass plus the Gram of each
 level's short side and its eigenvalues, and the level read is the SA the core
 is built from, so A is sketched for S once. That reading estimates
 min(sd_lam(A), k), which is not the paper's sd_lam(Y*) and does not bound it
-(see `core_sizes`).
+(see `core_sizes`). When the draw has at least p rows, S2 is one of its
+levels too (see `build_core_sized` for why S and S2 may share a draw), and
+the lift and the objective come from one product A [R Z_R | X']
+(`_lift_and_fit`). So a ridge solve reads A twice: one sketch apply and one
+dense product. With lam = 0, S the identity, or a draw shorter than p, S2 is
+drawn apart and reads A once more; an objective whose expansion would cancel,
+an exact fit among them, is summed over row blocks of A.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ class CorePieces:
 
 
 def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: int = 0) -> dict:
-    """Sketch dimensions (m, m', p, p'), sd_hat, S's draw, and SA.
+    """Sketch dimensions (m, m', p, p'), sd_hat, S's draw, SA and, when that
+    draw is long enough, S2A.
 
     sd_hat estimates min(sd_lam(A), k), with sd_lam(A) = sum of
     sigma^2 / (sigma^2 + lam) over A's singular values. It is not the
@@ -177,64 +183,156 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
     build_core_sized solves with it, with S = countsketch(m, fold=m_drawn),
     so A is sketched for S once. At lam = 0, sd_hat = k and nothing is drawn.
     m', p and p' follow from sd_hat and m.
+
+    When the draw has at least p rows, S2 is a level of it too: the smallest
+    at or above S's with at least p rows, which is returned under "S2A", and
+    p becomes its row count, so build_core_sized reads A for neither S nor
+    S2. Otherwise (lam = 0, S the identity, or m_drawn < p) S2 is drawn
+    apart, as `build_core_sized` says.
     """
     n, d = A.shape
+
+    def affine_rows(sd: float) -> int:  # p for sd_hat = sd
+        m_p = min(d, sk.recommend_sizes(policy, sd, eps, "lowrank_R"))
+        return min(n, max(1, int(np.ceil(policy.k_affine * m_p / eps**2))))
+
     if lam > 0:
         left = statdim.sd_from_sketch(
             A, lam, lambda s: sk.recommend_sizes(policy, s, eps, "lowrank_S"), float(k),
-            seed=derive_seeds(seed, 31, 1)[0],
+            seed=derive_seeds(seed, 31, 1)[0], second=affine_rows,
         )
         sd_hat, m = left.sd_hat, left.SA.shape[0]
         draw = {"m_drawn": left.drawn, "levels_read": left.levels, "SA": left.SA}
+        if left.SA2 is not None:
+            draw["S2A"] = left.SA2
     else:
         sd_hat, draw = float(k), {"m_drawn": 0, "levels_read": 0}
         m = min(n, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_S"))
     m_p = min(d, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_R"))
-    p = min(n, max(1, int(np.ceil(policy.k_affine * m_p / eps**2))))
+    p = draw["S2A"].shape[0] if "S2A" in draw else affine_rows(sd_hat)
     p_p = min(d, max(1, int(np.ceil(policy.k_affine * m / eps**2))))
     return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat, **draw}
 
 
 def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
     """The core pieces at `sizes`; an "SA" that core_sizes drew is reused.
-    S is the CountSketch folded from m_drawn rows when sizes carry it."""
+    S is the CountSketch folded from m_drawn rows when sizes carry it.
+
+    S2 is S's draw at p rows, countsketch(p, S's seed, fold=m_drawn), when
+    that draw is a CountSketch of at least p rows; an "S2A" that core_sizes
+    took from it is used and taken out of `sizes`, so that the caller's dict
+    does not keep it past the core. Otherwise S2 is an independent
+    CountSketch, or the identity when p >= n.
+
+    S2 may share S's draw because neither property the core needs asks for
+    independence between them. S must embed the span of A's top directions,
+    and S2 must be an affine embedding for (A R, A); R and R2 are drawn
+    independently of both. Each property concerns fixed matrices, so each
+    holds for its own sketch with its own failure probability, and a union
+    bound covers the two together, whatever the dependence between S and S2.
+    """
     n, d = A.shape
+    drawn = {"S2A": sizes.pop("S2A", None)}
     sizes = dict(sizes)
-    SA = sizes.pop("SA", None)
+    drawn["SA"] = sizes.pop("SA", None)
     rs = derive_seeds(seed, 31, 4)  # S, R, S2, R2
     S = sk.countsketch_or_identity(sizes["m"], n, rs[0], "left", fold=sizes.get("m_drawn", 0))
     R = sk.countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
-    S2 = sk.countsketch_or_identity(sizes["p"], n, rs[2], "left")
+    if S.variant == "countsketch" and sizes["p"] <= sizes.get("m_drawn", 0):
+        S2 = sk.countsketch(sizes["p"], rs[0], fold=sizes["m_drawn"])
+    else:
+        S2 = sk.countsketch_or_identity(sizes["p"], n, rs[2], "left")
     R2 = sk.countsketch_or_identity(sizes["p_prime"], d, rs[3], "right")
-    return _assemble_core(A, S, R, S2, R2, sizes, SA=SA)
+    return _assemble_core(A, S, R, S2, R2, sizes, drawn)
 
 
-def _assemble_core(A, S, R, S2, R2, sizes, SA=None) -> CorePieces:
-    """The core pieces of A. A meets only the left sketches, S (unless SA is
-    given) and S2; R and R2 are applied to the small SA and S2A."""
+def _assemble_core(A, S, R, S2, R2, sizes, drawn=None) -> CorePieces:
+    """The core pieces of A. A meets only the left sketches, S and S2,
+    unless `drawn` holds SA or S2A; R and R2 are applied to the small SA and
+    S2A. Both are popped from `drawn`, so S2A is freed as soon as R and R2
+    have read it. When S and S2 are CountSketch levels of one draw, S a fold
+    of S2, S A R2 is S2 A R2 halved (`sketch.halve`) down to S's rows, and R2
+    never meets SA.
+    """
+    drawn = {} if drawn is None else drawn
+    SA, S2A = drawn.pop("SA", None), drawn.pop("S2A", None)
     if SA is None:
         SA = as_dense(sk.apply(S, A))
-    S2A = sk.apply(S2, A)  # stays CSR when S2 is the identity
+    if S2A is None:
+        S2A = sk.apply(S2, A)  # stays CSR when S2 is the identity
+    S2AR2, S2AR = as_dense(sk.apply(R2, S2A)), as_dense(sk.apply(R, S2A))
+    del S2A
+    # S a fold of S2: CountSketches of one seed drawn at the same rows
+    one_draw = S.variant == S2.variant == "countsketch" and S.seed == S2.seed
+    if one_draw and (S.fold or S.m) == (S2.fold or S2.m) and S2.m >= S.m:
+        SAR2 = S2AR2
+        while SAR2.shape[0] > S.m:
+            SAR2 = sk.halve(SAR2)
+    else:
+        SAR2 = as_dense(sk.apply(R2, SA))
     return CorePieces(
         SA=SA,
-        S2AR=as_dense(sk.apply(R, S2A)),
-        SAR2=as_dense(sk.apply(R2, SA)),
-        S2AR2=as_dense(sk.apply(R2, S2A)),
+        S2AR=S2AR,
+        SAR2=SAR2,
+        S2AR2=S2AR2,
         specs={"S": S, "R": R, "S2": S2, "R2": R2},
         sizes=dict(sizes),
     )
 
 
-def _lift_factors(A, pieces: CorePieces, Z_R, Z_S):
-    """Y = A (R Z_R) and X = Z_S SA: R Z_R is d x k, so A is read once more
-    and no n x m' matrix A R is formed.
+# Where the rounding bound of `_expanded_fit` exceeds FIT_RTOL times the
+# objective, `_lift_and_fit` reads the fit from `objective_value`'s blocked
+# residual instead. On `lowrank_dense` the bound is about 0.08 of that.
+FIT_RTOL = 1e-8
 
-    Y is formed as (W' A')' for W = R Z_R: on a dense A, with one BLAS
-    thread, that call ran about 1.7x faster than A @ W (4000 x 1000, k = 10)
-    and gave the same bits; scipy forms it for a CSR A as A @ W.
+
+def _expanded_fit(A, Yt, AXt, X):
+    """(fit, bound): ||YX - A||_F^2 expanded as
+
+        ||A||_F^2 - 2 <A X', Y> + <Y'Y, X X'>,
+
+    from Y' and (A X')', with a bound on its rounding error. ||A||_F^2 is
+    read off the stored entries of a CSR A, and off a dense A in one
+    streaming dot product, without a copy. The expansion cancels where the
+    fit is small against ||A||_F^2. The bound is (n + d) u (||A||_F^2 +
+    2 ||A X'||_F ||Y||_F + ||Y'Y||_F ||X X'||_F), u the unit roundoff: each
+    term is a sum of at most n d products of entries that are themselves
+    dot products of length n or d, whose rounding errors grow like
+    sqrt(n d) u in practice; (n + d) u >= 2 sqrt(n d) u covers that with
+    room to spare (on a 4000 x 1000 input the error was 3 u times the sizes).
     """
-    W = sk.right_product(pieces.specs["R"], Z_R, A.shape[1])
-    return np.ascontiguousarray((W.T @ A.T).T), Z_S @ pieces.SA
+    # a view of a row- or column-major A, as the transposed input of a wide solve is
+    entries = A.data if scipy.sparse.issparse(A) else np.ravel(A, order="K")
+    fro2 = float(np.dot(entries, entries))
+    YtY, XXt = Yt @ Yt.T, X @ X.T
+    fit = fro2 - 2.0 * float(np.vdot(AXt, Yt)) + float(np.vdot(YtY, XXt))
+    sizes = fro2 + 2.0 * np.linalg.norm(AXt) * np.linalg.norm(Yt) + np.linalg.norm(YtY) * np.linalg.norm(XXt)
+    return fit, float(sum(A.shape) * np.finfo(np.float64).eps / 2 * sizes)
+
+
+def _lift_and_fit(A, pieces: CorePieces, Z_R, Z_S, penalty):
+    """(Y, X, objective) for Y = A (R Z_R), X = Z_S SA and the objective
+    ||YX - A||_F^2 + penalty(Y, X), from one product with A.
+
+    X is known before A is read, so one product A [W | X'] with W = R Z_R
+    (d x k, so no n x m' matrix A R is formed) gives Y, its left half, and
+    A X', its right half, and the fit is expanded from them
+    (`_expanded_fit`). The product is formed as (V' A')' for V = [W | X']:
+    on a dense A, with one BLAS thread, that ran about 1.5x faster than
+    A @ V (4000 x 1000, k = 10), and scipy forms it for a CSR A as A @ V,
+    so a CSR A is never densified. Where the expansion's rounding bound
+    exceeds FIT_RTOL times the objective, an exact fit among such inputs,
+    the fit is `objective_value`'s blocked sum instead, a second pass.
+    """
+    k = Z_S.shape[0]
+    X = Z_S @ pieces.SA
+    Pt = np.vstack([sk.right_product(pieces.specs["R"], Z_R, A.shape[1]).T, X]) @ A.T
+    Y = np.ascontiguousarray(Pt[:k].T)
+    fit, bound = _expanded_fit(A, Pt[:k], Pt[k:], X)
+    pen = penalty(Y, X)
+    if not bound <= FIT_RTOL * (fit + pen):
+        fit = objective_value(A, Y, X, 0.0)
+    return Y, X, float(fit + pen)
 
 
 def _pivoted_col_basis(M):
@@ -295,7 +393,8 @@ def solve_sketched(
 ) -> LowRankFactors:
     """Sketched rank-k ridge factorization: build_core_sized -> solve_core -> lift.
 
-    The objective is recomputed on the original A. When d > n the problem is
+    The objective is recomputed on the original A, in the lift's product
+    with it (`_lift_and_fit`). When d > n the problem is
     solved on the transpose (the objective is symmetric under it), which is
     tall, so the call on it solves directly.
     """
@@ -307,14 +406,13 @@ def solve_sketched(
         sol = solve_sketched(AT, k, lam, eps, policy, seed=seed)
         return replace(sol, Y=sol.X.T, X=sol.Y.T)
     policy = policy or sk.SizePolicy()
-    sizes = core_sizes(A, k, eps, lam, policy, seed=seed)
-    pieces = build_core_sized(A, sizes, seed=seed)
+    pieces = build_core_sized(A, core_sizes(A, k, eps, lam, policy, seed=seed), seed=seed)
     Z_R, Z_S, truncated = solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
-    Y, X = _lift_factors(A, pieces, Z_R, Z_S)
+    Y, X, objective = _lift_and_fit(A, pieces, Z_R, Z_S, lambda Y, X: lam * (np.vdot(Y, Y) + np.vdot(X, X)))
     return LowRankFactors(
         Y=Y,
         X=X,
-        objective=objective_value(A, Y, X, lam),
+        objective=objective,
         k=k,
         lam=lam,
         rank_truncated=truncated,

@@ -225,9 +225,12 @@ class SketchedSd:
     sd_hat: float  # min(sd_by_gram(SA, lam), cap)
     drawn: int  # rows M of the one CountSketch drawn; 0 when none was
     levels: int  # levels of that draw whose sd_lam was read
+    # the level asked for by sd_from_sketch's `second`, countsketch(rows,
+    # seed, fold=drawn); None when not asked for or when the draw is shorter
+    SA2: np.ndarray | None = None
 
 
-def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd:
+def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0, second=None) -> SketchedSd:
     """One M-row CountSketch of A, folded down to the first level m with
     size(sd_hat) <= m, or the identity when no level below n fits.
 
@@ -246,9 +249,16 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd
     factor, with constant probability: at sd_lam <= 1 the reading comes from
     the two smallest levels.
 
+    With `second`, a size rule of a second sketch of A that the caller
+    wants, second(sd_hat) rows are also taken from this draw: the smallest
+    level at or above the one returned with at least that many rows comes
+    back as SA2, the apply of countsketch(rows, seed, fold=M), so the one
+    returned is a fold of it. When the draw is shorter, SA2 is None and the
+    caller draws that sketch itself.
+
     Cost: one O(nnz(A)) apply at M rows, O(M d) to fold, and per level read
-    the Gram of its short side and its eigenvalues. The levels above the one
-    returned are freed on return.
+    the Gram of its short side and its eigenvalues. Every level but the one
+    returned and SA2 is freed on return.
     """
     if lam <= 0:
         raise ValueError("sd_from_sketch requires lam > 0")
@@ -273,8 +283,11 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0) -> SketchedSd
                 i, SA = 0, levels[0]
             elif size(sds[i]) > SA.shape[0] or (i == 0 and len(levels) > 1):
                 continue
+            SA2 = None
+            if second is not None:
+                SA2 = next((L for L in levels[i:] if L.shape[0] >= second(sds[i])), None)
             spec = sk.countsketch(SA.shape[0], seed, fold=M)
-            return SketchedSd(spec=spec, SA=SA, sd_hat=sds[i], drawn=M, levels=len(sds))
+            return SketchedSd(spec=spec, SA=SA, sd_hat=sds[i], drawn=M, levels=len(sds), SA2=SA2)
         del levels, SA
     SA = as_dense(A)
     sd_hat = min(sd_by_gram(SA, lam), cap)

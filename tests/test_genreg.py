@@ -808,7 +808,7 @@ class TestGeneralLowRank:
         assert all(spec.variant == "countsketch" for spec in specs)
         pieces = lowrank._assemble_core(A, *specs, {})
         Z_R, Z_S, _ = lowrank.solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
-        Y, X = lowrank._lift_factors(A, pieces, Z_R, Z_S)
+        Y, X, _ = lowrank._lift_and_fit(A, pieces, Z_R, Z_S, lambda Y, X: 0.0)
         assert np.array_equal(got.Y, Y) and np.array_equal(got.X, X)
         np.testing.assert_allclose(Y, A @ sk.right_product(pieces.specs["R"], Z_R, 300), rtol=1e-12)
 

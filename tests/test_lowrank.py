@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from regsketch import la, lowrank, problems, statdim
+from regsketch import genreg, la, lowrank, problems, statdim
 from regsketch import sketch as sk
 
 from oracles import als_reference
@@ -436,6 +436,123 @@ class TestSolveSketched:
         A, _ = problems.generate_problem(300, 200, 4)
         sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, sk.SizePolicy(), seed=4)
         assert sizes["sd_hat"] == 5.0 and sizes["m_drawn"] == sizes["levels_read"] == 0 and "SA" not in sizes
+
+
+def _shared_input():
+    """A dense 2000 x 400 geometric input whose sizing draw (384 rows) is
+    long enough for S2, at k = 10 and eps = 0.5."""
+    A, _ = problems.generate_problem(2000, 400, 14, kind="geometric")
+    return A, problems.lambda_for_sd(A, 3.0, 8.0)
+
+
+def _fallback_input(case):
+    """(A, lam, k) whose S2 is drawn apart, a CountSketch: at 400 x 250 and
+    k = 8 the sizing draw (192 rows) is shorter than p, and at lam = 0
+    nothing is drawn."""
+    A, _ = problems.generate_problem(400, 250, 0)
+    if case == "lambda zero":
+        return A, 0.0, 3
+    return A, problems.lambda_for_sd(A, 3.0, 8.0), 8
+
+
+class TestSharedDraw:
+    def test_s2_is_a_level_of_the_sizing_draw(self):
+        A, lam = _shared_input()
+        policy = sk.SizePolicy()
+        sizes = lowrank.core_sizes(A, 10, 0.5, lam, policy, seed=14)
+        S2A = sizes["S2A"]
+        pieces = lowrank.build_core_sized(A, sizes, seed=14)
+        assert "S2A" not in sizes  # taken out, so the core does not keep it
+        S, S2, M = pieces.specs["S"], pieces.specs["S2"], sizes["m_drawn"]
+        assert S == sk.countsketch(sizes["m"], S.seed, fold=M)
+        assert S2 == sk.countsketch(sizes["p"], S.seed, fold=M)
+        # the smallest level at or above S's with at least the affine rows
+        p_min = int(np.ceil(policy.k_affine * sizes["m_prime"] / 0.5**2))
+        assert sizes["m"] < sizes["p"] <= M and p_min <= sizes["p"] and sizes["p"] // 2 < p_min
+        assert np.array_equal(S2A, sk.apply(S2, A))
+        SAR2 = pieces.S2AR2
+        while SAR2.shape[0] > sizes["m"]:
+            SAR2 = sk.halve(SAR2)
+        assert np.array_equal(pieces.SAR2, SAR2)
+
+    def test_solve_reads_a_with_one_sketch_apply(self, monkeypatch):
+        # the other read of A is the one product that lifts Y and gives the
+        # fit: the blocked residual never runs
+        def no_blocked_sum(*args):
+            raise AssertionError("the fit fell back to objective_value")
+
+        A, lam = _shared_input()
+        on_a = []
+        apply = sk.apply
+        monkeypatch.setattr(sk, "apply", lambda spec, M, *more: on_a.append(M is A) or apply(spec, M, *more))
+        monkeypatch.setattr(lowrank, "objective_value", no_blocked_sum)
+        sol = lowrank.solve_sketched(A, 10, lam, 0.5, seed=14)
+        assert sum(on_a) == 1 and sol.sizes["p"] <= sol.sizes["m_drawn"]
+
+    @pytest.mark.parametrize("case", ["short draw", "lambda zero"])
+    def test_fallback_draws_s2_apart(self, case):
+        A, lam, k = _fallback_input(case)
+        policy = sk.SizePolicy()
+        sizes = lowrank.core_sizes(A, k, 0.5, lam, policy, seed=3)
+        assert "S2A" not in sizes and sizes["p"] > sizes["m_drawn"]
+        assert sizes["p"] == int(np.ceil(policy.k_affine * sizes["m_prime"] / 0.5**2))
+        pieces = lowrank.build_core_sized(A, sizes, seed=3)
+        S2 = sk.countsketch_or_identity(sizes["p"], A.shape[0], la.derive_seeds(3, 31, 4)[2], "left")
+        assert pieces.specs["S2"] == S2 and S2.variant == "countsketch"
+        assert np.array_equal(pieces.SAR2, sk.apply(pieces.specs["R2"], pieces.SA))
+
+    def test_sizing_keeps_two_levels_through_the_build(self):
+        # the draw's levels, M + M/2 + ... < 2M rows, are alive only while
+        # sizing reads them; the build keeps S's and S2's levels (at most
+        # M/2 + M rows) and adds the p x p' S2 A R2, with p <= M
+        A, lam = _shared_input()
+        d = A.shape[1]
+        sizes = lowrank.core_sizes(A, 10, 0.5, lam, sk.SizePolicy(), seed=14)
+        M, p_prime = sizes["m_drawn"], sizes["p_prime"]
+        lowrank.solve_sketched(A, 10, lam, 0.5, seed=14)  # warm up outside the trace
+        del sizes
+        tracemalloc.start()
+        try:
+            lowrank.solve_sketched(A, 10, lam, 0.5, seed=14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * M + p_prime) * d * 8
+
+
+class TestLiftAndFit:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_expanded_fit_within_its_bound(self, sparse, monkeypatch):
+        if sparse:
+            rng = la.make_rng(17)
+            A = scipy.sparse.random(
+                3000, 300, density=0.05, format="csr", random_state=rng, data_rvs=rng.standard_normal
+            ) @ scipy.sparse.diags(0.8 ** np.arange(300) + 0.02)
+            A = scipy.sparse.csr_matrix(A)
+        else:
+            A, _ = _shared_input()
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+        seen = []
+        expanded = lowrank._expanded_fit
+        monkeypatch.setattr(lowrank, "_expanded_fit", lambda *args: seen.append(expanded(*args)) or seen[-1])
+        sol = lowrank.solve_sketched(A, 5, lam, 0.5, seed=4)
+        pair = genreg.ridge_pair(lam)
+        got = genreg.solve_general_lowrank(A, 5, pair, lambda s: genreg.diag_solver_shrink(s, lam), 0.5, seed=4)
+        assert len(seen) == 2
+        penalties = (lam * (np.vdot(sol.Y, sol.Y) + np.vdot(sol.X, sol.X)), pair.evaluate(got.Y, got.X))
+        for res, (fit, bound), pen in zip((sol, got), seen, penalties):
+            assert bound <= lowrank.FIT_RTOL * res.objective  # the expansion was kept
+            assert abs(fit - lowrank.objective_value(A, res.Y, res.X, 0.0)) <= bound
+            assert res.objective == float(fit + pen)
+
+    def test_exact_fit_falls_back_to_the_blocked_sum(self, monkeypatch):
+        rng = la.make_rng(11)
+        A = rng.standard_normal((10, 6))
+        calls = []
+        blocked = lowrank.objective_value
+        monkeypatch.setattr(lowrank, "objective_value", lambda *args: calls.append(args) or blocked(*args))
+        sol = lowrank.solve_sketched(A, 6, 0.0, 0.5, policy=COLLAPSE)
+        assert len(calls) == 1 and sol.objective == blocked(A, sol.Y, sol.X, 0.0)
 
 
 def test_invalid_k_rejected():

@@ -328,6 +328,26 @@ class TestSdFromSketch:
         # size(3) = 12 rows, and the fold's levels are 4, 8, 16
         assert got.sd_hat == 3.0 and got.SA.shape[0] == 16
 
+    def test_second_rule_takes_a_level_of_the_same_draw(self):
+        A, _ = problems.generate_problem(3000, 50, 1, kind="power")
+        lam = problems.lambda_for_sd(A, 3.0, 8.0)
+
+        def size(s):
+            return sk.recommend_sizes(sk.SizePolicy(), s, 0.5, "lowrank_S")
+
+        base = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7)
+        m = base.SA.shape[0]
+        assert base.SA2 is None and 2 * m <= base.drawn
+        got = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: m + 1)
+        assert np.array_equal(got.SA, base.SA) and got.spec == base.spec
+        assert np.array_equal(got.SA2, sk.apply(sk.countsketch(2 * m, seed=7, fold=got.drawn), A))
+        assert np.array_equal(sk.halve(got.SA2), got.SA)
+        # a rule at or below S's rows takes S's own level, one above the draw none
+        same = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: 1)
+        assert same.SA2 is same.SA
+        longer = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: got.drawn + 1)
+        assert longer.SA2 is None
+
     def test_reaching_n_gives_exact_value(self):
         A, _ = problems.generate_problem(60, 20, 3, kind="flat")
         got = statdim.sd_from_sketch(A, 0.01, lambda s: 1000, 20.0)
