@@ -3,13 +3,15 @@
 A SketchSpec is a seeded, serializable description of a random linear
 operator S; apply(spec, A) returns S @ A, and the seed fixes S, so every
 input sketched with one spec meets the same draw. CountSketch and OSNAP are
-sparse m x n CSC matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per
-column, so S @ A costs O(nnz(A)) or O(s nnz(A)); on a CSR input it is
-scattered from S's arrays into one dense m x d result, with the sums of
-scipy's sparse x sparse product but without it. Their hashes and index
-arrays are int32 wherever the sizes fit, drawn as the very values of the
-int64 draws: a CountSketch holds 16 bytes per input row (int32 hash and
-indptr, float64 sign), an OSNAP about 12 s + 4. A Gaussian sketch is a dense
+m x n matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per column,
+so S @ A costs O(nnz(A)) or O(s nnz(A)). They are drawn as tables, an int32
+row hash and an int8 sign per entry, the very values of the int64 draws:
+5 bytes per input row for a CountSketch, 5 s for an OSNAP. A CSR input is
+scattered from the tables into one dense m x d result, with the sums of
+scipy's sparse x sparse product but without it or a CSC matrix. A dense
+input meets the CSC matrix, 16 bytes per input row for a CountSketch (int32
+hash and indptr, float64 sign) and about 12 s + 4 for an OSNAP, one column
+block of A at a time when A is not row-major. A Gaussian sketch is a dense
 m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
 transform in O(n d log n) without forming S, in one zero-padded copy of A
 and a temporary of half its rows.
@@ -23,8 +25,8 @@ over A at M rows gives every size M / 2^j, each bit for bit the apply of its
 own folded spec.
 
 A right sketch is the left sketch of the transpose: A @ R = (S A')'. On a
-dense input a sparse operator meets A' one row block of A at a time, so no
-transposed copy of all of A is made.
+dense input A' is not row-major, so a sparse operator meets it one row block
+of A at a time, and no transposed copy of all of A is made.
 """
 
 from __future__ import annotations
@@ -173,25 +175,78 @@ def _index_dtype(*maxima):
     return np.int32 if max(maxima) <= np.iinfo(np.int32).max else np.int64
 
 
-def _signs(rng, n: int) -> np.ndarray:
-    """n random +-1.0 from int32 bits: the values of
-    `rng.integers(0, 2, size=n) * 2.0 - 1.0`."""
-    sgn = rng.integers(0, 2, size=n, dtype=np.int32) * 2.0
-    sgn -= 1.0
-    return sgn
+SIGN_CHUNK = 1 << 16  # sign bits drawn at a time: a 256 KiB int32 temporary
 
 
-def _countsketch_tables(m: int, n: int, seed: int):
+def _draw_signs(rng, out: np.ndarray) -> None:
+    """Fill the vector out with random +-1: the values, and the end state of
+    the stream, of the one draw `rng.integers(0, 2, size=len(out)) * 2.0 - 1.0`.
+
+    numpy's bounded 32-bit draw never rejects on a range of two, so each
+    value takes one 32-bit word of the stream however the draw is split; the
+    bits are drawn as int32, SIGN_CHUNK at a time, and written into out's
+    own dtype (int8 for the tables, float64 for a CSC operator).
+    """
+    for lo in range(0, out.shape[0], SIGN_CHUNK):
+        bits = rng.integers(0, 2, size=min(SIGN_CHUNK, out.shape[0] - lo), dtype=np.int32)
+        bits *= 2
+        bits -= 1
+        out[lo : lo + bits.size] = bits
+
+
+def _countsketch_tables(m: int, n: int, seed: int, sign_dtype=np.int8):
     """The hash h (n row indices below m) and the +-1 signs of a CountSketch.
 
     numpy draws integers in a range that fits 32 bits by the same path for
     int32 and int64 output, so these are the values, and leave the stream
     state, of the int64 draws `rng.integers(0, m, size=n)` and
     `rng.integers(0, 2, size=n) * 2.0 - 1.0`; h is int32 wherever m and n
-    fit in it.
+    fit in it, and the signs are int8 unless sign_dtype says otherwise.
     """
     rng = make_rng(seed)
-    return rng.integers(0, m, size=n, dtype=_index_dtype(m, n)), _signs(rng, n)
+    h = rng.integers(0, m, size=n, dtype=_index_dtype(m, n))
+    sgn = np.empty(n, dtype=sign_dtype)
+    _draw_signs(rng, sgn)
+    return h, sgn
+
+
+def _tables(spec: SketchSpec, n: int, sign_dtype=np.int8):
+    """The tables (rows, signs, scale) of a CountSketch or OSNAP spec at n
+    input rows: S has the entry scale * signs[i, k] at (rows[i, k], i).
+
+    rows and signs are n x s, with s = 1 for a CountSketch and
+    spec.osnap_s() for OSNAP, and scale = 1 / sqrt(s). OSNAP is the block
+    construction (Kane-Nelson): hash k picks a row of block k, whose m // s
+    rows no other hash uses, so each column has s distinct nonzeros, already
+    in ascending row order. rows are int32 whenever m and the s n entries fit
+    in it, so int8 signs make the tables 5 s bytes per input row.
+    """
+    if spec.variant == "countsketch":
+        h, sgn = _countsketch_tables(spec.m, n, spec.seed, sign_dtype)
+        return h[:, None], sgn[:, None], 1.0
+    s = spec.osnap_s()
+    rng = make_rng(spec.seed)
+    block = spec.m // s
+    index = _index_dtype(spec.m, s * n)
+    rows = np.empty((n, s), dtype=index)
+    signs = np.empty((n, s), dtype=sign_dtype)
+    for k in range(s):
+        rows[:, k] = rng.integers(0, block, size=n, dtype=index)
+        rows[:, k] += k * block
+        _draw_signs(rng, signs[:, k])
+    return rows, signs, 1.0 / math.sqrt(s)
+
+
+def _csc(m: int, rows: np.ndarray, vals: np.ndarray):
+    """The m x n CSC matrix of tables rows and float64 signs vals (n x s),
+    whose signs it scales in place by 1 / sqrt(s). scipy keeps the arrays
+    without a copy, so a CountSketch holds 16 bytes per input row (int32
+    hash and indptr, float64 sign), an OSNAP about 12 s + 4."""
+    n, s = rows.shape
+    if s > 1:
+        vals *= 1.0 / math.sqrt(s)
+    indptr = np.arange(0, s * n + 1, s, dtype=rows.dtype)
+    return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
 
 
 def _operator(spec: SketchSpec, n: int):
@@ -199,32 +254,15 @@ def _operator(spec: SketchSpec, n: int):
 
     CountSketch and OSNAP are CSC matrices with one +-1, or s entries
     +-1/sqrt(s), per column, so S @ A does O(nnz(A)) or O(s nnz(A)) work and
-    adds each input row into its output rows in row order. Their index arrays
-    are int32 whenever m and the s n entries fit in it, and scipy keeps them
-    without a copy: a CountSketch holds 16 bytes per input row (int32 hash
-    and indptr, float64 sign), an OSNAP about 12 s + 4.
+    adds each input row into its output rows in row order. They are built
+    from `_tables` drawn with float64 signs, so no int8 copy of the signs is
+    held beside them: 16 bytes per input row for a CountSketch, about
+    12 s + 4 for an OSNAP (`_csc`).
     """
-    m = spec.m
     if spec.variant == "gaussian":
-        return make_rng(spec.seed).standard_normal((m, n)) / math.sqrt(m)
-    if spec.variant == "countsketch":
-        h, sgn = _countsketch_tables(m, n, spec.seed)
-        return scipy.sparse.csc_array((sgn, h, np.arange(n + 1, dtype=h.dtype)), shape=(m, n))
-    # OSNAP block construction (Kane-Nelson): hash j picks a row of block j,
-    # whose m // s rows no other hash uses, so each column has s distinct
-    # nonzeros, already in ascending row order
-    s = spec.osnap_s()
-    rng = make_rng(spec.seed)
-    block = m // s
-    index = _index_dtype(m, s * n)
-    rows = np.empty((n, s), dtype=index)
-    vals = np.empty((n, s))
-    for j in range(s):
-        rows[:, j] = j * block + rng.integers(0, block, size=n, dtype=index)
-        vals[:, j] = _signs(rng, n)
-    vals *= 1.0 / math.sqrt(s)
-    indptr = np.arange(0, s * n + 1, s, dtype=index)
-    return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
+        return make_rng(spec.seed).standard_normal((spec.m, n)) / math.sqrt(spec.m)
+    rows, vals, _ = _tables(spec, n, np.float64)
+    return _csc(spec.m, rows, vals)
 
 
 def _fwht_in_place(x: np.ndarray) -> np.ndarray:
@@ -264,7 +302,8 @@ def _apply_srht(A, m: int, seed: int) -> np.ndarray:
     if m > N:
         raise ValueError(f"SRHT size m={m} exceeds padded input rows N={N}")
     rng = make_rng(seed)
-    sgn = _signs(rng, n)
+    sgn = np.empty(n, dtype=np.int8)
+    _draw_signs(rng, sgn)
     X = np.zeros((N,) + A.shape[1:])  # padding rows are zeros
     if scipy.sparse.issparse(A):
         A.astype(np.float64, copy=False).toarray(out=X[:n])
@@ -305,21 +344,22 @@ def _apply_gaussian(A, m: int, seed: int) -> np.ndarray:
 SCATTER_ENTRIES = 1 << 14  # products per block of _scatter_csr: ~0.5 MB of temporaries
 
 
-def _scatter_csr(S, A) -> np.ndarray:
-    """(S @ A).toarray() for a CSC operator S with s entries in every column
-    and a CSR A, without scipy's sparse x sparse product.
+def _scatter_csr(m: int, tables, A) -> np.ndarray:
+    """(S @ A).toarray() for the m-row S of tables (rows, signs, scale), as
+    `_tables` gives them, and a float64 CSR A, without scipy's sparse x
+    sparse product or S's CSC matrix.
 
     A's stored entries are read in storage order, SCATTER_ENTRIES // s at a
-    time; each is multiplied by the s entries of S's column for its row and
+    time; each, times scale, is multiplied by the s signs of its row and
     added into the dense m x d result by np.add.at, which adds repeated
-    indices in order. Every output entry thus sums its terms over A's rows in
-    ascending order, as scipy's product does, and the result is bit-identical
-    to it, in O(s nnz(A)) time and one m x d buffer.
+    indices in order. A sign is +-1, so each product is +-fl(scale a), the
+    very product of S's entry +-scale and a; every output entry sums its
+    terms over A's rows in ascending order, as scipy's product does, and the
+    result is bit-identical to it, in O(s nnz(A)) time and one m x d buffer.
     """
-    m, n = S.shape
+    rows, signs, scale = tables
+    n, s = rows.shape
     d = A.shape[1]
-    s = S.nnz // n if n else 1
-    S_rows, S_vals = S.indices.reshape(n, s), S.data.reshape(n, s)
     out = np.zeros((m, d))
     flat = out.reshape(-1)
     # int32 hashes stay int32 as flat indices wherever m d fits in it
@@ -332,11 +372,14 @@ def _scatter_csr(S, A) -> np.ndarray:
         hi = min(lo + step, A.nnz)
         r1 = int(np.searchsorted(A.indptr, A.indptr.dtype.type(hi)))
         j = np.repeat(np.arange(r0, r1), np.diff(np.clip(A.indptr[r0 : r1 + 1], lo, hi)))
-        idx = np.take(S_rows, j, axis=0).astype(flat_index, copy=False)
+        # every j is a row of the tables, so "clip" gathers the same entries
+        # without the bounds check of the default mode
+        idx = np.take(rows, j, axis=0, mode="clip").astype(flat_index, copy=False)
         idx *= d
         idx += A.indices[lo:hi, None]
-        vals = np.take(S_vals, j, axis=0)
-        vals *= A.data[lo:hi, None]
+        a = A.data[lo:hi, None]
+        vals = np.take(signs, j, axis=0, mode="clip").astype(np.float64)
+        vals *= a * scale if scale != 1.0 else a
         np.add.at(flat, idx.ravel(), vals.ravel())
     return out
 
@@ -347,21 +390,32 @@ def apply(spec: SketchSpec, A, *more):
     Left side returns S @ A (m rows); right side returns A @ R (m columns),
     computed as (S A')'. Identity returns the input unchanged. With more
     inputs, returns the tuple (apply(spec, A), apply(spec, more[0]), ...),
-    each equal to its own call, but a CountSketch or OSNAP operator is drawn
-    once for all of them rather than once per input.
+    each equal to its own call, but a CountSketch or OSNAP is drawn once for
+    all of them rather than once per input, and its CSC matrix built at most
+    once.
     """
     operators = {}
     outs = tuple(_apply(spec, M, operators) for M in (A, *more))
     return outs if more else outs[0]
 
 
-def _shared_operator(spec: SketchSpec, n: int, operators: dict):
-    """`_operator(spec, n)`, drawn once per (spec, n) in the dict operators
-    shared by the inputs of one `apply` call."""
+def _shared(spec: SketchSpec, n: int, operators: dict, csc: bool):
+    """spec's operator at n input rows, drawn once per (spec, n) in the dict
+    operators shared by the inputs of one `apply` call: its `_tables` for a
+    CSR input (csc false), its CSC matrix for a dense one. The CSC matrix is
+    drawn as `_operator` draws it, or built from tables drawn before, which
+    it then replaces; tables asked of it are its own arrays, scale 1."""
     key = (spec, n)
-    if key not in operators:
-        operators[key] = _operator(spec, n)
-    return operators[key]
+    op = operators.get(key)
+    if op is None:
+        op = _operator(spec, n) if csc else _tables(spec, n)
+    elif csc and not scipy.sparse.issparse(op):
+        op = _csc(spec.m, op[0], op[1].astype(np.float64))
+    elif not csc and scipy.sparse.issparse(op):
+        s = op.nnz // n if n else 1
+        return op.indices.reshape(n, s), op.data.reshape(n, s), 1.0
+    operators[key] = op
+    return op
 
 
 def halve(SA: np.ndarray, side: str = "left") -> np.ndarray:
@@ -381,12 +435,13 @@ def halve(SA: np.ndarray, side: str = "left") -> np.ndarray:
     return SA[:h] + SA[h:]
 
 
-# A right CountSketch or OSNAP of a dense A copies one row block of A' to
-# row-major order at a time, in blocks of la.BLOCK_ENTRIES / RIGHT_BLOCK_DIVISOR
+# A CountSketch or OSNAP of a dense A that is not row-major (the transpose a
+# right sketch meets, or a wide input's A') copies one column block of A to
+# row-major order at a time, in blocks of la.BLOCK_ENTRIES / COLUMN_BLOCK_DIVISOR
 # entries: at 256 KiB they stay in cache, and with one BLAS thread a 384 x 1000
 # input to 384 columns took 0.6 ms against 1.9 ms in 1 MiB blocks, with a
 # quarter of the copy
-RIGHT_BLOCK_DIVISOR = 4
+COLUMN_BLOCK_DIVISOR = 4
 
 
 def _apply(spec: SketchSpec, A, operators):
@@ -403,27 +458,27 @@ def _apply(spec: SketchSpec, A, operators):
             out = _apply(part, out, operators)
         return out
     right = spec.side == "right"
-    if right and spec.variant in ("countsketch", "osnap") and not scipy.sparse.issparse(A):
-        A = np.asarray(A, dtype=np.float64)
-        S = _shared_operator(spec, A.shape[1], operators)
-        out = np.empty((A.shape[0], spec.m))
-        # (S A')' by row blocks of A: each output entry is the same sum, in the
-        # same order, and only one block of A' is copied to row-major order
-        for rows in row_blocks(A.shape[0], RIGHT_BLOCK_DIVISOR * A.shape[1]):
-            out[rows] = (S @ A[rows].T).T
-        return out
     if right:
         A = A.T.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=np.float64).T
     if spec.variant == "srht":
         out = _apply_srht(A, spec.m, spec.seed)
     elif spec.variant == "gaussian":
         out = _apply_gaussian(A, spec.m, spec.seed)
+    elif scipy.sparse.issparse(A):
+        tables = _shared(spec, A.shape[0], operators, csc=False)
+        out = _scatter_csr(spec.m, tables, A.tocsr().astype(np.float64, copy=False))
     else:
-        S = _shared_operator(spec, A.shape[0], operators)
-        if scipy.sparse.issparse(A):
-            out = _scatter_csr(S, A.tocsr())
+        A = np.asarray(A, dtype=np.float64)
+        S = _shared(spec, A.shape[0], operators, csc=True)
+        if A.flags.c_contiguous:
+            out = S @ A
         else:
-            out = as_dense(S @ A)
+            # by column blocks of A: each output entry is the same sum, in
+            # the same order, and only one block of A is copied to row-major
+            # order; a right sketch's output is row-major as (S A')'
+            out = np.empty((A.shape[1], spec.m)).T if right else np.empty((spec.m, A.shape[1]))
+            for cols in row_blocks(A.shape[1], COLUMN_BLOCK_DIVISOR * A.shape[0]):
+                out[:, cols] = S @ A[:, cols]
     # row-major like the left side, so later BLAS calls see one layout
     return np.ascontiguousarray(out.T) if right else out
 

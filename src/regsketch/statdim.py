@@ -257,8 +257,11 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0, second=None) 
     caller draws that sketch itself.
 
     Cost: one O(nnz(A)) apply at M rows, O(M d) to fold, and per level read
-    the Gram of its short side and its eigenvalues. Every level but the one
-    returned and SA2 is freed on return.
+    the Gram of its short side and its eigenvalues. The levels take about
+    1.5 M rows: the draw, and one M/2-row buffer that holds the levels below
+    M/2 until the reading reaches M/2, which is then halved from the draw
+    into it again. Every level but the one returned and SA2 is freed on
+    return.
     """
     if lam <= 0:
         raise ValueError("sd_from_sketch requires lam > 0")
@@ -271,24 +274,49 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0, second=None) 
         M *= 2
     sds = []  # the readings, m0-row level first
     if M < n:
-        levels = [as_dense(sk.apply(sk.countsketch(M, seed), A))]
-        while levels[-1].shape[0] > m0:
-            levels.append(sk.halve(levels[-1]))
-        levels.reverse()
-        for i, SA in enumerate(levels):
+        SA_M = as_dense(sk.apply(sk.countsketch(M, seed), A))
+        # every level below M/2 is packed into one M/2-row buffer, the r-row
+        # level at packed[r:2r], each halved in place from the one above it
+        # with the sums of `sketch.halve`; so the draw holds about 1.5 M rows
+        h = M // 2
+        packed = np.add(SA_M[:h], SA_M[h:]) if h >= m0 else None
+        r = h
+        while r > m0:
+            above = packed if r == h else packed[r : 2 * r]
+            np.add(above[: r // 2], above[r // 2 :], out=packed[r // 2 : r])
+            r //= 2
+
+        def level(r):
+            if r == M:
+                return SA_M
+            if r < h:
+                return packed[r : 2 * r]
+            if h > m0:  # the reading reached M/2: the levels below are read
+                np.add(SA_M[:h], SA_M[h:], out=packed)
+            return packed
+
+        def own(L):  # a packed level, copied out before packed is rewritten or freed
+            return L.copy() if packed is not None and L.base is packed else L
+
+        for i in range((M // m0).bit_length()):
+            SA = level(m0 << i)
             sds.append(float(min(sd_by_gram(SA, lam), cap)))
             # the m0-row level reads loosest: it is taken only when the
             # next level's reading fits m0 rows too
             if i == 1 and size(max(sds)) <= m0:
-                i, SA = 0, levels[0]
-            elif size(sds[i]) > SA.shape[0] or (i == 0 and len(levels) > 1):
+                i, SA = 0, sk.halve(SA)
+            elif size(sds[i]) > SA.shape[0] or (i == 0 and M > m0):
                 continue
-            SA2 = None
+            SA, SA2 = own(SA), None
             if second is not None:
-                SA2 = next((L for L in levels[i:] if L.shape[0] >= second(sds[i])), None)
+                rows = SA.shape[0]
+                while rows < min(M, second(sds[i])):
+                    rows *= 2
+                if rows >= second(sds[i]):
+                    SA2 = SA if rows == SA.shape[0] else own(level(rows))
             spec = sk.countsketch(SA.shape[0], seed, fold=M)
             return SketchedSd(spec=spec, SA=SA, sd_hat=sds[i], drawn=M, levels=len(sds), SA2=SA2)
-        del levels, SA
+        del SA_M, packed, SA
     SA = as_dense(A)
     sd_hat = min(sd_by_gram(SA, lam), cap)
     return SketchedSd(

@@ -96,6 +96,24 @@ class TestApply:
         assert out.shape == (4000, 100)
         assert peak < A.nbytes / 4
 
+    @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
+    def test_column_major_input_is_sketched_by_column_blocks(self, variant):
+        # the transpose of a wide input, as the wide low-rank solve passes
+        # it: the sums of the row-major apply, without a row-major copy of A
+        X = la.make_rng(24).standard_normal((500, 2000))
+        spec = getattr(sk, variant)(96, seed=2)
+        want = sk.apply(spec, np.ascontiguousarray(X.T))
+        sk.apply(spec, X[:8].T)  # warm up imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            got = sk.apply(spec, X.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(la.row_blocks(X.shape[0], sk.COLUMN_BLOCK_DIVISOR * X.shape[1])) > 1
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+        assert peak < X.nbytes / 8
+
     def test_countsketch_matches_reference_loop(self):
         # a colliding hash: rows that share a bucket are summed in row order
         n, m = 200, 7
@@ -181,12 +199,23 @@ class TestApply:
 
     @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
     def test_several_inputs_draw_the_operator_once(self, variant, monkeypatch):
-        calls, operator = [], sk._operator
-        monkeypatch.setattr(sk, "_operator", lambda spec, n: calls.append(n) or operator(spec, n))
+        # one draw of the tables per apply, and one CSC matrix at most, for
+        # dense inputs, CSR inputs and either order of the two
+        draws, builds = [], []
+        tables, csc = sk._tables, sk._csc
+        monkeypatch.setattr(sk, "_tables", lambda spec, n, *a: draws.append(n) or tables(spec, n, *a))
+        monkeypatch.setattr(sk, "_csc", lambda *a: builds.append(1) or csc(*a))
         rng = la.make_rng(6)
         spec = sk.SketchSpec(variant, m=32, seed=1)
-        sk.apply(spec, rng.standard_normal((500, 4)), rng.standard_normal((500, 2)))
-        assert calls == [500]
+        dense = rng.standard_normal((500, 4)), rng.standard_normal((500, 2))
+        sparse = scipy.sparse.random(500, 3, density=0.2, format="csr", random_state=2)
+        for inputs, csc_builds in [
+            (dense, 1), ((sparse, sparse), 0), ((sparse, dense[0]), 1), ((dense[0], sparse), 1),
+        ]:
+            draws.clear()
+            builds.clear()
+            sk.apply(spec, *inputs)
+            assert draws == [500] and len(builds) == csc_builds
 
 
 class TestFwht:
@@ -374,18 +403,43 @@ def _int64_operator(spec, n):
     return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
 
 
+CHUNK_EDGES = [sk.SIGN_CHUNK - 1, sk.SIGN_CHUNK, sk.SIGN_CHUNK + 1, 3 * sk.SIGN_CHUNK + 5]
+
+
 class TestThirtyTwoBitDraws:
-    """The operators hold int32 hashes and index arrays drawn from the same
-    stream as the int64 draws: the same values, so the same sketch."""
+    """The tables hold int32 hashes and int8 signs drawn from the same stream
+    as the int64 draws, the signs in chunks of int32 bits: the same values,
+    so the same sketch."""
 
     @pytest.mark.parametrize("m", [1, 2, 6, 654, 1 << 20])
-    @pytest.mark.parametrize("n", [999, 1000])
+    @pytest.mark.parametrize("n", [999, 1000] + CHUNK_EDGES)
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_tables_equal_the_int64_draws(self, m, n, seed):
+        # at m = 1 the hash draw takes nothing from the stream, so the signs
+        # start where it starts
         h, sgn = sk._countsketch_tables(m, n, seed)
         S = _int64_operator(sk.countsketch(m, seed=seed), n)
-        assert h.dtype == np.int32 and sgn.dtype == np.float64
+        assert h.dtype == np.int32 and sgn.dtype == np.int8
         assert np.array_equal(h, S.indices) and np.array_equal(sgn, S.data)
+
+    @pytest.mark.parametrize("n", [1, 999] + CHUNK_EDGES)
+    def test_sign_chunks_leave_the_stream_where_one_draw_does(self, n):
+        rng, rng64 = la.make_rng(9), la.make_rng(9)
+        sgn = np.empty(n, dtype=np.int8)
+        sk._draw_signs(rng, sgn)
+        assert np.array_equal(sgn, rng64.integers(0, 2, size=n) * 2.0 - 1.0)
+        assert rng.integers(0, 2**63 - 1) == rng64.integers(0, 2**63 - 1)
+
+    @pytest.mark.parametrize("m,s", [(64, 0), (100, 3), (2, 0)])
+    @pytest.mark.parametrize("n", [999, sk.SIGN_CHUNK + 1])
+    def test_osnap_tables_equal_the_int64_draws(self, m, s, n):
+        spec = sk.osnap(m, s=s, seed=8)
+        S64 = _int64_operator(spec, n)
+        rows, signs, scale = sk._tables(spec, n)
+        assert rows.dtype == np.int32 and signs.dtype == np.int8
+        assert scale == 1.0 / math.sqrt(spec.osnap_s())
+        assert np.array_equal(rows.ravel(), S64.indices)
+        assert np.array_equal(signs.ravel() * scale, S64.data)
 
     @pytest.mark.parametrize("m,s", [(64, 0), (100, 3), (7, 7)])
     def test_osnap_operator_equals_its_int64_twin(self, m, s):
@@ -447,8 +501,9 @@ def _csr_cases():
 
 
 class TestCsrScatter:
-    """apply on a CSR input scatters from the operator's CSC arrays; it must
-    give the very sums of scipy's sparse x sparse product of that operator."""
+    """apply on a CSR input scatters from the drawn hash and sign tables; it
+    must give the very sums of scipy's sparse x sparse product of the CSC
+    operator built from them."""
 
     @pytest.mark.parametrize("case", sorted(_csr_cases()))
     @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
@@ -468,27 +523,39 @@ class TestCsrScatter:
         assert got.shape == (n, m)
         assert np.array_equal(got, (A @ sk._operator(left, d).T).toarray())
 
-    def test_countsketch_peak_below_24_bytes_per_input_row(self):
-        # int32 hash and indptr and a float64 sign are 16 bytes per input
-        # row, and A's int32 indptr is searched without an int64 copy: about
-        # 19 bytes per row in all, where int64 tables, an int64 indptr and
-        # that copy took about 32
-        n, d, m, per_row = 200_000, 40, 500, 4
+    @staticmethod
+    def _csr_apply_peak(spec, n, d):
         rng = la.make_rng(41)
+        per_row = 4
         A = scipy.sparse.csr_array((
             rng.standard_normal(per_row * n),
             rng.integers(0, d, size=per_row * n, dtype=np.int32),
             np.arange(0, per_row * n + 1, per_row, dtype=np.int32),
         ), shape=(n, d))
-        spec = sk.countsketch(m, seed=3)
         sk.apply(spec, A[:100])  # warm up imports outside the trace
         tracemalloc.start()
         try:
             sk.apply(spec, A)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * n + 8 * m * d + (1 << 20)
+
+    def test_countsketch_peak_below_8_bytes_per_input_row(self):
+        # the tables are an int32 hash and an int8 sign, 5 bytes per input
+        # row, with no CSC matrix, and A's int32 indptr is searched without an
+        # int64 copy: under 8 bytes per row in all
+        n, d, m = 200_000, 40, 500
+        peak = self._csr_apply_peak(sk.countsketch(m, seed=3), n, d)
+        assert peak < 8 * n + 8 * m * d + (1 << 20)
+
+    def test_osnap_peak_below_48_bytes_per_input_row(self):
+        # s = 9 int32 rows and int8 signs per input row, 5 s = 45 bytes, and
+        # no CSC matrix of 12 s + 4
+        n, d, m = 200_000, 40, 500
+        spec = sk.osnap(m, seed=3)
+        assert spec.osnap_s() == 9
+        peak = self._csr_apply_peak(spec, n, d)
+        assert peak < 48 * n + 8 * m * d + (1 << 20)
 
 
 class TestFold:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -347,6 +349,67 @@ class TestSdFromSketch:
         assert same.SA2 is same.SA
         longer = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: got.drawn + 1)
         assert longer.SA2 is None
+
+    @staticmethod
+    def every_level_at_once(A, lam, size, cap, seed, second):
+        """sd_from_sketch's choice of levels, read off every level of the
+        draw held at once, each the apply of its own folded spec."""
+        m0, M = size(1.0), size(1.0)
+        while M < size(cap) and 2 * M < A.shape[0]:
+            M *= 2
+        rows = [m0 << j for j in range((M // m0).bit_length())]
+        levels = [sk.apply(sk.countsketch(r, seed, fold=M), A) for r in rows]
+        sds = []
+        for i, SA in enumerate(levels):
+            sds.append(float(min(statdim.sd_by_gram(SA, lam), cap)))
+            if i == 1 and size(max(sds)) <= m0:
+                i = 0
+            elif size(sds[i]) > rows[i] or (i == 0 and M > m0):
+                continue
+            SA2 = next((L for L in levels[i:] if second and L.shape[0] >= second(sds[i])), None)
+            return levels[i], sds[i], len(sds), SA2
+
+    @pytest.mark.parametrize("target", [0.3, 1.5, 3.0, 6.0, 12.0])
+    @pytest.mark.parametrize("cap,second", [
+        (12.0, None), (12.0, 1), (12.0, 9), (12.0, 17), (12.0, 33), (12.0, 65),
+        (1.0, 5), (2.0, 5), (3.0, 5), (3.0, 9),
+    ])
+    def test_packed_levels_equal_every_level_held_at_once(self, target, cap, second):
+        # levels 4, 8, ..., M = 64 at cap 12 (M = 16 at cap 3, where M/2 is
+        # the second level); every level read or returned is the apply of
+        # its folded spec, whether it sat in the packed buffer, was halved
+        # again from the draw, or was the draw itself
+        A, _ = problems.generate_problem(2000, 30, 4, kind="geometric")
+        lam = self.lam_for(statdim.singular_values(A), target)
+
+        def size(s):
+            return 4 * int(np.ceil(s))
+
+        rule = None if second is None else (lambda s: second)
+        got = statdim.sd_from_sketch(A, lam, size, cap, seed=3, second=rule)
+        SA, sd_hat, levels, SA2 = self.every_level_at_once(A, lam, size, cap, 3, rule)
+        assert np.array_equal(got.SA, SA) and got.sd_hat == sd_hat and got.levels == levels
+        assert got.spec == sk.countsketch(SA.shape[0], 3, fold=got.drawn)
+        assert (got.SA2 is None) == (SA2 is None)
+        if SA2 is not None:
+            assert np.array_equal(got.SA2, SA2)
+            assert got.SA2.base is None and got.SA.base is None
+
+    def test_holds_about_one_and_a_half_draws(self):
+        # the M-row draw and one M/2-row buffer of the levels below it, where
+        # every level at once is about 2 M rows
+        A = la.make_rng(8).standard_normal((10_000, 100))
+        size = lambda s: 1000 * int(np.ceil(s))  # noqa: E731
+        statdim.sd_from_sketch(A[:4000], 1.0, size, 8.0, seed=2)
+        tracemalloc.start()
+        try:
+            got = statdim.sd_from_sketch(A, 1.0, size, 8.0, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.drawn == 8000
+        draw = 8 * got.drawn * A.shape[1]
+        assert peak < 1.6 * draw
 
     def test_reaching_n_gives_exact_value(self):
         A, _ = problems.generate_problem(60, 20, 3, kind="flat")
