@@ -399,7 +399,10 @@ class TestSdFromSketch:
         # the M-row draw and one M/2-row buffer of the levels below it, where
         # every level at once is about 2 M rows
         A = la.make_rng(8).standard_normal((10_000, 100))
-        size = lambda s: 1000 * int(np.ceil(s))  # noqa: E731
+
+        def size(s):
+            return 1000 * int(np.ceil(s))
+
         statdim.sd_from_sketch(A[:4000], 1.0, size, 8.0, seed=2)
         tracemalloc.start()
         try:
