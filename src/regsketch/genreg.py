@@ -6,14 +6,15 @@ undecidable, so falsification is the honest contract). On top of them sit:
 
 * the SVD reduction of regularized low-rank approximation to a k x k
   diagonal core problem, with closed-form diagonal solvers;
-* the sketched pipeline for general multiple-response regression: the
-  small solver on the left-sketched problem when the right sketch of the
-  response is the identity, and otherwise an affine sketch, a QR change of
-  basis, the small solve and a triangular back-solve. Every small problem
-  reaches its solver as one `ReducedProblem`, its Gram form (G = A'A,
-  C = A'B, ||B||_F^2, eigvalsh(G)), and the Gram of the left sketch that
-  reads the rank is the one the solver iterates on; the accelerated
-  (monotone FISTA with restart) prox solver never reads the sketch itself;
+* the sketched pipeline for general multiple-response regression: one left
+  sketch of A and B, and the small solver on the left-sketched problem,
+  rotated onto the row space of C = (SA)'(SB) when there are more
+  responses than columns, which is exact under the measure's flags. Every
+  small problem reaches its solver as one `ReducedProblem`, its Gram form
+  (G = A'A, C = A'B, ||B||_F^2, eigvalsh(G)), and the Gram of the left
+  sketch that reads the rank is the one the solver iterates on; the
+  accelerated (monotone FISTA with restart) prox solver never reads the
+  sketch itself;
 * general low-rank approximation, which runs `lowrank`'s two-sided
   sketched pipeline on A as given, with a diagonal solver in the core.
 """
@@ -24,13 +25,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import lowrank, ridge
 from . import sketch as sk
 from .la import (
-    RANK_RTOL, as_dense, derive_seeds, gram, gram_eigvalsh, make_rng, row_blocks, short_gram_eigvalsh,
+    RANK_RTOL, as_dense, derive_seed, derive_seeds, gram, gram_eigvalsh, make_rng, row_blocks, short_gram_eigvalsh,
 )
 from .statdim import singular_values as _sv
 
@@ -425,18 +425,6 @@ def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
     return sk.countsketch_or_identity(m, n_clamp, seed, side)
 
 
-def _left_sketches(policy, rank_hint, eps, A, Bd, seeds):
-    """(Rh, Sh A, Sh B Rh) for Sh and Rh at the affine sizes of rank_hint.
-
-    One `apply` call sketches A and B Rh, so Sh's operator is drawn once for
-    both; B Rh is B itself when Rh is the identity.
-    """
-    Sh = _affine_spec(policy, rank_hint, eps, A.shape[0], seeds[2])
-    Rh = _affine_spec(policy, rank_hint, eps, Bd.shape[1], seeds[1], side="right")
-    ShA, ShBRh = sk.apply(Sh, A, as_dense(sk.apply(Rh, Bd)))
-    return Rh, ShA, as_dense(ShBRh)
-
-
 def _numerical_rank(A, gram_eigs=None):
     """Number of singular values of A above RANK_RTOL * sigma_1, as an SVD
     counts them.
@@ -461,15 +449,6 @@ def _numerical_rank(A, gram_eigs=None):
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
-
-
-def _lift(Z1, R1, piv, SB) -> np.ndarray:
-    """X = Z @ SB for the Z with Z SB' = Z1 Q', (Q, R1, piv) the basis of SB'.
-
-    Z is zero outside the columns piv[:r], so only those rows of SB are
-    multiplied, and no Z as wide as SB is tall is formed.
-    """
-    return scipy.linalg.solve_triangular(R1, Z1.T).T @ SB[piv[: R1.shape[0]]]
 
 
 def _fit(A, X, B) -> float:
@@ -505,23 +484,29 @@ def solve_general_regression(
     `prox_small_solver` and `ridge_small_solver` do. Returns (X_tilde,
     objective-on-the-original-problem).
 
-    The sketches are sized from rank(A), read off Sh A rather than A: Sh and
-    Rh are drawn at the affine sizes of min(n, d), an upper bound on the
-    rank, and the rank is read off the eigenvalues of the d x d Gram of
+    One left sketch Sh is drawn, sized from rank(A) read off Sh A rather
+    than A: Sh is drawn at the affine size of min(n, d), an upper bound on
+    the rank, and the rank is read off the eigenvalues of the d x d Gram of
     Sh A, the Gram the small solver then iterates on, so it is formed once
-    per draw. Sh B Rh is sketched in the call that sketches A, so Sh is
-    drawn once for both. A full rank there is rank(A); a smaller reading r
-    redraws Sh and Rh at the affine sizes of r, on the same seeds, and
-    sketches A and B Rh again. identity_sketches makes the left
-    sketch Sh and the right sketch Rh the identity and reads no rank.
-    Whenever Rh is the identity, the change of basis to the row space of
-    S B would be a rotation that the lift undoes (right orthogonal
-    invariance), so X is the small solve of reduced_problem(Sh A, Sh B): no
-    S is drawn and no basis changed. With Sh the identity too, that is the
-    problem of (A, B) itself. A reducing Rh keeps the Gram of Sh A and takes
-    C = (Sh A)'(Sh B Rh Q). A CSR A stays sparse: the sketches, the Grams
-    and the final residual, summed over row blocks, all take it as it is.
-    B is densified.
+    per draw. Sh B is sketched in the call that sketches A, so Sh is drawn
+    once for both. A full rank there is rank(A); a smaller reading r redraws
+    Sh at the affine size of r, on the same seed, and sketches A and B
+    again. identity_sketches makes Sh the identity and reads no rank: the
+    reduced problem is then that of (A, B) itself.
+
+    The responses are not sketched. The reduced problem reads Sh B only
+    through C = (Sh A)'(Sh B), which is d x d', and the flags above put its
+    optimum's rows in the row space of C, of rank at most d: for P the
+    projection onto that row space, ||Sh A Z||_F^2 is the sum of
+    ||Sh A Z P||_F^2 and ||Sh A Z (I - P)||_F^2, <Z, C> = <Z P, C>, and f
+    is a contraction, f(Z P) <= f(Z). So when d' > d, with C' = Q Rc (Q
+    d' x d, orthonormal columns), the small solver runs on the d x d
+    problem with C = Rc' and X = W Q'. Every Z in that row space is W Q'
+    for W = Z Q, at the same objective (right orthogonal and padding
+    invariance give f(W Q') = f(W)), so X is the small solve of the
+    unreduced problem, up to rounding. When d' <= d, X is the small solve
+    itself. A CSR A stays sparse: the sketch, the Grams and the final
+    residual, summed over row blocks, all take it as it is. B is densified.
     """
     fl = f.flags
     if not assume_inheritance:
@@ -536,30 +521,28 @@ def solve_general_regression(
         A = as_dense(A)
     Bd = as_dense(B)
     if identity_sketches:
-        Rh = sk.identity()
-        ShA, ShBRh = A, Bd
+        ShA, ShB = A, Bd
         eigs = _gram_eigs(A)
     else:
         policy = policy or sk.SizePolicy()
-        seeds = derive_seeds(seed, 51, 3)
+        seed_h = derive_seed(seed, 53)
         # rank(Sh A) <= rank(A) <= min(n, d): a full rank read at that size
-        # is rank(A), and a smaller one redraws Sh and Rh at its affine sizes
+        # is rank(A), and a smaller one redraws Sh at its affine size
         r_max = min(A.shape)
-        Rh, ShA, ShBRh = _left_sketches(policy, r_max, eps, A, Bd, seeds)
+        ShA, ShB = sk.apply(_affine_spec(policy, r_max, eps, A.shape[0], seed_h), A, Bd)
         eigs = _gram_eigs(ShA)
         r = max(_numerical_rank(ShA, eigs), 1)
         if r < r_max:
-            Rh, ShA, ShBRh = _left_sketches(policy, r, eps, A, Bd, seeds)
+            ShA, ShB = sk.apply(_affine_spec(policy, r, eps, A.shape[0], seed_h), A, Bd)
             eigs = _gram_eigs(ShA)
-    if Rh.variant == "identity":
-        # the change of basis would be a rotation that the lift undoes
-        X = small_solver(reduced_problem(ShA, ShBRh, eigs))
+    prob = reduced_problem(ShA, ShB, eigs)
+    del ShA, ShB  # do not hold the sketches across the solve and the residual's pass over A
+    d, dprime = prob.C.shape
+    if dprime > d:
+        Q, Rc = np.linalg.qr(prob.C.T)
+        X = small_solver(replace(prob, C=Rc.T)) @ Q.T
     else:
-        S = _affine_spec(policy, r, eps, A.shape[0], seeds[0])
-        SB = as_dense(sk.apply(S, Bd))
-        Q, R1, piv, _ = lowrank._pivoted_col_basis(as_dense(sk.apply(Rh, SB)).T)
-        X = _lift(small_solver(reduced_problem(ShA, ShBRh @ Q, eigs)), R1, piv, SB)
-    del ShA, ShBRh  # do not hold the sketches across the residual's pass over A
+        X = small_solver(prob)
     return X, _fit(A, X, Bd) + f.evaluate(X)
 
 

@@ -140,6 +140,19 @@ def test_genreg_reads_the_size_policy(tmp_path):
     assert all(r["sketch_objective"] == r["exact_objective"] for r in rows)
 
 
+def test_genreg_rotates_more_responses_than_columns(tmp_path):
+    # 50 responses on 6 columns: both solves run on the rotated 6 x 6 problem
+    outs = [tmp_path / f"run{i}.jsonl" for i in range(2)]
+    for out in outs:
+        rc = cli.main([
+            "genreg", "--seeds", "0..2", "--n", "400", "--d", "6", "--dprime", "50", "--out", str(out),
+        ])
+        assert rc == 0
+    rows = _read_jsonl(outs[0])
+    assert len(rows) == 3 and all(r["passed"] for r in rows)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_matrix_market_override(tmp_path, monkeypatch):
     mm = tmp_path / "a.mtx"
     mm.write_text(
