@@ -30,7 +30,8 @@ import scipy.sparse
 from . import lowrank, ridge
 from . import sketch as sk
 from .la import (
-    RANK_RTOL, as_dense, derive_seed, derive_seeds, gram, gram_eigvalsh, make_rng, row_blocks, short_gram_eigvalsh,
+    RANK_RTOL, as_dense, derive_seed, derive_seeds, gram, gram_eigvalsh, make_rng, row_block, row_blocks,
+    short_gram_eigvalsh,
 )
 from .statdim import singular_values as _sv
 
@@ -454,10 +455,12 @@ def _numerical_rank(A, gram_eigs=None):
 def _fit(A, X, B) -> float:
     """||A X - B||_F^2, summed one row block at a time with np.vdot, as
     `lowrank.objective_value` sums its fit: the n x d' residual is never
-    formed whole, and a CSR A is read block by block."""
+    formed whole, and a CSR A is read block by block (`la.row_block`)."""
+    if scipy.sparse.issparse(A):
+        A = A.tocsr()
     fit = 0.0
     for rows in row_blocks(*B.shape):
-        R = A[rows] @ X
+        R = row_block(A, rows) @ X
         R -= B[rows]
         fit += float(np.vdot(R, R))
         del R  # free this block's residual before the next one is formed
@@ -489,10 +492,14 @@ def solve_general_regression(
     the rank, and the rank is read off the eigenvalues of the d x d Gram of
     Sh A, the Gram the small solver then iterates on, so it is formed once
     per draw. Sh B is sketched in the call that sketches A, so Sh is drawn
-    once for both. A full rank there is rank(A); a smaller reading r redraws
-    Sh at the affine size of r, on the same seed, and sketches A and B
-    again. identity_sketches makes Sh the identity and reads no rank: the
-    reduced problem is then that of (A, B) itself.
+    once for both. A full rank there is rank(A). A smaller reading r halves
+    Sh A and Sh B (`sketch.halve`) to the smallest level of that M-row draw
+    with at least the affine size of r rows, which is the sketch
+    countsketch(level, seed, fold=M), so A and B are read once; when no
+    smaller level fits, the first sketch stays. Only an identity first
+    sketch is redrawn at the affine size of r, and A and B sketched again.
+    identity_sketches makes Sh the identity and reads no rank: the reduced
+    problem is then that of (A, B) itself.
 
     The responses are not sketched. The reduced problem reads Sh B only
     through C = (Sh A)'(Sh B), which is d x d', and the flags above put its
@@ -527,14 +534,23 @@ def solve_general_regression(
         policy = policy or sk.SizePolicy()
         seed_h = derive_seed(seed, 53)
         # rank(Sh A) <= rank(A) <= min(n, d): a full rank read at that size
-        # is rank(A), and a smaller one redraws Sh at its affine size
+        # is rank(A), and a smaller one keeps the smallest level of this
+        # draw that holds its affine size
         r_max = min(A.shape)
-        ShA, ShB = sk.apply(_affine_spec(policy, r_max, eps, A.shape[0], seed_h), A, Bd)
+        first = _affine_spec(policy, r_max, eps, A.shape[0], seed_h)
+        ShA, ShB = sk.apply(first, A, Bd)
         eigs = _gram_eigs(ShA)
         r = max(_numerical_rank(ShA, eigs), 1)
         if r < r_max:
-            ShA, ShB = sk.apply(_affine_spec(policy, r, eps, A.shape[0], seed_h), A, Bd)
-            eigs = _gram_eigs(ShA)
+            m = ShA.shape[0]
+            if first.variant == "identity":
+                ShA, ShB = sk.apply(_affine_spec(policy, r, eps, A.shape[0], seed_h), A, Bd)
+            else:
+                need = sk.recommend_sizes(policy, r, eps, "affine")
+                while ShA.shape[0] % 2 == 0 and ShA.shape[0] // 2 >= need:
+                    ShA, ShB = sk.halve(ShA), sk.halve(ShB)
+            if ShA.shape[0] < m:
+                eigs = _gram_eigs(ShA)
     prob = reduced_problem(ShA, ShB, eigs)
     del ShA, ShB  # do not hold the sketches across the solve and the residual's pass over A
     d, dprime = prob.C.shape

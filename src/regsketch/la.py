@@ -1,10 +1,10 @@
-"""Dense/sparse linear-algebra substrate: SVD, lambda-QR, Gram products read
-in row blocks, Matrix Market input (scipy.io's reader, real general files
+"""Dense/sparse linear-algebra substrate: lambda-QR, Gram products read in
+row blocks, Matrix Market input (scipy.io's reader, real general files
 only), and seeded randomness.
 
 Matrices are plain numpy arrays (row-major float64) or scipy CSR arrays.
-All factorizations are returned as small frozen dataclasses so downstream
-code can rely on their invariants.
+The lambda-QR factorization is returned as a small frozen dataclass so
+downstream code can rely on its invariants.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
-
-
-class LinAlgFailure(Exception):
-    """SVD/QR did not converge; message carries condition diagnostics."""
 
 
 class MatrixMarketError(ValueError):
@@ -84,6 +80,11 @@ def _csr_rows(A, rows: slice):
     )
 
 
+def row_block(A, rows: slice):
+    """A[rows] of a dense or CSR A, the CSR one by `_csr_rows`."""
+    return _csr_rows(A, rows) if scipy.sparse.issparse(A) else A[rows]
+
+
 def gram(A, B=None) -> np.ndarray:
     """The dense product A'B, or the Gram A'A when B is None.
 
@@ -106,12 +107,7 @@ def gram(A, B=None) -> np.ndarray:
     out = np.zeros((A.shape[1],) + shape)
     for rows in row_blocks(A.shape[0], shape[0] if shape else 1):
         blk = _csr_rows(A, rows)
-        if B is None:
-            Bb = blk.toarray()
-        elif scipy.sparse.issparse(B):
-            Bb = _csr_rows(B, rows).toarray()
-        else:
-            Bb = B[rows]
+        Bb = blk.toarray() if B is None else as_dense(row_block(B, rows))
         out += blk.T @ Bb
     return out
 
@@ -142,40 +138,6 @@ def short_gram_eigvalsh(A):
     otherwise, r x r for r = min(n, d), a CSR A read in row blocks by `gram`."""
     n, d = A.shape
     return gram_eigvalsh(gram(A) if n >= d else gram(A.T), n, d)
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """A ~= U @ diag(sigma) @ V.T with orthonormal U, V columns."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
-
-def svd(A) -> SvdFactors:
-    """Thin SVD (r = min(n, d)) of a dense (or densified) matrix.
-
-    Raises LinAlgFailure on non-convergence.
-    """
-    M = as_dense(A)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("svd requires finite entries")
-    try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError:
-        try:
-            U, s, Vt = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover - rare LAPACK failure path
-            fro = float(np.linalg.norm(M))
-            raise LinAlgFailure(
-                f"SVD failed to converge for {M.shape[0]}x{M.shape[1]} matrix "
-                f"(frobenius={fro:.3e}, max|a_ij|={np.abs(M).max():.3e})"
-            ) from exc
-    return SvdFactors(U=U, sigma=s, V=Vt.T)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, svds
 
 from . import sketch as sk
 from . import statdim
-from .la import RANK_RTOL, as_dense, derive_seeds, make_rng, row_blocks
+from .la import RANK_RTOL, as_dense, derive_seeds, make_rng, row_block, row_blocks
 
 # Largest k / min(n, d) whose top-k triplets come from ARPACK rather than a
 # full SVD. ARPACK's cost grows with k and with how clustered the spectrum is
@@ -67,15 +67,17 @@ def objective_value(A, Y, X, lam: float) -> float:
     """||YX - A||_F^2 + lam (||Y||_F^2 + ||X||_F^2).
 
     The residual is formed and summed one row block at a time, so neither it
-    nor a dense copy of a CSR A exists in full. Every block's residual is
-    formed in place in one buffer, allocated once.
+    nor a dense copy of a CSR A exists in full (`la.row_block`). Every
+    block's residual is formed in place in one buffer, allocated once.
     """
+    if scipy.sparse.issparse(A):
+        A = A.tocsr()
     blocks = row_blocks(*A.shape)
     buf = np.empty((blocks[0].stop if blocks else 0, X.shape[1]))
     fit = 0.0
     for rows in blocks:
         R = np.matmul(Y[rows], X, out=buf[: rows.stop - rows.start])
-        R -= as_dense(A[rows])
+        R -= as_dense(row_block(A, rows))
         fit += float(np.vdot(R, R))
     return float(fit + lam * (np.vdot(Y, Y) + np.vdot(X, X)))
 

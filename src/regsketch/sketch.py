@@ -4,17 +4,20 @@ A SketchSpec is a seeded, serializable description of a random linear
 operator S; apply(spec, A) returns S @ A, and the seed fixes S, so every
 input sketched with one spec meets the same draw. CountSketch and OSNAP are
 m x n matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per column,
-so S @ A costs O(nnz(A)) or O(s nnz(A)). They are drawn as tables, an int32
-row hash and an int8 sign per entry, the very values of the int64 draws:
-5 bytes per input row for a CountSketch, 5 s for an OSNAP. A CSR input is
-scattered from the tables into one dense m x d result, with the sums of
+so S @ A costs O(nnz(A)) or O(s nnz(A)). They are drawn as tables, a row
+hash and a sign per entry, the very values of the int64 draws. A CSR input
+is scattered from tables whose hashes take the narrowest unsigned dtype
+that holds m - 1 (int32 above 2^16 rows) and whose signs are int8: 3 bytes
+per input row for a CountSketch of up to 2^16 rows, 2 up to 2^8, and 3 s or
+2 s for an OSNAP. The scatter gives one dense m x d result, with the sums of
 scipy's sparse x sparse product but without it or a CSC matrix. A dense
-input meets the CSC matrix, 16 bytes per input row for a CountSketch (int32
-hash and indptr, float64 sign) and about 12 s + 4 for an OSNAP, one column
-block of A at a time when A is not row-major. A Gaussian sketch is a dense
-m x n matrix, O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard
-transform in O(n d log n) without forming S, in one zero-padded copy of A
-and a temporary of half its rows.
+input meets the CSC matrix, drawn with int32 rows and float64 signs: 16
+bytes per input row for a CountSketch (int32 hash and indptr, float64 sign)
+and about 12 s + 4 for an OSNAP, one column block of A at a time when A is
+not row-major. A Gaussian sketch is a dense m x n matrix, O(n d m) to
+apply. SRHT is applied by the fast Walsh-Hadamard transform in
+O(n d log n) without forming S, in one zero-padded copy of A and a
+temporary of half its rows.
 apply(spec, A, B, ...) sketches several inputs with one construction of
 that draw.
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .la import as_dense, derive_seeds, make_rng, row_blocks, svd
+from .la import as_dense, derive_seeds, make_rng, row_blocks
 
 VARIANTS = ("identity", "countsketch", "osnap", "srht", "gaussian", "composed")
 
@@ -175,42 +178,44 @@ def _index_dtype(*maxima):
     return np.int32 if max(maxima) <= np.iinfo(np.int32).max else np.int64
 
 
-SIGN_CHUNK = 1 << 16  # sign bits drawn at a time: a 256 KiB int32 temporary
+def _hash_dtype(m: int, entries: int):
+    """The dtype of a CSR scatter's row hashes below m: the narrowest unsigned
+    one that holds m - 1 (uint8 up to 2^8 rows, uint16 up to 2^16), and
+    `_index_dtype` of m and the tables' entries above 2^16 rows."""
+    return np.min_scalar_type(m - 1) if m <= 1 << 16 else _index_dtype(m, entries)
+
+
+SIGN_CHUNK = 1 << 16  # values drawn at a time: a 256 KiB int32 temporary
+
+
+def _draw_ints(rng, high: int, out: np.ndarray, mul: int = 1, add: int = 0) -> None:
+    """Fill the vector out with mul * rng.integers(0, high, size=len(out)) +
+    add: the values, and the end state of the stream, of that one draw.
+
+    numpy's bounded draw in a range that fits 32 bits spends the stream's
+    32-bit words value by value, rejections included, by the same path for
+    int32 and int64 output, so each value takes the same words however the
+    draw is split: the values are drawn as int32, SIGN_CHUNK at a time, and
+    written into out's own dtype, narrow or wide.
+    """
+    for lo in range(0, out.shape[0], SIGN_CHUNK):
+        v = rng.integers(0, high, size=min(SIGN_CHUNK, out.shape[0] - lo), dtype=_index_dtype(high))
+        if mul != 1:
+            v *= mul
+        if add:
+            v += add
+        out[lo : lo + v.size] = v
 
 
 def _draw_signs(rng, out: np.ndarray) -> None:
     """Fill the vector out with random +-1: the values, and the end state of
-    the stream, of the one draw `rng.integers(0, 2, size=len(out)) * 2.0 - 1.0`.
-
-    numpy's bounded 32-bit draw never rejects on a range of two, so each
-    value takes one 32-bit word of the stream however the draw is split; the
-    bits are drawn as int32, SIGN_CHUNK at a time, and written into out's
-    own dtype (int8 for the tables, float64 for a CSC operator).
-    """
-    for lo in range(0, out.shape[0], SIGN_CHUNK):
-        bits = rng.integers(0, 2, size=min(SIGN_CHUNK, out.shape[0] - lo), dtype=np.int32)
-        bits *= 2
-        bits -= 1
-        out[lo : lo + bits.size] = bits
+    the stream, of the one draw `rng.integers(0, 2, size=len(out)) * 2.0 - 1.0`
+    (`_draw_ints`), in out's own dtype (int8 for the scatter's tables,
+    float64 for a CSC operator)."""
+    _draw_ints(rng, 2, out, 2, -1)
 
 
-def _countsketch_tables(m: int, n: int, seed: int, sign_dtype=np.int8):
-    """The hash h (n row indices below m) and the +-1 signs of a CountSketch.
-
-    numpy draws integers in a range that fits 32 bits by the same path for
-    int32 and int64 output, so these are the values, and leave the stream
-    state, of the int64 draws `rng.integers(0, m, size=n)` and
-    `rng.integers(0, 2, size=n) * 2.0 - 1.0`; h is int32 wherever m and n
-    fit in it, and the signs are int8 unless sign_dtype says otherwise.
-    """
-    rng = make_rng(seed)
-    h = rng.integers(0, m, size=n, dtype=_index_dtype(m, n))
-    sgn = np.empty(n, dtype=sign_dtype)
-    _draw_signs(rng, sgn)
-    return h, sgn
-
-
-def _tables(spec: SketchSpec, n: int, sign_dtype=np.int8):
+def _tables(spec: SketchSpec, n: int, csc: bool = False):
     """The tables (rows, signs, scale) of a CountSketch or OSNAP spec at n
     input rows: S has the entry scale * signs[i, k] at (rows[i, k], i).
 
@@ -218,23 +223,34 @@ def _tables(spec: SketchSpec, n: int, sign_dtype=np.int8):
     spec.osnap_s() for OSNAP, and scale = 1 / sqrt(s). OSNAP is the block
     construction (Kane-Nelson): hash k picks a row of block k, whose m // s
     rows no other hash uses, so each column has s distinct nonzeros, already
-    in ascending row order. rows are int32 whenever m and the s n entries fit
-    in it, so int8 signs make the tables 5 s bytes per input row.
+    in ascending row order. Each hash's rows, then its signs, are drawn by
+    `_draw_ints`: the values, and the stream state, of the int64 draws
+    `rng.integers(0, m // s, size=n) + k (m // s)` and
+    `rng.integers(0, 2, size=n) * 2.0 - 1.0`. For the CSR scatter rows are
+    `_hash_dtype` and signs int8: 3 s bytes per input row up to 2^16 rows,
+    2 s up to 2^8. For a CSC matrix (csc true) rows are int32 whenever m and
+    the s n entries fit in it, and signs float64, as scipy takes them.
     """
-    if spec.variant == "countsketch":
-        h, sgn = _countsketch_tables(spec.m, n, spec.seed, sign_dtype)
-        return h[:, None], sgn[:, None], 1.0
-    s = spec.osnap_s()
+    s = spec.osnap_s() if spec.variant == "osnap" else 1
     rng = make_rng(spec.seed)
     block = spec.m // s
-    index = _index_dtype(spec.m, s * n)
+    index = _index_dtype(spec.m, s * n) if csc else _hash_dtype(spec.m, s * n)
     rows = np.empty((n, s), dtype=index)
-    signs = np.empty((n, s), dtype=sign_dtype)
+    signs = np.empty((n, s), dtype=np.float64 if csc else np.int8)
     for k in range(s):
-        rows[:, k] = rng.integers(0, block, size=n, dtype=index)
-        rows[:, k] += k * block
+        _draw_ints(rng, block, rows[:, k], add=k * block)
         _draw_signs(rng, signs[:, k])
     return rows, signs, 1.0 / math.sqrt(s)
+
+
+def _countsketch_tables(m: int, n: int, seed: int):
+    """The hash h (n row indices below m) and the +-1 signs of the
+    CountSketch countsketch(m, seed) at n input rows, as `_tables` draws
+    them for the CSR scatter: the values, and the stream state, of the int64
+    draws `rng.integers(0, m, size=n)` and
+    `rng.integers(0, 2, size=n) * 2.0 - 1.0`."""
+    rows, signs, _ = _tables(countsketch(m, seed=seed), n)
+    return rows[:, 0], signs[:, 0]
 
 
 def _csc(m: int, rows: np.ndarray, vals: np.ndarray):
@@ -255,13 +271,13 @@ def _operator(spec: SketchSpec, n: int):
     CountSketch and OSNAP are CSC matrices with one +-1, or s entries
     +-1/sqrt(s), per column, so S @ A does O(nnz(A)) or O(s nnz(A)) work and
     adds each input row into its output rows in row order. They are built
-    from `_tables` drawn with float64 signs, so no int8 copy of the signs is
-    held beside them: 16 bytes per input row for a CountSketch, about
-    12 s + 4 for an OSNAP (`_csc`).
+    from the `_tables` drawn for a CSC matrix, int32 rows and float64 signs,
+    so no other copy of either is held beside them: 16 bytes per input row
+    for a CountSketch, about 12 s + 4 for an OSNAP (`_csc`).
     """
     if spec.variant == "gaussian":
         return make_rng(spec.seed).standard_normal((spec.m, n)) / math.sqrt(spec.m)
-    rows, vals, _ = _tables(spec, n, np.float64)
+    rows, vals, _ = _tables(spec, n, True)
     return _csc(spec.m, rows, vals)
 
 
@@ -341,7 +357,7 @@ def _apply_gaussian(A, m: int, seed: int) -> np.ndarray:
     return out
 
 
-SCATTER_ENTRIES = 1 << 14  # products per block of _scatter_csr: ~0.5 MB of temporaries
+SCATTER_ENTRIES = 1 << 14  # products per block of _scatter_csr: ~0.3 MB of temporaries
 
 
 def _scatter_csr(m: int, tables, A) -> np.ndarray:
@@ -356,13 +372,19 @@ def _scatter_csr(m: int, tables, A) -> np.ndarray:
     very product of S's entry +-scale and a; every output entry sums its
     terms over A's rows in ascending order, as scipy's product does, and the
     result is bit-identical to it, in O(s nnz(A)) time and one m x d buffer.
+    The tables are read in their own dtypes, uint16 rows and int8 signs for
+    the CSR tables of `_tables`, and widened only in the block's gathers.
+    A block's row ids are freed once both gathers have read them, and its
+    other arrays before the next block's are formed, so beside the tables
+    and the result the temporaries are those of one block, about 17 bytes
+    per product for a CountSketch, np.add.at's index buffer included.
     """
     rows, signs, scale = tables
     n, s = rows.shape
     d = A.shape[1]
     out = np.zeros((m, d))
     flat = out.reshape(-1)
-    # int32 hashes stay int32 as flat indices wherever m d fits in it
+    # flat indices are int32 wherever m d fits in it
     flat_index = _index_dtype(m * d)
     step = max(1, SCATTER_ENTRIES // s)
     # first row of each block: one search for all blocks, in indptr's own
@@ -373,14 +395,19 @@ def _scatter_csr(m: int, tables, A) -> np.ndarray:
         r1 = int(np.searchsorted(A.indptr, A.indptr.dtype.type(hi)))
         j = np.repeat(np.arange(r0, r1), np.diff(np.clip(A.indptr[r0 : r1 + 1], lo, hi)))
         # every j is a row of the tables, so "clip" gathers the same entries
-        # without the bounds check of the default mode
+        # without the bounds check of the default mode; j is freed once both
+        # gathers have read it
+        sgn = np.take(signs, j, axis=0, mode="clip")
         idx = np.take(rows, j, axis=0, mode="clip").astype(flat_index, copy=False)
+        del j
         idx *= d
         idx += A.indices[lo:hi, None]
+        vals = sgn.astype(np.float64)
+        del sgn
         a = A.data[lo:hi, None]
-        vals = np.take(signs, j, axis=0, mode="clip").astype(np.float64)
         vals *= a * scale if scale != 1.0 else a
         np.add.at(flat, idx.ravel(), vals.ravel())
+        del idx, vals  # free this block's arrays before the next block's are formed
     return out
 
 
@@ -403,14 +430,16 @@ def _shared(spec: SketchSpec, n: int, operators: dict, csc: bool):
     """spec's operator at n input rows, drawn once per (spec, n) in the dict
     operators shared by the inputs of one `apply` call: its `_tables` for a
     CSR input (csc false), its CSC matrix for a dense one. The CSC matrix is
-    drawn as `_operator` draws it, or built from tables drawn before, which
-    it then replaces; tables asked of it are its own arrays, scale 1."""
+    drawn as `_operator` draws it, or built from tables drawn before, their
+    narrow rows widened to its index dtype, which it then replaces; tables
+    asked of it are its own arrays, scale 1."""
     key = (spec, n)
     op = operators.get(key)
     if op is None:
         op = _operator(spec, n) if csc else _tables(spec, n)
     elif csc and not scipy.sparse.issparse(op):
-        op = _csc(spec.m, op[0], op[1].astype(np.float64))
+        rows, signs, _ = op
+        op = _csc(spec.m, rows.astype(_index_dtype(spec.m, rows.size)), signs.astype(np.float64))
     elif not csc and scipy.sparse.issparse(op):
         s = op.nnz // n if n else 1
         return op.indices.reshape(n, s), op.data.reshape(n, s), 1.0
@@ -613,15 +642,14 @@ def check_subspace_embedding(spec: SketchSpec, A, eps: float, trials: int = 20) 
     With U an orthonormal basis of range(A), the worst deviation equals
     max_i |sigma_i(SU)^2 - 1|, computed exactly from the singular values of SU.
     """
-    Ad = as_dense(A)
-    f = svd(Ad)
-    r = int(np.sum(f.sigma > 1e-12 * (f.sigma[0] if f.sigma.size else 0.0)))
+    U, sigma, _ = np.linalg.svd(as_dense(A), full_matrices=False)
+    r = int(np.sum(sigma > 1e-12 * (sigma[0] if sigma.size else 0.0)))
     threshold = 2 * eps + eps**2  # squared-norm form of the (1 +- eps) condition
     if r == 0 or spec.variant == "identity":
         # nothing to distort (A = 0), or sigma(U) = 1 exactly for an
         # orthonormal basis: the deviation is 0, without the roundoff
         return _report([0.0], threshold)
-    U = f.U[:, :r]
+    U = U[:, :r]
     devs = []
     for sp in _trial_specs(spec, trials):
         SU = as_dense(apply(sp, U))
@@ -681,13 +709,12 @@ def check_ridge_conditions(
     """
     Ad = as_dense(A)
     bd = as_dense(b).reshape(Ad.shape[0])
-    f = svd(Ad)
-    U, V = f.U, f.V
-    s2l = f.sigma**2 + lam
-    shrink = np.divide(f.sigma, s2l, out=np.zeros_like(s2l), where=s2l > 0)
-    U1 = U * np.sqrt(f.sigma * shrink)
+    U, sigma, Vt = np.linalg.svd(Ad, full_matrices=False)
+    s2l = sigma**2 + lam
+    shrink = np.divide(sigma, s2l, out=np.zeros_like(s2l), where=s2l > 0)
+    U1 = U * np.sqrt(sigma * shrink)
     G = U1.T @ U1
-    x = V @ (shrink * (U.T @ bd))
+    x = Vt.T @ (shrink * (U.T @ bd))
     resid = bd - Ad @ x
     objective = float(resid @ resid + lam * (x @ x))
     thr_vec = math.sqrt(max(eps * objective / 2.0, 0.0))

@@ -413,10 +413,13 @@ class TestGeneralRegression:
 
     @pytest.mark.parametrize("csr", [False, True])
     def test_rank_deficient_input_ends_on_the_rank_sized_sketch(self, csr, monkeypatch):
-        # rank 3 of d = 8: the first Sh, at the affine size of 8, reads rank
-        # 3, and Sh is redrawn at the affine size of 3 on the same seed, which
-        # is the Sh a rank read off A itself gives; no other sketch is drawn
+        # rank 3 of d = 8: the first Sh, at the affine size of 8 (256 rows),
+        # reads rank 3, whose affine size is 36 rows; Sh A and Sh B are halved
+        # to level 64 of that draw, the smallest with 36 rows or more, and A
+        # and B are sketched once
         specs = _recorded_specs(monkeypatch)
+        applies, apply = [], sk.apply
+        monkeypatch.setattr(sk, "apply", lambda spec, *M: applies.append(spec) or apply(spec, *M))
         rng = la.make_rng(8, 73)
         A = rng.standard_normal((2000, 3)) @ rng.standard_normal((3, 8))
         B = A @ rng.standard_normal((8, 2)) + 0.1 * rng.standard_normal((2000, 2))
@@ -425,11 +428,49 @@ class TestGeneralRegression:
         solver = genreg.prox_small_solver(f)
         X, _ = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=8)
         assert genreg._numerical_rank(A) == 3
-        first, Sh = specs
         policy, seed_h = sk.SizePolicy(), la.derive_seed(8, 53)
-        assert first == sk.countsketch(sk.recommend_sizes(policy, 8, 0.5, "affine"), seed=seed_h)
-        assert Sh == sk.countsketch(sk.recommend_sizes(policy, 3, 0.5, "affine"), seed=seed_h)
-        assert np.array_equal(X, solver(genreg.reduced_problem(sk.apply(Sh, A), sk.apply(Sh, B))))
+        assert sk.recommend_sizes(policy, 8, 0.5, "affine") == 256
+        assert sk.recommend_sizes(policy, 3, 0.5, "affine") == 36
+        assert specs == [sk.countsketch(256, seed=seed_h)] and applies == specs
+        Sh = sk.countsketch(64, seed=seed_h, fold=256)
+        assert np.array_equal(X, solver(genreg.reduced_problem(apply(Sh, A), apply(Sh, B))))
+
+    @pytest.mark.parametrize("n,rank,drawn,Sh_m", [
+        (200, 3, [0, 36], 36),  # an identity first sketch: redrawn at the affine size of 3
+        (2000, 7, [256], 256),  # rank 7 needs 196 rows: no level below 256 fits
+    ], ids=["identity_first", "no_smaller_level"])
+    def test_rank_deficient_input_keeps_the_draw_no_level_can_halve(self, n, rank, drawn, Sh_m, monkeypatch):
+        specs = _recorded_specs(monkeypatch)
+        rng = la.make_rng(9, 73)
+        A = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, 8))
+        B = A @ rng.standard_normal((8, 2)) + 0.1 * rng.standard_normal((n, 2))
+        f = genreg.scaled(MEASURES["vnorm_2"], 0.5)
+        solver = genreg.prox_small_solver(f)
+        X, _ = genreg.solve_general_regression(A, B, f, solver, 0.5, seed=9)
+        assert genreg._numerical_rank(A) == rank
+        seed_h = la.derive_seed(9, 53)
+        assert specs == [sk.countsketch(m, seed=seed_h) if m else sk.identity() for m in drawn]
+        Sh = sk.countsketch(Sh_m, seed=seed_h)
+        assert np.array_equal(X, solver(genreg.reduced_problem(*sk.apply(Sh, A, B))))
+
+
+def test_fit_on_csr_keeps_the_bits_of_scipy_row_slices(monkeypatch):
+    # _fit slices CSR row blocks from A's own arrays (la.row_block), not by
+    # scipy's row slicing; each block's product, and so the sum, is the same
+    monkeypatch.setattr(la, "BLOCK_ENTRIES", 24)
+    rng = la.make_rng(16, 73)
+    A = rng.standard_normal((100, 12)) * (rng.random((100, 12)) < 0.3)
+    A[:7] = A[33:52] = A[95:] = 0.0
+    A = scipy.sparse.csr_array(A)
+    X, B = rng.standard_normal((12, 4)), rng.standard_normal((100, 4))
+    blocks = la.row_blocks(*B.shape)
+    assert len(blocks) > 10
+    want = 0.0
+    for rows in blocks:
+        R = A[rows] @ X
+        R -= B[rows]
+        want += float(np.vdot(R, R))
+    assert genreg._fit(A, X, B) == want
 
 
 def _with_spectrum(n, d, s, seed):

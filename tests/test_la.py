@@ -6,39 +6,6 @@ import scipy.sparse
 from regsketch import la
 
 
-def seeded_orthogonal(rng, n, k):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return Q
-
-
-class TestSvd:
-    def test_diagonal(self):
-        f = la.svd(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(f.sigma, [3, 2, 1])
-        np.testing.assert_allclose(np.abs(f.U), np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(np.abs(f.V), np.eye(3), atol=1e-12)
-
-    def test_zero_matrix(self):
-        f = la.svd(np.zeros((2, 2)))
-        np.testing.assert_allclose(f.sigma, [0, 0])
-
-    def test_constructed_spectrum(self):
-        # build with known singular values from seeded orthogonal factors
-        rng = la.make_rng(3)
-        U0 = seeded_orthogonal(rng, 5, 3)
-        V0 = seeded_orthogonal(rng, 3, 3)
-        A = (U0 * [5.0, 1.0, 0.1]) @ V0.T
-        f = la.svd(A)
-        np.testing.assert_allclose(f.sigma, [5.0, 1.0, 0.1], atol=1e-10)
-
-    def test_reconstruction(self):
-        rng = la.make_rng(4)
-        A = rng.standard_normal((7, 4))
-        f = la.svd(A)
-        err = np.linalg.norm(f.reconstruct() - A)
-        assert err <= 1e-10 * np.linalg.norm(A)
-
-
 class TestLambdaQr:
     def test_column_lambda_zero(self):
         f = la.lambda_qr(np.array([[1.0], [0.0]]), 0.0)

@@ -71,6 +71,20 @@ class TestObjectiveValue:
             want = self.full_residual(A, Y, X, lam)
             assert abs(lowrank.objective_value(A, Y, X, lam) - want) <= 1e-12 * want
 
+    def test_csr_blocks_give_the_dense_bits(self, monkeypatch):
+        # CSR row blocks are sliced from A's own arrays (la.row_block); each
+        # densifies to the dense input's block, so the sum is bit for bit the
+        # dense input's, with empty rows at both ends and across block edges
+        monkeypatch.setattr(la, "BLOCK_ENTRIES", 60)
+        rng = la.make_rng(15)
+        A = rng.standard_normal((100, 12)) * (rng.random((100, 12)) < 0.3)
+        A[:7] = A[33:52] = A[95:] = 0.0
+        Y, X = rng.standard_normal((100, 3)), rng.standard_normal((3, 12))
+        assert len(la.row_blocks(*A.shape)) > 10
+        for lam in (0.0, 0.3):
+            want = lowrank.objective_value(A, Y, X, lam)
+            assert lowrank.objective_value(scipy.sparse.csr_array(A), Y, X, lam) == want
+
     def test_blocks_allocate_only_their_residual(self):
         # every block's residual is formed in place in one buffer: the peak is
         # one block of la.BLOCK_ENTRIES entries, where Y X - A and R * R,

@@ -407,9 +407,10 @@ CHUNK_EDGES = [sk.SIGN_CHUNK - 1, sk.SIGN_CHUNK, sk.SIGN_CHUNK + 1, 3 * sk.SIGN_
 
 
 class TestThirtyTwoBitDraws:
-    """The tables hold int32 hashes and int8 signs drawn from the same stream
-    as the int64 draws, the signs in chunks of int32 bits: the same values,
-    so the same sketch."""
+    """The tables hold narrow hashes (uint8 up to 2^8 rows, uint16 up to
+    2^16, int32 above) and int8 signs, drawn from the same stream as the
+    int64 draws, in chunks of int32 values: the same values, so the same
+    sketch."""
 
     @pytest.mark.parametrize("m", [1, 2, 6, 654, 1 << 20])
     @pytest.mark.parametrize("n", [999, 1000] + CHUNK_EDGES)
@@ -419,7 +420,7 @@ class TestThirtyTwoBitDraws:
         # start where it starts
         h, sgn = sk._countsketch_tables(m, n, seed)
         S = _int64_operator(sk.countsketch(m, seed=seed), n)
-        assert h.dtype == np.int32 and sgn.dtype == np.int8
+        assert h.dtype == {654: np.uint16, 1 << 20: np.int32}.get(m, np.uint8) and sgn.dtype == np.int8
         assert np.array_equal(h, S.indices) and np.array_equal(sgn, S.data)
 
     @pytest.mark.parametrize("n", [1, 999] + CHUNK_EDGES)
@@ -436,7 +437,7 @@ class TestThirtyTwoBitDraws:
         spec = sk.osnap(m, s=s, seed=8)
         S64 = _int64_operator(spec, n)
         rows, signs, scale = sk._tables(spec, n)
-        assert rows.dtype == np.int32 and signs.dtype == np.int8
+        assert rows.dtype == np.uint8 and signs.dtype == np.int8
         assert scale == 1.0 / math.sqrt(spec.osnap_s())
         assert np.array_equal(rows.ravel(), S64.indices)
         assert np.array_equal(signs.ravel() * scale, S64.data)
@@ -483,6 +484,41 @@ class TestThirtyTwoBitDraws:
             want = sk.halve(want)
         assert np.array_equal(sk.apply(spec, X), want)
         assert np.array_equal(sk.apply(dataclasses.replace(spec, side="right"), X.T), want.T)
+
+    @staticmethod
+    def _edge_input(n=5000, d=3):
+        rng = la.make_rng(14)
+        A = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
+        A[100:300] = 0.0
+        return A
+
+    HASH_DTYPES = {1 << 8: np.uint8, (1 << 8) + 1: np.uint16, 1 << 16: np.uint16, (1 << 16) + 1: np.int32}
+
+    @pytest.mark.parametrize("m", sorted(HASH_DTYPES))
+    @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
+    def test_csr_apply_at_the_hash_dtype_edges(self, m, variant):
+        # uint8 hashes up to 2^8 rows, uint16 up to 2^16 and int32 above
+        A = self._edge_input()
+        X = scipy.sparse.csr_matrix(A)
+        spec = getattr(sk, variant)(m, seed=3)
+        assert sk._tables(spec, A.shape[0])[0].dtype == self.HASH_DTYPES[m]
+        want = (_int64_operator(spec, A.shape[0]) @ X).toarray()
+        assert np.array_equal(sk.apply(spec, X), want)
+        assert np.array_equal(sk.apply(dataclasses.replace(spec, side="right"), X.T), want.T)
+
+    @pytest.mark.parametrize("m", [48, (1 << 8) + 1, (1 << 16) + 1])
+    @pytest.mark.parametrize("variant", ["countsketch", "osnap"])
+    def test_csr_then_dense_share_one_draw(self, m, variant, monkeypatch):
+        # the CSR input draws the narrow tables; the dense one after it
+        # widens their rows into the CSC matrix instead of drawing again
+        A = self._edge_input()
+        spec = getattr(sk, variant)(m, seed=3)
+        want = _int64_operator(spec, A.shape[0]) @ A
+        draws, tables = [], sk._tables
+        monkeypatch.setattr(sk, "_tables", lambda spec, n, *a: draws.append(n) or tables(spec, n, *a))
+        got_csr, got_dense = sk.apply(spec, scipy.sparse.csr_matrix(A), A)
+        assert draws == [A.shape[0]]
+        assert np.array_equal(got_csr, want) and np.array_equal(got_dense, want)
 
 
 def _csr_cases():
@@ -541,21 +577,22 @@ class TestCsrScatter:
             tracemalloc.stop()
 
     def test_countsketch_peak_below_8_bytes_per_input_row(self):
-        # the tables are an int32 hash and an int8 sign, 5 bytes per input
+        # the tables are a uint16 hash and an int8 sign, 3 bytes per input
         # row, with no CSC matrix, and A's int32 indptr is searched without an
-        # int64 copy: under 8 bytes per row in all
+        # int64 copy: under 3 bytes per row in all, beside the output and the
+        # block temporaries
         n, d, m = 200_000, 40, 500
         peak = self._csr_apply_peak(sk.countsketch(m, seed=3), n, d)
-        assert peak < 8 * n + 8 * m * d + (1 << 20)
+        assert peak < 3 * n + 8 * m * d + (1 << 20)
 
     def test_osnap_peak_below_48_bytes_per_input_row(self):
-        # s = 9 int32 rows and int8 signs per input row, 5 s = 45 bytes, and
+        # s = 9 uint16 rows and int8 signs per input row, 3 s = 27 bytes, and
         # no CSC matrix of 12 s + 4
         n, d, m = 200_000, 40, 500
         spec = sk.osnap(m, seed=3)
         assert spec.osnap_s() == 9
         peak = self._csr_apply_peak(spec, n, d)
-        assert peak < 48 * n + 8 * m * d + (1 << 20)
+        assert peak < 3 * spec.osnap_s() * n + 8 * m * d + (1 << 20)
 
 
 class TestFold:
