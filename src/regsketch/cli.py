@@ -94,6 +94,30 @@ def _positive_int(text):
     return value
 
 
+def _float_flag(holds, wanted):
+    """argparse type of a float flag whose value must satisfy holds: a value
+    outside it is a usage error naming the flag, not a traceback later."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+
+    return parse
+
+
+# eps lies in (0, 1], as the size rules take it: past 1 the lower side of a
+# (1 +- eps) check is vacuous; a subcommand that sizes by sd_lambda needs
+# lam > 0, every other one lam >= 0
+_eps = _float_flag(lambda v: 0 < v <= 1, "in (0, 1]")
+_lam = _float_flag(lambda v: 0 <= v < math.inf, "a finite number of at least 0")
+_positive_lam = _float_flag(lambda v: 0 < v < math.inf, "a finite number above 0")
+
+
 def _policy_file(path):
     """argparse type of --config: the SizePolicy in a JSON file."""
     try:
@@ -104,11 +128,15 @@ def _policy_file(path):
 
 
 def _sketch_json(text):
-    """argparse type of --sketch: a SketchSpec in JSON."""
+    """argparse type of --sketch: a left SketchSpec in JSON, since each
+    subcommand that takes one sketches rows."""
     try:
-        return sk.SketchSpec.from_json(text)
+        spec = sk.SketchSpec.from_json(text)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise argparse.ArgumentTypeError(f"not a sketch spec: {text!r} ({exc!r})") from None
+    if spec.side != "left":
+        raise argparse.ArgumentTypeError(f"not a row sketch: {text!r} has a right side")
+    return spec
 
 
 def _matrix_file(path):
@@ -269,17 +297,18 @@ def _check_embedding_trial(args, seed):
 
 
 # subcommand -> (help, per-seed trial, the shared flags it reads, as named in
-# _add_shared, and its own (flag, type, default)s)
+# _add_shared, and its own (flag, type, default)s); "lam>0" is --lam for the
+# trials that estimate sd_lambda, which needs lam > 0
 TRIAL_COMMANDS = {
-    "ridge": ("row-sketched ridge regression trials", _ridge_trial, "eps lam density matrix sketch config", []),
-    "mr-ridge": ("multiple-response ridge trials", _ridge_trial, "eps lam density matrix sketch config",
+    "ridge": ("row-sketched ridge regression trials", _ridge_trial, "eps lam>0 density matrix sketch config", []),
+    "mr-ridge": ("multiple-response ridge trials", _ridge_trial, "eps lam>0 density matrix sketch config",
                  [("--dprime", _positive_int, 4)]),
     "lowrank": ("regularized rank-k factorization trials", _lowrank_trial, "eps lam density matrix config",
                 [("--k", _positive_int, 5)]),
     "cca": ("regularized CCA trials", _cca_trial, "eps lam density sketch config", [("--dprime", _positive_int, 20)]),
     "genreg": ("general-regularizer regression trials", _genreg_trial, "eps lam density matrix config",
                [("--measure", _prox_measure, "vnorm_2"), ("--dprime", _positive_int, 3)]),
-    "statdim": ("statistical-dimension estimator trials", _statdim_trial, "lam density matrix", []),
+    "statdim": ("statistical-dimension estimator trials", _statdim_trial, "lam>0 density matrix", []),
     "check-embedding": ("empirical subspace-embedding check", _check_embedding_trial, "eps density matrix sketch",
                         [("--m", _positive_int, None), ("--trials", _positive_int, 5)]),
 }
@@ -389,8 +418,9 @@ def _add_shared(p, names):
     """The shared flags named in the space-separated names: a subcommand takes
     only those its trial reads."""
     flags = {
-        "eps": (("--eps",), {"type": float, "default": 0.5}),
-        "lam": (("--lam", "--lambda"), {"dest": "lam", "type": float, "default": None}),
+        "eps": (("--eps",), {"type": _eps, "default": 0.5}),
+        "lam": (("--lam", "--lambda"), {"dest": "lam", "type": _lam, "default": None}),
+        "lam>0": (("--lam", "--lambda"), {"dest": "lam", "type": _positive_lam, "default": None}),
         "density": (("--density",), {"type": float, "default": None, "action": _GeneratorFlag}),
         "matrix": (("--matrix",), {"type": _matrix_file, "default": None, "help": "Matrix Market file for A"}),
         "sketch": (("--sketch",), {"type": _sketch_json, "default": None, "help": "sketch spec as JSON"}),

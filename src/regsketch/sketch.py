@@ -4,18 +4,18 @@ A SketchSpec is a seeded, serializable description of a random linear
 operator S; apply(spec, A) returns S @ A, and the seed fixes S, so every
 input sketched with one spec meets the same draw. CountSketch and OSNAP are
 m x n matrices with one entry (+-1) or s entries (+-1/sqrt(s)) per column,
-so S @ A costs O(nnz(A)) or O(s nnz(A)). They are drawn as tables, a row
-hash and a sign per entry, the very values of the int64 draws. A CSR input
-is scattered from tables whose hashes take the narrowest unsigned dtype
-that holds m - 1 (int32 above 2^16 rows) and whose signs are int8: 3 bytes
-per input row for a CountSketch of up to 2^16 rows, 2 up to 2^8, and 3 s or
-2 s for an OSNAP. The scatter gives one dense m x d result, with the sums of
-scipy's sparse x sparse product but without it or a CSC matrix. A dense
-input meets the CSC matrix, drawn with int32 rows and float64 signs: 16
-bytes per input row for a CountSketch (int32 hash and indptr, float64 sign)
-and about 12 s + 4 for an OSNAP, one column block of A at a time when A is
-not row-major. A Gaussian sketch is a dense m x n matrix, O(n d m) to
-apply. SRHT is applied by the fast Walsh-Hadamard transform in
+so S @ A costs O(nnz(A)) or O(s nnz(A)). They are drawn in one form,
+tables of a row hash and a sign per entry with the very values of the int64
+draws: the hash in the narrowest unsigned dtype that holds m - 1 (int32
+above 2^16 rows), the sign int8, so 3 bytes per input row for a CountSketch
+of up to 2^16 rows, 2 up to 2^8, and 3 s or 2 s for an OSNAP. A CSR input is
+scattered from them into one dense m x d result, with the sums of scipy's
+sparse x sparse product but without it or a CSC matrix. For a dense input
+they are widened once per `apply` call into the CSC matrix, freed as they
+widen: 16 bytes per input row for a CountSketch (int32 hash and indptr,
+float64 sign), 13 s at the peak of an OSNAP. It meets A one column block at
+a time when A is not row-major. A Gaussian sketch is a dense m x n matrix,
+O(n d m) to apply. SRHT is applied by the fast Walsh-Hadamard transform in
 O(n d log n) without forming S, in one zero-padded copy of A and a
 temporary of half its rows.
 apply(spec, A, B, ...) sketches several inputs with one construction of
@@ -74,8 +74,8 @@ class SketchSpec:
             raise ValueError("sketch size m must be >= 1")
         if self.variant == "osnap" and self.s and not (1 <= self.s <= self.m):
             raise ValueError("OSNAP sparsity must satisfy 1 <= s <= m")
-        if self.variant == "composed" and not self.inner:
-            raise ValueError("composed spec needs a nonempty inner list")
+        if self.variant == "composed" and not (self.inner and all(p.side == self.side for p in self.inner)):
+            raise ValueError("composed spec needs a nonempty inner list of its own side")
         if self.fold and not (
             self.variant == "countsketch" and self.fold > self.m and self.fold % self.m == 0
             and (self.fold // self.m) & (self.fold // self.m - 1) == 0
@@ -159,8 +159,6 @@ def compose(outer: SketchSpec, inner: SketchSpec) -> SketchSpec:
 
     Both parts must be same-side; dimension chaining is checked at apply time.
     """
-    if outer.side != inner.side:
-        raise ValueError("cannot compose sketches with different sides")
     parts = (outer.inner if outer.variant == "composed" else (outer,)) + (
         inner.inner if inner.variant == "composed" else (inner,)
     )
@@ -210,12 +208,11 @@ def _draw_ints(rng, high: int, out: np.ndarray, mul: int = 1, add: int = 0) -> N
 def _draw_signs(rng, out: np.ndarray) -> None:
     """Fill the vector out with random +-1: the values, and the end state of
     the stream, of the one draw `rng.integers(0, 2, size=len(out)) * 2.0 - 1.0`
-    (`_draw_ints`), in out's own dtype (int8 for the scatter's tables,
-    float64 for a CSC operator)."""
+    (`_draw_ints`), in out's own dtype."""
     _draw_ints(rng, 2, out, 2, -1)
 
 
-def _tables(spec: SketchSpec, n: int, csc: bool = False):
+def _tables(spec: SketchSpec, n: int):
     """The tables (rows, signs, scale) of a CountSketch or OSNAP spec at n
     input rows: S has the entry scale * signs[i, k] at (rows[i, k], i).
 
@@ -226,59 +223,48 @@ def _tables(spec: SketchSpec, n: int, csc: bool = False):
     in ascending row order. Each hash's rows, then its signs, are drawn by
     `_draw_ints`: the values, and the stream state, of the int64 draws
     `rng.integers(0, m // s, size=n) + k (m // s)` and
-    `rng.integers(0, 2, size=n) * 2.0 - 1.0`. For the CSR scatter rows are
-    `_hash_dtype` and signs int8: 3 s bytes per input row up to 2^16 rows,
-    2 s up to 2^8. For a CSC matrix (csc true) rows are int32 whenever m and
-    the s n entries fit in it, and signs float64, as scipy takes them.
+    `rng.integers(0, 2, size=n) * 2.0 - 1.0`, in `_hash_dtype` and int8:
+    3 s bytes per input row up to 2^16 rows, 2 s up to 2^8. This is the one
+    form of both draws; `_csc` widens it for a dense input.
     """
     s = spec.osnap_s() if spec.variant == "osnap" else 1
     rng = make_rng(spec.seed)
     block = spec.m // s
-    index = _index_dtype(spec.m, s * n) if csc else _hash_dtype(spec.m, s * n)
-    rows = np.empty((n, s), dtype=index)
-    signs = np.empty((n, s), dtype=np.float64 if csc else np.int8)
+    rows = np.empty((n, s), dtype=_hash_dtype(spec.m, s * n))
+    signs = np.empty((n, s), dtype=np.int8)
     for k in range(s):
         _draw_ints(rng, block, rows[:, k], add=k * block)
         _draw_signs(rng, signs[:, k])
     return rows, signs, 1.0 / math.sqrt(s)
 
 
-def _countsketch_tables(m: int, n: int, seed: int):
-    """The hash h (n row indices below m) and the +-1 signs of the
-    CountSketch countsketch(m, seed) at n input rows, as `_tables` draws
-    them for the CSR scatter: the values, and the stream state, of the int64
-    draws `rng.integers(0, m, size=n)` and
-    `rng.integers(0, 2, size=n) * 2.0 - 1.0`."""
-    rows, signs, _ = _tables(countsketch(m, seed=seed), n)
-    return rows[:, 0], signs[:, 0]
-
-
-def _csc(m: int, rows: np.ndarray, vals: np.ndarray):
-    """The m x n CSC matrix of tables rows and float64 signs vals (n x s),
-    whose signs it scales in place by 1 / sqrt(s). scipy keeps the arrays
-    without a copy, so a CountSketch holds 16 bytes per input row (int32
-    hash and indptr, float64 sign), an OSNAP about 12 s + 4."""
+def _csc(m: int, operators: dict, key) -> None:
+    """Replace the tables (rows, signs, scale) at key in the dict operators by
+    S's m x n CSC matrix, freeing them as it widens: the rows to
+    `_index_dtype` (int32 whenever m and the s n entries fit), then the
+    signs to float64, scaled in place. scipy keeps the arrays without a copy,
+    so a CountSketch peaks at its matrix's 16 bytes per input row (int32 hash
+    and indptr, float64 sign), an OSNAP at 13 s: int8 signs beside 12 s."""
+    rows, signs, scale = operators.pop(key)
     n, s = rows.shape
+    rows = rows.astype(_index_dtype(m, rows.size), copy=False)
+    vals = signs.astype(np.float64)
+    del signs
     if s > 1:
-        vals *= 1.0 / math.sqrt(s)
+        vals *= scale
     indptr = np.arange(0, s * n + 1, s, dtype=rows.dtype)
-    return scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
+    operators[key] = scipy.sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(m, n))
 
 
 def _operator(spec: SketchSpec, n: int):
-    """The m x n matrix S of a CountSketch, OSNAP or Gaussian spec.
-
-    CountSketch and OSNAP are CSC matrices with one +-1, or s entries
-    +-1/sqrt(s), per column, so S @ A does O(nnz(A)) or O(s nnz(A)) work and
-    adds each input row into its output rows in row order. They are built
-    from the `_tables` drawn for a CSC matrix, int32 rows and float64 signs,
-    so no other copy of either is held beside them: 16 bytes per input row
-    for a CountSketch, about 12 s + 4 for an OSNAP (`_csc`).
-    """
+    """The m x n matrix S of a CountSketch, OSNAP or Gaussian spec. A
+    CountSketch or OSNAP is its `_tables` widened by `_csc`, as a dense input
+    of `apply` meets it: one +-1, or s entries +-1/sqrt(s), per column, so
+    S @ A does O(nnz(A)) or O(s nnz(A)) work, adding each input row into its
+    output rows in row order."""
     if spec.variant == "gaussian":
         return make_rng(spec.seed).standard_normal((spec.m, n)) / math.sqrt(spec.m)
-    rows, vals, _ = _tables(spec, n, True)
-    return _csc(spec.m, rows, vals)
+    return _shared(spec, n, {}, csc=True)
 
 
 def _fwht_in_place(x: np.ndarray) -> np.ndarray:
@@ -372,8 +358,8 @@ def _scatter_csr(m: int, tables, A) -> np.ndarray:
     very product of S's entry +-scale and a; every output entry sums its
     terms over A's rows in ascending order, as scipy's product does, and the
     result is bit-identical to it, in O(s nnz(A)) time and one m x d buffer.
-    The tables are read in their own dtypes, uint16 rows and int8 signs for
-    the CSR tables of `_tables`, and widened only in the block's gathers.
+    The tables are read in their own dtypes, uint16 rows and int8 signs as
+    `_tables` draws them, and widened only in the block's gathers.
     A block's row ids are freed once both gathers have read them, and its
     other arrays before the next block's are formed, so beside the tables
     and the result the temporaries are those of one block, about 17 bytes
@@ -418,8 +404,8 @@ def apply(spec: SketchSpec, A, *more):
     computed as (S A')'. Identity returns the input unchanged. With more
     inputs, returns the tuple (apply(spec, A), apply(spec, more[0]), ...),
     each equal to its own call, but a CountSketch or OSNAP is drawn once for
-    all of them rather than once per input, and its CSC matrix built at most
-    once.
+    all of them rather than once per input, and widened to its CSC matrix at
+    most once.
     """
     operators = {}
     outs = tuple(_apply(spec, M, operators) for M in (A, *more))
@@ -429,21 +415,18 @@ def apply(spec: SketchSpec, A, *more):
 def _shared(spec: SketchSpec, n: int, operators: dict, csc: bool):
     """spec's operator at n input rows, drawn once per (spec, n) in the dict
     operators shared by the inputs of one `apply` call: its `_tables` for a
-    CSR input (csc false), its CSC matrix for a dense one. The CSC matrix is
-    drawn as `_operator` draws it, or built from tables drawn before, their
-    narrow rows widened to its index dtype, which it then replaces; tables
-    asked of it are its own arrays, scale 1."""
+    CSR input (csc false), and for a dense one the CSC matrix that `_csc`
+    widens them to, once, in their place. Tables asked of that matrix are
+    its own arrays, scale 1."""
     key = (spec, n)
-    op = operators.get(key)
-    if op is None:
-        op = _operator(spec, n) if csc else _tables(spec, n)
-    elif csc and not scipy.sparse.issparse(op):
-        rows, signs, _ = op
-        op = _csc(spec.m, rows.astype(_index_dtype(spec.m, rows.size)), signs.astype(np.float64))
-    elif not csc and scipy.sparse.issparse(op):
+    if key not in operators:
+        operators[key] = _tables(spec, n)
+    if csc and not scipy.sparse.issparse(operators[key]):
+        _csc(spec.m, operators, key)
+    op = operators[key]
+    if not csc and scipy.sparse.issparse(op):
         s = op.nnz // n if n else 1
         return op.indices.reshape(n, s), op.data.reshape(n, s), 1.0
-    operators[key] = op
     return op
 
 

@@ -188,6 +188,12 @@ def test_matrix_market_override(tmp_path, monkeypatch):
         ("ridge", "--sketch", '{"variant": "bogus", "m": 5}'),
         ("ridge", "--sketch", "not json"),
         ("ridge", "--sketch", '{"m": 5}'),
+        # every subcommand that takes --sketch sketches rows
+        ("ridge", "--sketch", '{"variant": "countsketch", "m": 20, "side": "right"}'),
+        ("cca", "--sketch", '{"variant": "countsketch", "m": 20, "side": "right"}'),
+        ("check-embedding", "--sketch", '{"variant": "gaussian", "m": 20, "side": "right"}'),
+        ("mr-ridge", "--sketch", '{"variant": "composed", "inner": [{"variant": "countsketch", "m": 20, '
+                                 '"side": "right"}]}'),
         ("ridge", "--matrix", "%%MatrixMarket matrix array real general\n2 1\n1.0\n"),
         ("ridge", "--matrix", None),
         ("ridge", "--matrix", "%%MatrixMarket matrix array real general\n2 1\nnan\n1.0\n"),
@@ -218,6 +224,7 @@ def test_matrix_market_override(tmp_path, monkeypatch):
     ids=[
         "config-unknown-key", "config-deleted-keys", "config-missing-file", "config-not-json", "config-wrong-type",
         "sketch-bogus-variant", "sketch-not-json", "sketch-no-variant",
+        "sketch-right", "cca-sketch-right", "check-embedding-sketch-right", "mr-ridge-sketch-right-part",
         "matrix-short", "matrix-missing-file", "matrix-nan", "matrix-inf", "matrix-extra-field",
         "matrix-with-n", "matrix-with-density", "matrix-with-spectrum",
         "lowrank-sketch", "genreg-sketch", "statdim-sketch", "statdim-config", "statdim-eps",
@@ -365,6 +372,41 @@ def test_nonpositive_size_or_count_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and f"argument {argv[1]}: must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, wanted",
+    [
+        (["ridge", "--eps", "0"], "in (0, 1]"),
+        (["lowrank", "--eps", "1.5"], "in (0, 1]"),
+        (["calibrate", "--eps", "0"], "in (0, 1]"),
+        (["cca", "--eps", "-0.25"], "in (0, 1]"),
+        (["check-embedding", "--eps", "nan"], "in (0, 1]"),
+        (["ridge", "--lam", "-1"], "above 0"),
+        (["ridge", "--lam", "0"], "above 0"),
+        (["mr-ridge", "--lambda", "0"], "above 0"),
+        (["statdim", "--lam", "0"], "above 0"),
+        (["statdim", "--lam", "inf"], "above 0"),
+        (["genreg", "--lam", "-1"], "at least 0"),
+        (["lowrank", "--lam", "-0.5"], "at least 0"),
+        (["cca", "--lam", "-1"], "at least 0"),
+    ],
+    ids=lambda argv: "".join(argv) if isinstance(argv, list) else None,
+)
+def test_out_of_range_eps_or_lam_is_usage_error(argv, wanted, capsys):
+    # each of these raised inside the solve, or for genreg --lam -1 passed
+    # on a negative regularizer
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + ["--seeds", "0"] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[1][:5]}" in err and wanted in err
+
+
+def test_eps_and_lam_take_their_closed_ends():
+    assert cli._eps("1") == 1.0
+    assert cli._lam("0") == 0.0
+    assert cli._positive_lam("1e-12") == 1e-12
 
 
 def test_check_embedding_m_defaults_to_half_n(tmp_path):

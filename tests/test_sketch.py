@@ -14,10 +14,17 @@ from regsketch import sketch as sk
 VARIANTS = ["countsketch", "osnap", "srht", "gaussian"]
 
 
+def _hash_and_signs(m, n, seed):
+    """The hash and the signs of countsketch(m, seed) at n input rows: column
+    0 of its `sk._tables`."""
+    rows, signs, _ = sk._tables(sk.countsketch(m, seed=seed), n)
+    return rows[:, 0], signs[:, 0]
+
+
 def find_injective_countsketch_seed(m, n):
     """Seed whose hash table is a permutation (injective for m = n)."""
     for seed in range(20000):
-        h, _ = sk._countsketch_tables(m, n, seed)
+        h, _ = _hash_and_signs(m, n, seed)
         if len(set(h.tolist())) == n:
             return seed
     raise AssertionError("no injective hash seed found")
@@ -37,7 +44,7 @@ class TestApply:
         A = rng.standard_normal((n, 4))
         SA = sk.apply(sk.countsketch(n, seed=seed), A)
         assert abs(np.linalg.norm(SA) - np.linalg.norm(A)) == 0.0
-        h, s = sk._countsketch_tables(n, n, seed)
+        h, s = _hash_and_signs(n, n, seed)
         for i in range(n):
             np.testing.assert_array_equal(SA[h[i]], s[i] * A[i])
 
@@ -117,7 +124,7 @@ class TestApply:
     def test_countsketch_matches_reference_loop(self):
         # a colliding hash: rows that share a bucket are summed in row order
         n, m = 200, 7
-        h, sgn = sk._countsketch_tables(m, n, 4)
+        h, sgn = _hash_and_signs(m, n, 4)
         assert len(set(h.tolist())) < n
         rng = la.make_rng(19)
         A = rng.standard_normal((n, 5)) * (rng.random((n, 5)) < 0.5)
@@ -203,7 +210,7 @@ class TestApply:
         # dense inputs, CSR inputs and either order of the two
         draws, builds = [], []
         tables, csc = sk._tables, sk._csc
-        monkeypatch.setattr(sk, "_tables", lambda spec, n, *a: draws.append(n) or tables(spec, n, *a))
+        monkeypatch.setattr(sk, "_tables", lambda spec, n: draws.append(n) or tables(spec, n))
         monkeypatch.setattr(sk, "_csc", lambda *a: builds.append(1) or csc(*a))
         rng = la.make_rng(6)
         spec = sk.SketchSpec(variant, m=32, seed=1)
@@ -349,13 +356,18 @@ class TestCompose:
     def test_side_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sk.compose(sk.countsketch(4, side="right"), sk.countsketch(8))
+        # a spec read from JSON meets the same check, at every depth
+        right = {"variant": "countsketch", "m": 8, "side": "right"}
+        for inner in ([right], [{"variant": "composed", "inner": [right]}]):
+            with pytest.raises(ValueError, match="side"):
+                sk.SketchSpec.from_json(json.dumps({"variant": "composed", "inner": inner}))
 
 
 def test_countsketch_update_count_bounded_by_nnz():
     # the operator has one +-1 per column, at row h[i], so S @ A does exactly
     # nnz(A) multiply-adds
     n, m = 200, 40
-    h, sgn = sk._countsketch_tables(m, n, 1)
+    h, sgn = _hash_and_signs(m, n, 1)
     S = sk._operator(sk.countsketch(m, seed=1), n)
     assert S.shape == (m, n) and S.nnz == n
     assert np.array_equal(S.indptr, np.arange(n + 1))
@@ -418,7 +430,7 @@ class TestThirtyTwoBitDraws:
     def test_tables_equal_the_int64_draws(self, m, n, seed):
         # at m = 1 the hash draw takes nothing from the stream, so the signs
         # start where it starts
-        h, sgn = sk._countsketch_tables(m, n, seed)
+        h, sgn = _hash_and_signs(m, n, seed)
         S = _int64_operator(sk.countsketch(m, seed=seed), n)
         assert h.dtype == {654: np.uint16, 1 << 20: np.int32}.get(m, np.uint8) and sgn.dtype == np.int8
         assert np.array_equal(h, S.indices) and np.array_equal(sgn, S.data)
@@ -515,7 +527,7 @@ class TestThirtyTwoBitDraws:
         spec = getattr(sk, variant)(m, seed=3)
         want = _int64_operator(spec, A.shape[0]) @ A
         draws, tables = [], sk._tables
-        monkeypatch.setattr(sk, "_tables", lambda spec, n, *a: draws.append(n) or tables(spec, n, *a))
+        monkeypatch.setattr(sk, "_tables", lambda spec, n: draws.append(n) or tables(spec, n))
         got_csr, got_dense = sk.apply(spec, scipy.sparse.csr_matrix(A), A)
         assert draws == [A.shape[0]]
         assert np.array_equal(got_csr, want) and np.array_equal(got_dense, want)
@@ -534,6 +546,17 @@ def _csr_cases():
         "m_above_n": scipy.sparse.csr_matrix(rng.standard_normal((10, 3))),
         "long_row": scipy.sparse.csr_matrix(long_row),
     }
+
+
+def _apply_peak(spec, A):
+    """The tracemalloc peak of apply(spec, A), in bytes."""
+    sk.apply(spec, A[:100])  # warm up imports outside the trace
+    tracemalloc.start()
+    try:
+        sk.apply(spec, A)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCsrScatter:
@@ -568,13 +591,7 @@ class TestCsrScatter:
             rng.integers(0, d, size=per_row * n, dtype=np.int32),
             np.arange(0, per_row * n + 1, per_row, dtype=np.int32),
         ), shape=(n, d))
-        sk.apply(spec, A[:100])  # warm up imports outside the trace
-        tracemalloc.start()
-        try:
-            sk.apply(spec, A)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _apply_peak(spec, A)
 
     def test_countsketch_peak_below_8_bytes_per_input_row(self):
         # the tables are a uint16 hash and an int8 sign, 3 bytes per input
@@ -595,6 +612,31 @@ class TestCsrScatter:
         assert peak < 3 * spec.osnap_s() * n + 8 * m * d + (1 << 20)
 
 
+class TestDenseWidening:
+    """A dense input meets the CSC matrix that the apply call widens from the
+    drawn tables, freeing them as it widens."""
+
+    @staticmethod
+    def _dense_apply_peak(spec, n, d):
+        return _apply_peak(spec, la.make_rng(42).standard_normal((n, d)))
+
+    def test_countsketch_peak_at_16_bytes_per_input_row(self):
+        # the matrix's int32 hash and indptr and float64 signs: the narrow
+        # hash is freed once widened, and the int8 signs once widened
+        n, d, m = 1_000_000, 2, 500
+        peak = self._dense_apply_peak(sk.countsketch(m, seed=3), n, d)
+        assert peak < 16 * n + 8 * m * d + (1 << 20)
+
+    def test_osnap_peak_at_13_s_bytes_per_input_row(self):
+        # int32 rows and float64 signs, 12 s, beside the int8 signs while
+        # they are widened
+        n, d, m = 200_000, 2, 500
+        spec = sk.osnap(m, seed=3)
+        assert spec.osnap_s() == 9
+        peak = self._dense_apply_peak(spec, n, d)
+        assert peak < 13 * spec.osnap_s() * n + 8 * m * d + (1 << 20)
+
+
 class TestFold:
     """countsketch(m, seed, fold=M): the M-row CountSketch halved down to m."""
 
@@ -607,7 +649,7 @@ class TestFold:
 
     def test_equals_the_countsketch_with_hash_mod_m(self):
         A, A_csr = self.inputs()
-        h, sgn = sk._countsketch_tables(self.M, self.n, 6)
+        h, sgn = _hash_and_signs(self.M, self.n, 6)
         ref = np.zeros((self.m, A.shape[1]))
         for i in range(self.n):
             ref[h[i] % self.m] += sgn[i] * A[i]
