@@ -76,11 +76,23 @@ def emit(rows, out, fmt):
     return rate >= PASS_RATE
 
 
+class _Seeds(list):
+    """The seeds --seeds names, in order, with `text`, the value as typed."""
+
+
 def _seed_range(text):
-    if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(text)]
+    """argparse type of --seeds: a seed a or an inclusive range a..b with
+    0 <= a <= b, as its seeds; numpy's generators, which some trials seed
+    directly, refuse a negative seed."""
+    ends = text.split("..")
+    try:
+        seeds = _Seeds(range(int(ends[0]), int(ends[-1]) + 1)) if len(ends) <= 2 else []
+    except ValueError:
+        seeds = []
+    if not seeds or seeds[0] < 0:
+        raise argparse.ArgumentTypeError(f"not a seed or a range a..b with 0 <= a <= b: {text!r}")
+    seeds.text = text
+    return seeds
 
 
 def _positive_int(text):
@@ -111,9 +123,11 @@ def _float_flag(holds, wanted):
 
 
 # eps lies in (0, 1], as the size rules take it: past 1 the lower side of a
-# (1 +- eps) check is vacuous; a subcommand that sizes by sd_lambda needs
-# lam > 0, every other one lam >= 0
+# (1 +- eps) check is vacuous. --density, the share of entries the generator
+# keeps, lies there too: at 0 it keeps none. A subcommand that sizes by
+# sd_lambda needs lam > 0, every other one lam >= 0
 _eps = _float_flag(lambda v: 0 < v <= 1, "in (0, 1]")
+_density = _float_flag(lambda v: 0 < v <= 1, "in (0, 1]")
 _lam = _float_flag(lambda v: 0 <= v < math.inf, "a finite number of at least 0")
 _positive_lam = _float_flag(lambda v: 0 < v < math.inf, "a finite number above 0")
 
@@ -316,7 +330,7 @@ TRIAL_COMMANDS = {
 
 def run_trials(args):
     """One record per seed from the subcommand's trial, then the summary."""
-    rows = [args.trial(args, seed) for seed in _seed_range(args.seeds)]
+    rows = [args.trial(args, seed) for seed in args.seeds]
     return emit(rows, args.out, args.format)
 
 
@@ -368,7 +382,7 @@ def cmd_calibrate(args):
     1/16, then bisect 12 steps. Each seed's inputs are built once, for every
     constant and step. Prints the fitted SizePolicy as JSON, the format
     --config reads."""
-    inputs = {seed: _calibration_inputs(args, seed) for seed in _seed_range(args.seeds)}
+    inputs = {seed: _calibration_inputs(args, seed) for seed in args.seeds}
     fitted = {}
     for constant in CALIBRATED:
         def passes(K):
@@ -385,7 +399,7 @@ def cmd_calibrate(args):
         fitted[constant] = hi
     policy = sk.SizePolicy(
         **fitted,
-        provenance=f"regsketch calibrate --seeds {args.seeds} --eps {args.eps} "
+        provenance=f"regsketch calibrate --seeds {args.seeds.text} --eps {args.eps} "
         f"({args.n}x{args.d} {args.spectrum} family): minima at 0.9 pass rate",
     )
     text = json.dumps(dataclasses.asdict(policy), indent=2)
@@ -406,7 +420,7 @@ class _GeneratorFlag(argparse.Action):
 
 def _add_family(p):
     """Flags of every subcommand: the seeded problem family and the output."""
-    p.add_argument("--seeds", default="0..9", help="seed or inclusive range a..b")
+    p.add_argument("--seeds", type=_seed_range, default="0..9", help="seed or inclusive range a..b")
     p.add_argument("--n", type=_positive_int, default=200, action=_GeneratorFlag)
     p.add_argument("--d", type=_positive_int, default=30, action=_GeneratorFlag)
     p.add_argument("--spectrum", default="geometric", choices=problems.SPECTRA, action=_GeneratorFlag)
@@ -421,7 +435,7 @@ def _add_shared(p, names):
         "eps": (("--eps",), {"type": _eps, "default": 0.5}),
         "lam": (("--lam", "--lambda"), {"dest": "lam", "type": _lam, "default": None}),
         "lam>0": (("--lam", "--lambda"), {"dest": "lam", "type": _positive_lam, "default": None}),
-        "density": (("--density",), {"type": float, "default": None, "action": _GeneratorFlag}),
+        "density": (("--density",), {"type": _density, "default": None, "action": _GeneratorFlag}),
         "matrix": (("--matrix",), {"type": _matrix_file, "default": None, "help": "Matrix Market file for A"}),
         "sketch": (("--sketch",), {"type": _sketch_json, "default": None, "help": "sketch spec as JSON"}),
         "config": (("--config",), {"dest": "policy", "type": _policy_file, "default": sk.SizePolicy(),

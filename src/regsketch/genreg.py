@@ -30,7 +30,7 @@ import scipy.sparse
 from . import lowrank, ridge
 from . import sketch as sk
 from .la import (
-    RANK_RTOL, as_dense, derive_seed, derive_seeds, gram, gram_eigvalsh, make_rng, row_block, row_blocks,
+    RANK_RTOL, as_dense, derive_seed, gram, gram_eigvalsh, make_rng, row_block, row_blocks,
     short_gram_eigvalsh,
 )
 from .statdim import singular_values as _sv
@@ -421,9 +421,9 @@ def prox_small_solver(f: MatrixMeasure):
     return solve
 
 
-def _affine_spec(policy, rank_hint, eps, n_clamp, seed, side="left"):
+def _affine_spec(policy, rank_hint, eps, n_clamp, seed):
     m = sk.recommend_sizes(policy, rank_hint, eps, "affine")
-    return sk.countsketch_or_identity(m, n_clamp, seed, side)
+    return sk.countsketch_or_identity(m, n_clamp, seed)
 
 
 def _numerical_rank(A, gram_eigs=None):
@@ -573,34 +573,20 @@ def solve_general_lowrank(
 ):
     """Two-sided sketched reduction for min ||YX - A||_F^2 + f(Y, X).
 
-    Affine sketches S (left) and R (right) and inner sketches S-hat and
-    R-hat feed the two-sided core of `lowrank`, whose reduced k x k problem
-    is solved by the SVD reduction with diag_solver. A is read twice: by
-    the left sketches S and S-hat, and by one product A [R Z_R | X'] that
-    lifts Y and gives the fit on A (`lowrank._lift_and_fit`), which falls
-    back to the row-blocked residual (`lowrank.objective_value`) where its
-    expansion would cancel. A CSR A stays sparse throughout.
+    `lowrank.build_core_sized` draws the four sketches of the two-sided
+    core, S and S2 on the left and R and R2 on the right, each at the
+    affine size of k, and the reduced k x k problem is solved by the SVD
+    reduction with diag_solver. A is read twice: by S and S2, and by one
+    product A [R Z_R | X'] that lifts Y and gives the fit on A
+    (`lowrank._lift_and_fit`), which falls back to the row-blocked residual
+    (`lowrank.objective_value`) where its expansion would cancel. A CSR A
+    stays sparse throughout.
     """
     _require_pair_flags(pair_f)
-    n, d = A.shape
-    if not (1 <= k <= min(n, d)):
+    if not (1 <= k <= min(A.shape)):
         raise ValueError("k must satisfy 1 <= k <= min(n, d)")
-    policy = policy or sk.SizePolicy()
-    seeds = derive_seeds(seed, 61, 4)
-    S = _affine_spec(policy, float(k), eps, n, seeds[0])
-    R = _affine_spec(policy, float(k), eps, d, seeds[1], side="right")
-    Sh = _affine_spec(policy, float(k), eps, n, seeds[2])
-    Rh = _affine_spec(policy, float(k), eps, d, seeds[3], side="right")
-    pieces = lowrank._assemble_core(A, S, R, Sh, Rh, {})
-    Z_R, Z_S, truncated = lowrank._solve_two_sided(
-        pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, diag_solver
-    )
+    m = sk.recommend_sizes(policy or sk.SizePolicy(), float(k), eps, "affine")
+    pieces = lowrank.build_core_sized(A, {"m": m, "m_prime": m, "p": m, "p_prime": m}, seed=seed)
+    Z_R, Z_S, truncated = lowrank._solve_two_sided(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, diag_solver)
     Y, X, objective = lowrank._lift_and_fit(A, pieces, Z_R, Z_S, pair_f.evaluate)
-    return lowrank.LowRankFactors(
-        Y=Y,
-        X=X,
-        objective=objective,
-        k=k,
-        lam=0.0,
-        rank_truncated=truncated,
-    )
+    return lowrank.LowRankFactors(Y=Y, X=X, objective=objective, k=k, lam=0.0, rank_truncated=truncated)

@@ -146,7 +146,6 @@ class LambdaQr:
 
     Q: np.ndarray
     R: np.ndarray
-    lam: float
     singular: bool = False
 
 
@@ -179,7 +178,7 @@ def lambda_qr(A, lam: float) -> LambdaQr:
         Q = M @ np.linalg.pinv(R)
     else:
         Q = scipy.linalg.solve_triangular(R.T, M.T, lower=True).T
-    return LambdaQr(Q=Q, R=R, lam=float(lam), singular=singular)
+    return LambdaQr(Q=Q, R=R, singular=singular)
 
 
 def read_matrix_market(path):

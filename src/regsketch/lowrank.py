@@ -27,6 +27,12 @@ the lift and the objective come from one product A [R Z_R | X']
 dense product. With lam = 0, S the identity, or a draw shorter than p, S2 is
 drawn apart and reads A once more; an objective whose expansion would cancel,
 an exact fit among them, is summed over row blocks of A.
+
+`core_sizes` returns the sizes, all numbers, and the draw apart: a
+`statdim.SketchedSd` that carries S and SA, and S2 and S2A when it is long
+enough. `build_core_sized` takes those from the draw and draws every other
+sketch itself. `genreg.solve_general_lowrank` builds through it too, at its
+four affine sizes and without a draw.
 """
 
 from __future__ import annotations
@@ -161,9 +167,14 @@ class CorePieces:
     sizes: dict = field(default_factory=dict)
 
 
-def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: int = 0) -> dict:
-    """Sketch dimensions (m, m', p, p'), sd_hat, S's draw, SA and, when that
-    draw is long enough, S2A.
+def _core_seeds(seed: int) -> list:
+    return derive_seeds(seed, 31, 4)  # S, R, S2, R2
+
+
+def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: int = 0):
+    """(sizes, draw): the sketch dimensions m, m', p, p', sd_hat, the rows
+    m_drawn of S's draw and the count levels_read of its levels read, all
+    numbers, and the draw itself (`statdim.SketchedSd`), None at lam = 0.
 
     sd_hat estimates min(sd_lam(A), k), with sd_lam(A) = sum of
     sigma^2 / (sigma^2 + lam) over A's singular values. It is not the
@@ -181,16 +192,16 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
     (m0 is the size for sd_hat = 1), and folded in half down to m0; m is the
     smallest level whose sd_lam reading fits the size rule, and levels_read
     counts the levels read. That costs one O(nnz(A)) pass plus the Gram of
-    each level's short side. The level's SA is returned under "SA" and
-    build_core_sized solves with it, with S = countsketch(m, fold=m_drawn),
-    so A is sketched for S once. At lam = 0, sd_hat = k and nothing is drawn.
-    m', p and p' follow from sd_hat and m.
+    each level's short side. The draw carries that level as S and SA, and
+    build_core_sized solves with them, so A is sketched for S once. At
+    lam = 0, sd_hat = k and nothing is drawn. m', p and p' follow from
+    sd_hat and m.
 
     When the draw has at least p rows, S2 is a level of it too: the smallest
-    at or above S's with at least p rows, which is returned under "S2A", and
-    p becomes its row count, so build_core_sized reads A for neither S nor
-    S2. Otherwise (lam = 0, S the identity, or m_drawn < p) S2 is drawn
-    apart, as `build_core_sized` says.
+    at or above S's with at least p rows, which the draw carries as S2 and
+    S2A, and p becomes its row count, so build_core_sized reads A for
+    neither S nor S2. Otherwise (lam = 0, S the identity, or m_drawn < p)
+    S2 is drawn apart, as `build_core_sized` says.
     """
     n, d = A.shape
 
@@ -199,32 +210,33 @@ def core_sizes(A, k: int, eps: float, lam: float, policy: sk.SizePolicy, seed: i
         return min(n, max(1, int(np.ceil(policy.k_affine * m_p / eps**2))))
 
     if lam > 0:
-        left = statdim.sd_from_sketch(
+        draw = statdim.sd_from_sketch(
             A, lam, lambda s: sk.recommend_sizes(policy, s, eps, "lowrank_S"), float(k),
-            seed=derive_seeds(seed, 31, 1)[0], second=affine_rows,
+            seed=_core_seeds(seed)[0], second=affine_rows,
         )
-        sd_hat, m = left.sd_hat, left.SA.shape[0]
-        draw = {"m_drawn": left.drawn, "levels_read": left.levels, "SA": left.SA}
-        if left.SA2 is not None:
-            draw["S2A"] = left.SA2
+        sd_hat, m, m_drawn, levels = draw.sd_hat, draw.SA.shape[0], draw.drawn, draw.levels
     else:
-        sd_hat, draw = float(k), {"m_drawn": 0, "levels_read": 0}
+        draw, sd_hat, m_drawn, levels = None, float(k), 0, 0
         m = min(n, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_S"))
     m_p = min(d, sk.recommend_sizes(policy, sd_hat, eps, "lowrank_R"))
-    p = draw["S2A"].shape[0] if "S2A" in draw else affine_rows(sd_hat)
+    p = affine_rows(sd_hat) if draw is None or draw.SA2 is None else draw.SA2.shape[0]
     p_p = min(d, max(1, int(np.ceil(policy.k_affine * m / eps**2))))
-    return {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat, **draw}
+    sizes = {"m": m, "m_prime": m_p, "p": p, "p_prime": p_p, "sd_hat": sd_hat}
+    return {**sizes, "m_drawn": m_drawn, "levels_read": levels}, draw
 
 
-def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
-    """The core pieces at `sizes`; an "SA" that core_sizes drew is reused.
-    S is the CountSketch folded from m_drawn rows when sizes carry it.
+def build_core_sized(A, sizes: dict, draw: statdim.SketchedSd | None = None, seed: int = 0) -> CorePieces:
+    """The core pieces of A at `sizes`. S and SA come from `draw`, the
+    sizing draw of `core_sizes`, when there is one, and S2 and S2A too when
+    it carries them; every other sketch is a CountSketch on its own seed
+    (`_core_seeds`), or the identity when its size reaches n or d. A meets
+    only the left sketches, and only those the draw does not carry; R and
+    R2 are applied to the small SA and S2A, so no n x m' matrix A R is
+    formed.
 
-    S2 is S's draw at p rows, countsketch(p, S's seed, fold=m_drawn), when
-    that draw is a CountSketch of at least p rows; an "S2A" that core_sizes
-    took from it is used and taken out of `sizes`, so that the caller's dict
-    does not keep it past the core. Otherwise S2 is an independent
-    CountSketch, or the identity when p >= n.
+    When the draw carries S2, S2A is taken out of it, so it is freed as
+    soon as R and R2 have read it, and S is a fold of S2, so S A R2 is
+    S2 A R2 halved (`sketch.halve`) down to S's rows and R2 never meets SA.
 
     S2 may share S's draw because neither property the core needs asks for
     independence between them. S must embed the span of A's top directions,
@@ -234,52 +246,30 @@ def build_core_sized(A, sizes: dict, seed: int = 0) -> CorePieces:
     bound covers the two together, whatever the dependence between S and S2.
     """
     n, d = A.shape
-    drawn = {"S2A": sizes.pop("S2A", None)}
-    sizes = dict(sizes)
-    drawn["SA"] = sizes.pop("SA", None)
-    rs = derive_seeds(seed, 31, 4)  # S, R, S2, R2
-    S = sk.countsketch_or_identity(sizes["m"], n, rs[0], "left", fold=sizes.get("m_drawn", 0))
-    R = sk.countsketch_or_identity(sizes["m_prime"], d, rs[1], "right")
-    if S.variant == "countsketch" and sizes["p"] <= sizes.get("m_drawn", 0):
-        S2 = sk.countsketch(sizes["p"], rs[0], fold=sizes["m_drawn"])
-    else:
-        S2 = sk.countsketch_or_identity(sizes["p"], n, rs[2], "left")
-    R2 = sk.countsketch_or_identity(sizes["p_prime"], d, rs[3], "right")
-    return _assemble_core(A, S, R, S2, R2, sizes, drawn)
-
-
-def _assemble_core(A, S, R, S2, R2, sizes, drawn=None) -> CorePieces:
-    """The core pieces of A. A meets only the left sketches, S and S2,
-    unless `drawn` holds SA or S2A; R and R2 are applied to the small SA and
-    S2A. Both are popped from `drawn`, so S2A is freed as soon as R and R2
-    have read it. When S and S2 are CountSketch levels of one draw, S a fold
-    of S2, S A R2 is S2 A R2 halved (`sketch.halve`) down to S's rows, and R2
-    never meets SA.
-    """
-    drawn = {} if drawn is None else drawn
-    SA, S2A = drawn.pop("SA", None), drawn.pop("S2A", None)
-    if SA is None:
+    seeds = _core_seeds(seed)
+    if draw is None:
+        S = sk.countsketch_or_identity(sizes["m"], n, seeds[0], "left")
         SA = as_dense(sk.apply(S, A))
-    if S2A is None:
+    else:
+        S, SA = draw.spec, draw.SA
+    shared = draw is not None and draw.SA2 is not None
+    if shared:
+        S2, S2A, draw.SA2 = draw.spec2, draw.SA2, None
+    else:
+        S2 = sk.countsketch_or_identity(sizes["p"], n, seeds[2], "left")
         S2A = sk.apply(S2, A)  # stays CSR when S2 is the identity
+    R = sk.countsketch_or_identity(sizes["m_prime"], d, seeds[1], "right")
+    R2 = sk.countsketch_or_identity(sizes["p_prime"], d, seeds[3], "right")
     S2AR2, S2AR = as_dense(sk.apply(R2, S2A)), as_dense(sk.apply(R, S2A))
     del S2A
-    # S a fold of S2: CountSketches of one seed drawn at the same rows
-    one_draw = S.variant == S2.variant == "countsketch" and S.seed == S2.seed
-    if one_draw and (S.fold or S.m) == (S2.fold or S2.m) and S2.m >= S.m:
+    if shared:
         SAR2 = S2AR2
         while SAR2.shape[0] > S.m:
             SAR2 = sk.halve(SAR2)
     else:
         SAR2 = as_dense(sk.apply(R2, SA))
-    return CorePieces(
-        SA=SA,
-        S2AR=S2AR,
-        SAR2=SAR2,
-        S2AR2=S2AR2,
-        specs={"S": S, "R": R, "S2": S2, "R2": R2},
-        sizes=dict(sizes),
-    )
+    specs = {"S": S, "R": R, "S2": S2, "R2": R2}
+    return CorePieces(SA=SA, S2AR=S2AR, SAR2=SAR2, S2AR2=S2AR2, specs=specs, sizes=dict(sizes))
 
 
 # Where the rounding bound of `_expanded_fit` exceeds FIT_RTOL times the
@@ -408,7 +398,8 @@ def solve_sketched(
         sol = solve_sketched(AT, k, lam, eps, policy, seed=seed)
         return replace(sol, Y=sol.X.T, X=sol.Y.T)
     policy = policy or sk.SizePolicy()
-    pieces = build_core_sized(A, core_sizes(A, k, eps, lam, policy, seed=seed), seed=seed)
+    sizes, draw = core_sizes(A, k, eps, lam, policy, seed=seed)
+    pieces = build_core_sized(A, sizes, draw, seed=seed)
     Z_R, Z_S, truncated = solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
     Y, X, objective = _lift_and_fit(A, pieces, Z_R, Z_S, lambda Y, X: lam * (np.vdot(Y, Y) + np.vdot(X, X)))
     return LowRankFactors(

@@ -134,12 +134,10 @@ def countsketch(m: int, seed: int = 0, side: str = "left", fold: int = 0) -> Ske
     return SketchSpec("countsketch", m=m, seed=seed, side=side, fold=0 if fold == m else fold)
 
 
-def countsketch_or_identity(
-    m: int, n: int, seed: int = 0, side: str = "left", fold: int = 0
-) -> SketchSpec:
+def countsketch_or_identity(m: int, n: int, seed: int = 0, side: str = "left") -> SketchSpec:
     """A CountSketch taking n rows (or columns) to m, or the identity when
     m >= n: such a sketch reduces nothing and only adds collisions."""
-    return identity(side=side) if m >= n else countsketch(m, seed=seed, side=side, fold=fold)
+    return identity(side=side) if m >= n else countsketch(m, seed=seed, side=side)
 
 
 def osnap(m: int, s: int = 0, seed: int = 0, side: str = "left") -> SketchSpec:

@@ -136,7 +136,7 @@ class StatDimEstimate:
 SD_SKETCH_ROWS_PER_RANK = 4
 # derive_seed stream of the estimator's CountSketch: past every stream the
 # other draws take (composed parts and trial specs count up from 0 and 1;
-# lowrank and genreg use 31 to 64), so its hash is independent of theirs
+# lowrank and genreg use 31 to 53), so its hash is independent of theirs
 SD_SKETCH_STREAM = 1 << 20
 SD_BACKENDS = ("sketch", "exact")
 
@@ -225,9 +225,11 @@ class SketchedSd:
     sd_hat: float  # min(sd_by_gram(SA, lam), cap)
     drawn: int  # rows M of the one CountSketch drawn; 0 when none was
     levels: int  # levels of that draw whose sd_lam was read
-    # the level asked for by sd_from_sketch's `second`, countsketch(rows,
-    # seed, fold=drawn); None when not asked for or when the draw is shorter
+    # the level asked for by sd_from_sketch's `second` and its spec,
+    # countsketch(rows, seed, fold=drawn); None when not asked for or when
+    # the draw is shorter
     SA2: np.ndarray | None = None
+    spec2: sk.SketchSpec | None = None
 
 
 def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0, second=None) -> SketchedSd:
@@ -252,9 +254,9 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0, second=None) 
     With `second`, a size rule of a second sketch of A that the caller
     wants, second(sd_hat) rows are also taken from this draw: the smallest
     level at or above the one returned with at least that many rows comes
-    back as SA2, the apply of countsketch(rows, seed, fold=M), so the one
-    returned is a fold of it. When the draw is shorter, SA2 is None and the
-    caller draws that sketch itself.
+    back as SA2, the apply of spec2 = countsketch(rows, seed, fold=M), so
+    the one returned is a fold of it. When the draw is shorter, SA2 and
+    spec2 are None and the caller draws that sketch itself.
 
     Cost: one O(nnz(A)) apply at M rows, O(M d) to fold, and per level read
     the Gram of its short side and its eigenvalues. The levels take about
@@ -307,15 +309,16 @@ def sd_from_sketch(A, lam: float, size, cap: float, seed: int = 0, second=None) 
                 i, SA = 0, sk.halve(SA)
             elif size(sds[i]) > SA.shape[0] or (i == 0 and M > m0):
                 continue
-            SA, SA2 = own(SA), None
+            SA, SA2, spec2 = own(SA), None, None
             if second is not None:
                 rows = SA.shape[0]
                 while rows < min(M, second(sds[i])):
                     rows *= 2
                 if rows >= second(sds[i]):
                     SA2 = SA if rows == SA.shape[0] else own(level(rows))
+                    spec2 = sk.countsketch(rows, seed, fold=M)
             spec = sk.countsketch(SA.shape[0], seed, fold=M)
-            return SketchedSd(spec=spec, SA=SA, sd_hat=sds[i], drawn=M, levels=len(sds), SA2=SA2)
+            return SketchedSd(spec=spec, SA=SA, sd_hat=sds[i], drawn=M, levels=len(sds), SA2=SA2, spec2=spec2)
         del SA_M, packed, SA
     SA = as_dense(A)
     sd_hat = min(sd_by_gram(SA, lam), cap)

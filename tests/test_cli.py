@@ -456,6 +456,46 @@ def test_seed_range_parsing():
     assert cli._seed_range("7") == [7]
 
 
+def test_seed_range_keeps_the_text_typed():
+    # calibrate quotes --seeds in its provenance as the user typed it
+    assert cli._seed_range("03..5").text == "03..5" and cli._seed_range("03..5") == [3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ridge", "--seeds", "x"],
+        ["ridge", "--seeds", "5..2"],
+        ["ridge", "--seeds", "1..2..3"],
+        ["calibrate", "--seeds", "4.."],
+        ["mr-ridge", "--seeds", "-3"],
+        ["ridge", "--density", "-1"],
+        ["ridge", "--density", "nan"],
+        ["cca", "--density", "0"],
+        ["lowrank", "--density", "1.5"],
+    ],
+    ids=lambda argv: "".join(argv),
+)
+def test_bad_seeds_or_density_is_usage_error(argv, capsys):
+    # --seeds x and mr-ridge --seeds -3 ended in a traceback and --seeds 5..2
+    # ran no trial; --density -1 raised inside the solve and cca --density 0
+    # passed on an all-zero A
+    if argv[1] == "--density":
+        argv = argv + ["--seeds", "0"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--n", "100", "--d", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[1]}:" in err
+
+
+def test_density_takes_its_closed_end(tmp_path):
+    out = tmp_path / "dense.jsonl"
+    argv = ["statdim", "--seeds", "0", "--n", "100", "--d", "5", "--density", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(_read_jsonl(out)) == 1
+
+
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -838,12 +838,14 @@ class TestGeneralLowRank:
             lambda s: genreg.diag_solver_shrink(s, lam),
             eps, seed=seed,
         )
+        m = sk.recommend_sizes(sk.SizePolicy(), float(k), eps, "affine")
+        pieces = lowrank.build_core_sized(A, {"m": m, "m_prime": m, "p": m, "p_prime": m}, seed=seed)
+        # S, R, S2 and R2, each at the affine size of k on lowrank's own seeds
         specs = [
-            genreg._affine_spec(sk.SizePolicy(), float(k), eps, dim, la.derive_seed(seed, 61 + i), side)
-            for i, (dim, side) in enumerate([(400, "left"), (300, "right"), (400, "left"), (300, "right")])
+            sk.countsketch(m, s, side)
+            for s, side in zip(la.derive_seeds(seed, 31, 4), ["left", "right", "left", "right"])
         ]
-        assert all(spec.variant == "countsketch" for spec in specs)
-        pieces = lowrank._assemble_core(A, *specs, {})
+        assert [pieces.specs[name] for name in ("S", "R", "S2", "R2")] == specs
         Z_R, Z_S, _ = lowrank.solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
         Y, X, _ = lowrank._lift_and_fit(A, pieces, Z_R, Z_S, lambda Y, X: 0.0)
         assert np.array_equal(got.Y, Y) and np.array_equal(got.X, X)

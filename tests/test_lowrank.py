@@ -1,3 +1,4 @@
+import numbers
 import tracemalloc
 
 import numpy as np
@@ -237,9 +238,11 @@ COLLAPSE = sk.SizePolicy(k_sparse=1e6, k_affine=1e6)
 
 
 def _identity_pieces(A):
-    """The core pieces with every sketch the identity."""
-    left, right = sk.identity(), sk.identity(side="right")
-    return lowrank._assemble_core(A, left, right, left, right, {})
+    """The core pieces with every sketch the identity: each size reaches n or d."""
+    n, d = A.shape
+    pieces = lowrank.build_core_sized(A, {"m": n, "m_prime": d, "p": n, "p_prime": d})
+    assert all(spec.variant == "identity" for spec in pieces.specs.values())
+    return pieces
 
 
 class TestBuildCore:
@@ -253,8 +256,8 @@ class TestBuildCore:
     def test_dimensions_match_policy(self):
         A, _ = problems.generate_problem(300, 200, 4)
         policy = sk.SizePolicy()
-        sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, policy, seed=4)
-        pieces = lowrank.build_core_sized(A, sizes, seed=4)
+        sizes, draw = lowrank.core_sizes(A, 5, 0.5, 0.0, policy, seed=4)
+        pieces = lowrank.build_core_sized(A, sizes, draw, seed=4)
         assert pieces.SA.shape == (min(sizes["m"], 300), 200)
         assert pieces.S2AR.shape == (min(sizes["p"], 300), min(sizes["m_prime"], 200))
         assert pieces.SAR2.shape == (min(sizes["m"], 300), min(sizes["p_prime"], 200))
@@ -390,17 +393,19 @@ class TestSolveSketched:
         A, _ = problems.generate_problem(2000, 400, 14, kind="geometric")
         lam = problems.lambda_for_sd(A, 3.0, 8.0)
         policy = sk.SizePolicy()
-        sizes = lowrank.core_sizes(A, 10, 0.5, lam, policy, seed=14)
-        pieces = lowrank.build_core_sized(A, sizes, seed=14)
-        # A is sketched for S once: the sizing draw is the solve's SA
-        assert pieces.SA is sizes["SA"]
+        sizes, draw = lowrank.core_sizes(A, 10, 0.5, lam, policy, seed=14)
+        pieces = lowrank.build_core_sized(A, sizes, draw, seed=14)
+        # A is sketched for S once: the sizing draw is the solve's S and SA
+        assert pieces.SA is draw.SA and pieces.specs["S"] is draw.spec
         assert np.array_equal(pieces.SA, sk.apply(pieces.specs["S"], A))
         assert pieces.specs["S"].variant == "countsketch"
         assert sizes["m"] == pieces.SA.shape[0] < 2000
         assert sizes["m"] >= sk.recommend_sizes(policy, sizes["sd_hat"], 0.5, "lowrank_S")
         assert 0.5 <= sizes["sd_hat"] / statdim.sd_exact(A, lam) <= 2.0
         assert pieces.specs["S"] == sk.countsketch(sizes["m"], pieces.specs["S"].seed, fold=sizes["m_drawn"])
-        assert sizes["m_drawn"] > sizes["m"] and sizes["levels_read"] > 1 and "SA" not in pieces.sizes
+        assert sizes["m_drawn"] > sizes["m"] and sizes["levels_read"] > 1
+        # the sizes are numbers: the draw's arrays travel apart from them
+        assert all(isinstance(value, numbers.Real) for value in sizes.values())
         sol = lowrank.solve_sketched(A, 10, lam, 0.5, policy=policy, seed=14)
         assert sol.sizes == pieces.sizes
         assert set(sol.sizes) == {"m", "m_prime", "p", "p_prime", "sd_hat", "m_drawn", "levels_read"}
@@ -411,7 +416,7 @@ class TestSolveSketched:
         on_a = []
         apply = sk.apply
         monkeypatch.setattr(sk, "apply", lambda spec, M, *more: on_a.append(M is A) or apply(spec, M, *more))
-        sizes = lowrank.core_sizes(A, 10, 0.5, lam, sk.SizePolicy(), seed=14)
+        sizes, _ = lowrank.core_sizes(A, 10, 0.5, lam, sk.SizePolicy(), seed=14)
         assert sum(on_a) == 1 and sizes["levels_read"] > 1
 
     def test_sizes_survive_transpose_dispatch(self):
@@ -438,8 +443,8 @@ class TestSolveSketched:
         finally:
             tracemalloc.stop()
         assert peak < n * d * 8 / 4
-        sizes = lowrank.core_sizes(A, k, 0.5, lam, sk.SizePolicy(), seed=16)
-        pieces = lowrank.build_core_sized(A, sizes, seed=16)
+        sizes, draw = lowrank.core_sizes(A, k, 0.5, lam, sk.SizePolicy(), seed=16)
+        pieces = lowrank.build_core_sized(A, sizes, draw, seed=16)
         assert pieces.specs["R"].variant == "countsketch"
         assert sizes["m_prime"] / d > 1 / 4
         Z_R, _, _ = lowrank.solve_core(pieces.S2AR, pieces.SAR2, pieces.S2AR2, k, lam)
@@ -448,8 +453,9 @@ class TestSolveSketched:
 
     def test_lambda_zero_sizes_from_k(self):
         A, _ = problems.generate_problem(300, 200, 4)
-        sizes = lowrank.core_sizes(A, 5, 0.5, 0.0, sk.SizePolicy(), seed=4)
-        assert sizes["sd_hat"] == 5.0 and sizes["m_drawn"] == sizes["levels_read"] == 0 and "SA" not in sizes
+        sizes, draw = lowrank.core_sizes(A, 5, 0.5, 0.0, sk.SizePolicy(), seed=4)
+        assert sizes["sd_hat"] == 5.0 and sizes["m_drawn"] == sizes["levels_read"] == 0 and draw is None
+        assert all(isinstance(value, numbers.Real) for value in sizes.values())
 
 
 def _shared_input():
@@ -473,11 +479,12 @@ class TestSharedDraw:
     def test_s2_is_a_level_of_the_sizing_draw(self):
         A, lam = _shared_input()
         policy = sk.SizePolicy()
-        sizes = lowrank.core_sizes(A, 10, 0.5, lam, policy, seed=14)
-        S2A = sizes["S2A"]
-        pieces = lowrank.build_core_sized(A, sizes, seed=14)
-        assert "S2A" not in sizes  # taken out, so the core does not keep it
+        sizes, draw = lowrank.core_sizes(A, 10, 0.5, lam, policy, seed=14)
+        S2A, spec2 = draw.SA2, draw.spec2
+        pieces = lowrank.build_core_sized(A, sizes, draw, seed=14)
+        assert draw.SA2 is None  # taken out, so the draw does not keep it past the core
         S, S2, M = pieces.specs["S"], pieces.specs["S2"], sizes["m_drawn"]
+        assert S2 is spec2
         assert S == sk.countsketch(sizes["m"], S.seed, fold=M)
         assert S2 == sk.countsketch(sizes["p"], S.seed, fold=M)
         # the smallest level at or above S's with at least the affine rows
@@ -507,10 +514,11 @@ class TestSharedDraw:
     def test_fallback_draws_s2_apart(self, case):
         A, lam, k = _fallback_input(case)
         policy = sk.SizePolicy()
-        sizes = lowrank.core_sizes(A, k, 0.5, lam, policy, seed=3)
-        assert "S2A" not in sizes and sizes["p"] > sizes["m_drawn"]
+        sizes, draw = lowrank.core_sizes(A, k, 0.5, lam, policy, seed=3)
+        assert (draw is None) == (case == "lambda zero") and sizes["p"] > sizes["m_drawn"]
+        assert draw is None or draw.SA2 is None
         assert sizes["p"] == int(np.ceil(policy.k_affine * sizes["m_prime"] / 0.5**2))
-        pieces = lowrank.build_core_sized(A, sizes, seed=3)
+        pieces = lowrank.build_core_sized(A, sizes, draw, seed=3)
         S2 = sk.countsketch_or_identity(sizes["p"], A.shape[0], la.derive_seeds(3, 31, 4)[2], "left")
         assert pieces.specs["S2"] == S2 and S2.variant == "countsketch"
         assert np.array_equal(pieces.SAR2, sk.apply(pieces.specs["R2"], pieces.SA))
@@ -521,10 +529,10 @@ class TestSharedDraw:
         # M/2 + M rows) and adds the p x p' S2 A R2, with p <= M
         A, lam = _shared_input()
         d = A.shape[1]
-        sizes = lowrank.core_sizes(A, 10, 0.5, lam, sk.SizePolicy(), seed=14)
+        sizes, draw = lowrank.core_sizes(A, 10, 0.5, lam, sk.SizePolicy(), seed=14)
         M, p_prime = sizes["m_drawn"], sizes["p_prime"]
         lowrank.solve_sketched(A, 10, lam, 0.5, seed=14)  # warm up outside the trace
-        del sizes
+        del sizes, draw
         tracemalloc.start()
         try:
             lowrank.solve_sketched(A, 10, lam, 0.5, seed=14)

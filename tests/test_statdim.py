@@ -342,13 +342,14 @@ class TestSdFromSketch:
         assert base.SA2 is None and 2 * m <= base.drawn
         got = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: m + 1)
         assert np.array_equal(got.SA, base.SA) and got.spec == base.spec
-        assert np.array_equal(got.SA2, sk.apply(sk.countsketch(2 * m, seed=7, fold=got.drawn), A))
+        assert got.spec2 == sk.countsketch(2 * m, seed=7, fold=got.drawn)
+        assert np.array_equal(got.SA2, sk.apply(got.spec2, A))
         assert np.array_equal(sk.halve(got.SA2), got.SA)
         # a rule at or below S's rows takes S's own level, one above the draw none
         same = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: 1)
-        assert same.SA2 is same.SA
+        assert same.SA2 is same.SA and same.spec2 == same.spec
         longer = statdim.sd_from_sketch(A, lam, size, 50.0, seed=7, second=lambda s: got.drawn + 1)
-        assert longer.SA2 is None
+        assert longer.SA2 is None and longer.spec2 is None
 
     @staticmethod
     def every_level_at_once(A, lam, size, cap, seed, second):

@@ -45,3 +45,28 @@ def test_traced_genreg_run_counts_prox_steps(monkeypatch):
     assert summary["counts"].get("genreg.prox.calls", 0) > 0
     assert summary["spans"]["genreg.small_solver"]["calls"] == 1
     assert not hasattr(workloads.genreg.solve_general_regression, "__wrapped__")
+
+
+def test_traced_lowrank_run_records_each_layer_once(monkeypatch):
+    # the benchmark's lowrank per-layer metrics read these three spans: a
+    # solve that reached a layer through a name the tracer does not wrap
+    # would read 0 there without failing
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    import workloads
+    from spans import Tracer
+
+    w = workloads.LowrankDense()
+    monkeypatch.setattr(w, "n", 800)
+    monkeypatch.setattr(w, "d", 200)
+    inp = w.setup(1)
+    tracer = Tracer()
+    try:
+        layers.install(tracer, {})
+        mark = tracer.mark()
+        w.sketched(w.instrument(inp, tracer), 1)
+        spans = tracer.summary(mark)["spans"]
+    finally:
+        tracer.unwrap_all()
+    for name in ("lowrank.core_sizes", "lowrank.build_core_sized", "lowrank.solve_core"):
+        assert spans.get(name, {}).get("calls") == 1, name
